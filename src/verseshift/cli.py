@@ -211,6 +211,10 @@ def _train_config(args: argparse.Namespace, cfg: dict) -> trainer.TrainConfig:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    try:
+        config = _train_config(args, cfg)
+    except ValueError as exc:  # out-of-range training settings are usage errors
+        raise UsageError(str(exc)) from exc
     out = _out_dir(args, cfg)
     table = _slot_table(args, cfg)
     cache = _cache_path(args, cfg, out)
@@ -218,7 +222,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     assignment = corpus.assign_slots(stanzas, table)
     min_count = int(_opt(args, cfg, "min_count", "train.min_count", 5))
     vocab = corpus.build_vocab(assignment, min_count=min_count)
-    config = _train_config(args, cfg)
     docs_by_slot = [[s.tokens for s in docs] for docs in assignment.per_slot]
     model = trainer.train(docs_by_slot, vocab, table, config)
     model_path = _model_path(args, cfg, out)
@@ -423,14 +426,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-count", dest="min_count", type=int, help="vocabulary threshold (default 5)")
     p.add_argument("--dim", type=int, help="embedding dimension (default 100)")
     p.add_argument("--context-window", dest="context_window", type=int, help="tokens each side (default 5)")
-    p.add_argument("--negatives", type=int, help="negatives per pair (default 5)")
+    p.add_argument("--negatives", type=int, help="negatives per pair, shared by groups of 32 pairs (default 5)")
     p.add_argument("--epochs", type=int, help="training epochs (default 5)")
     p.add_argument("--initial-lr", dest="initial_lr", type=float)
     p.add_argument("--final-lr", dest="final_lr", type=float)
     p.add_argument("--subsample", type=float, help="frequent-word threshold, 0 disables (default 1e-4)")
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--seed", type=int, help="training seed (default 1)")
-    p.add_argument("--workers", type=int, help="parallel workers; >1 is nondeterministic")
+    p.add_argument("--workers", type=int, help="parallel workers, 1 to the CPU count; >1 is nondeterministic")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("selfsim", help="adjacent-slot self-similarity CSV + box plot")

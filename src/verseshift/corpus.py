@@ -84,7 +84,7 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
     result = IngestResult(stanzas=[])
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -188,7 +188,7 @@ def load_lemma_map(path: str | Path) -> dict[str, str]:
     token stream.
     """
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -202,7 +202,7 @@ def load_lemma_map(path: str | Path) -> dict[str, str]:
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One word per line; '#' starts a comment line."""
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8").split("\n"):
         word = line.strip()
         if word and not word.startswith("#"):
             words.add(word.lower())
@@ -443,7 +443,7 @@ def load_normalized(path: str | Path) -> list[Stanza]:
             f"normalized corpus cache {path} does not exist; run the ingest command first"
         )
     stanzas = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         obj = json.loads(line)

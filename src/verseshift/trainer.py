@@ -4,11 +4,20 @@ A word's vector in slot t is base[word] + delta[t, word]. The two matrices
 receive identical gradient updates for every training pair, so words that
 never occur in a slot keep an exactly zero delta there and fall back to the
 shared base representation.
+
+Negative sampling follows word2vec (unigram counts to the 0.75), except
+that each group of PAIR_GROUP consecutive pairs in a minibatch shares one
+set of k negatives, as in Ji et al. (arXiv:1604.04661). Every pair still
+scores k independent draws, so the expected per-pair objective is
+unchanged; only pairs within a group are correlated. Sharing turns the
+scores and gradients into small matrix products and cuts the sampled
+context rows to update by the group size.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,6 +30,7 @@ log = logging.getLogger(__name__)
 
 MODEL_MAGIC = b"DLKV"
 MODEL_VERSION = 1
+PAIR_GROUP = 32  # consecutive pairs of a minibatch that share one negative set
 
 
 class ModelFormatError(Exception):
@@ -29,6 +39,11 @@ class ModelFormatError(Exception):
 
 class NumericError(Exception):
     """Training produced a non-finite value."""
+
+
+def max_workers() -> int:
+    """Upper bound on training threads: the machine's CPU count."""
+    return os.cpu_count() or 1
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -66,8 +81,8 @@ class TrainConfig:
             raise ValueError("need initial_lr > final_lr > 0")
         if self.subsample_threshold < 0.0:
             raise ValueError("subsample_threshold must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not (1 <= self.workers <= max_workers()):
+            raise ValueError(f"workers must be between 1 and the CPU count ({max_workers()})")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
 
@@ -79,23 +94,37 @@ class TrainingBatch:
     words: np.ndarray  # (B,) target word indices
     slots: np.ndarray  # (B,) slot index of each target
     contexts: np.ndarray  # (B,) positive context indices
-    negatives: np.ndarray  # (B, k) sampled negative indices
+    negatives: np.ndarray  # (G, k) one negative set per group of ceil(B/G) pairs
 
 
 def _batch_terms(u: np.ndarray, c_pos: np.ndarray, c_neg: np.ndarray):
-    """Loss and raw gradients for a batch at fixed parameters.
+    """Loss and raw gradients for a batch at fixed parameters, in u's dtype.
 
-    u is the summed target vector per pair; gradients w.r.t. u apply
-    identically to the base matrix and the slot delta.
+    u and c_pos are (B, d): the summed target vector and the positive
+    context of each pair. c_neg is (G, k, d): the B pairs fall into G
+    contiguous groups of ceil(B/G) and every pair in a group scores the same
+    k negatives, so scores and gradients are stacked matrix products. The
+    last group is padded with zero rows of u, which add nothing to the
+    negative-context gradient; the loss sums real pairs only, in float64.
+    Gradients w.r.t. u apply identically to the base matrix and the delta.
     """
+    n_pairs, d = u.shape
+    n_groups, k, _ = c_neg.shape
+    size = -(-n_pairs // n_groups)
+    u_grouped = np.zeros((n_groups * size, d), dtype=u.dtype)
+    u_grouped[:n_pairs] = u
+    u_grouped = u_grouped.reshape(n_groups, size, d)
     s_pos = np.einsum("bd,bd->b", u, c_pos)
-    s_neg = np.einsum("bd,bkd->bk", u, c_neg)
+    s_neg = u_grouped @ c_neg.transpose(0, 2, 1)  # (G, size, k)
     g_pos = _sigmoid(s_pos) - 1.0
     g_neg = _sigmoid(s_neg)
-    loss = -(_log_sigmoid(s_pos).sum() + _log_sigmoid(-s_neg).sum())
-    grad_u = g_pos[:, None] * c_pos + np.einsum("bk,bkd->bd", g_neg, c_neg)
+    loss = -(
+        _log_sigmoid(s_pos.astype(np.float64)).sum()
+        + _log_sigmoid(-s_neg.reshape(-1, k)[:n_pairs].astype(np.float64)).sum()
+    )
+    grad_u = g_pos[:, None] * c_pos + (g_neg @ c_neg).reshape(-1, d)[:n_pairs]
     grad_c_pos = g_pos[:, None] * u
-    grad_c_neg = g_neg[..., None] * u[:, None, :]
+    grad_c_neg = g_neg.transpose(0, 2, 1) @ u_grouped  # (G, k, d)
     return float(loss), grad_u, grad_c_pos, grad_c_neg
 
 
@@ -163,24 +192,15 @@ def sgd_step(
     words = batch.words.astype(np.int64)
     flat_delta_idx = batch.slots.astype(np.int64) * n_words + words
     u = base[words] + deltas_flat[flat_delta_idx]
-    c_pos = context[batch.contexts]
-    c_neg = context[batch.negatives]
-    s_pos = np.einsum("bd,bd->b", u, c_pos)
-    s_neg = np.einsum("bd,bkd->bk", u, c_neg)
-    g_pos = _sigmoid(s_pos) - 1.0
-    g_neg = _sigmoid(s_neg)
-    loss = -(
-        _log_sigmoid(s_pos.astype(np.float64)).sum()
-        + _log_sigmoid(-s_neg.astype(np.float64)).sum()
+    loss, grad_u, grad_c_pos, grad_c_neg = _batch_terms(
+        u, context[batch.contexts], context[batch.negatives]
     )
-    grad_u = g_pos[:, None] * c_pos + np.einsum("bk,bkd->bd", g_neg, c_neg)
-    grad_c_pos = g_pos[:, None] * u
-    grad_c_neg = (g_neg[..., None] * u[:, None, :]).reshape(-1, context.shape[1])
     _scatter_add_rows(base, words, grad_u, -lr)
     _scatter_add_rows(deltas_flat, flat_delta_idx, grad_u, -lr)
-    _scatter_add_rows(context, batch.contexts.astype(np.int64), grad_c_pos, -lr)
-    _scatter_add_rows(context, batch.negatives.astype(np.int64).ravel(), grad_c_neg, -lr)
-    return float(loss)
+    context_idx = np.concatenate([batch.contexts, batch.negatives.ravel()]).astype(np.int64)
+    context_rows = np.concatenate([grad_c_pos, grad_c_neg.reshape(-1, context.shape[1])])
+    _scatter_add_rows(context, context_idx, context_rows, -lr)
+    return loss
 
 
 class JointEmbeddingModel:
@@ -331,9 +351,10 @@ def train(
     """Train the joint model over per-slot token documents.
 
     Every (target-in-slot, context) pair within the window contributes a
-    negative-sampling step; negatives come from the corpus-wide unigram
-    distribution raised to 0.75. The learning rate decays linearly over
-    all scheduled pairs. Single-worker runs with a fixed seed are fully
+    negative-sampling step; each group of PAIR_GROUP consecutive pairs
+    shares k negatives drawn from the corpus-wide unigram distribution
+    raised to 0.75. The learning rate decays linearly over all scheduled
+    pairs. Single-worker runs with a fixed seed are fully
     deterministic; extra workers update the shared matrices without locks
     and trade determinism for speed.
     """
@@ -418,8 +439,9 @@ def train(
         def run_batches(jobs, rng) -> float:
             loss_sum = 0.0
             for lo, hi, lr in jobs:
+                n_groups = -(-(hi - lo) // PAIR_GROUP)
                 negs = np.searchsorted(
-                    neg_cdf, rng.random((hi - lo, config.negatives)), side="right"
+                    neg_cdf, rng.random((n_groups, config.negatives)), side="right"
                 ).astype(np.int32)
                 np.clip(negs, 0, n_words - 1, out=negs)
                 batch = TrainingBatch(all_w[lo:hi], all_s[lo:hi], all_c[lo:hi], negs)
@@ -487,14 +509,16 @@ class _Reader:
         self.pos += n
         return out
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
 
 def load_model(path) -> JointEmbeddingModel:
-    """Read a model file written by :func:`save_model`."""
+    """Read a model file written by :func:`save_model`.
+
+    Header sizes are checked against the file length before any array is
+    allocated, so a corrupt header fails as ModelFormatError.
+    """
     try:
-        data = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     r = _Reader(data, path)
@@ -505,6 +529,10 @@ def load_model(path) -> JointEmbeddingModel:
         raise ModelFormatError(f"unsupported model version {version} in {path}")
     if n_words == 0 or n_slots == 0 or d == 0:
         raise ModelFormatError(f"empty dimensions in model header of {path}")
+    payload = 4 * d * n_words * (n_slots + 2)
+    # slot years, per-word fixed fields (empty words), then the f32 matrices
+    if len(data) < 20 + 8 * n_slots + n_words * (12 + 8 * n_slots) + payload:
+        raise ModelFormatError(f"truncated model file {path}: header sizes exceed its length")
     slots = []
     for _ in range(n_slots):
         start, end = struct.unpack("<ii", r.take(8))
@@ -530,13 +558,11 @@ def load_model(path) -> JointEmbeddingModel:
         slot_total_tokens=slot_counts.sum(axis=1),
     )
 
-    def read_matrix(rows: int) -> np.ndarray:
-        buf = r.take(rows * d * 4)
-        return np.frombuffer(buf, dtype="<f4").reshape(rows, d).copy()
-
-    base = read_matrix(n_words)
-    deltas = np.stack([read_matrix(n_words) for _ in range(n_slots)])
-    context = read_matrix(n_words)
-    if not r.done():
+    if len(data) - r.pos < payload:
+        raise ModelFormatError(f"truncated model file {path}")
+    if len(data) - r.pos > payload:
         raise ModelFormatError(f"trailing bytes after model payload in {path}")
-    return JointEmbeddingModel(vocab, table, base, deltas, context)
+    # one float32 block: base, the per-slot deltas, then context
+    mats = np.frombuffer(data, dtype="<f4", offset=r.pos).reshape(n_slots + 2, n_words, d)
+    mats = mats.astype(np.float32)
+    return JointEmbeddingModel(vocab, table, mats[0], mats[1:-1], mats[-1])

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import struct
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -118,6 +120,24 @@ class TestIngestCommand:
         rc = cli.main(["ingest", "--corpus", str(tmp_path / "no.jsonl"), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_unicode_line_separators_inside_stanzas(self, tmp_path):
+        # U+2028 and U+0085 are line breaks to str.splitlines but not to JSON Lines
+        records = synthgen.generate(pipeline_spec())
+        for i, rec in enumerate(records):
+            sep = "\u2028" if i % 2 else "\u0085"
+            rec["lines"] = [line.replace(" ", sep, 1) for line in rec["lines"]]
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["ingest", "--corpus", str(corpus_path), "--out", str(out), *SLOT_FLAGS]) == 0
+        stats = json.loads((out / "ingest_stats.json").read_text())
+        assert stats["stanzas"] == len(records)
+        assert stats["dropped_malformed"] == 0
+        assert cli.main(["train", "--out", str(out), *SLOT_FLAGS, *TRAIN_FLAGS]) == 0
+        assert trainer.load_model(out / "model.bin").n_slots == 4
+
 
 class TestTrainCommand:
     def test_missing_cache_actionable(self, tmp_path, capsys):
@@ -153,6 +173,24 @@ class TestTrainCommand:
             assert rc == 0
         assert m1.read_bytes() == m2.read_bytes()
 
+    @pytest.mark.parametrize("over_cap", [False, True])
+    def test_workers_out_of_range_rejected_before_threads(self, workspace, tmp_path, monkeypatch, over_cap):
+        workers = trainer.max_workers() + 1 if over_cap else 0
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(trainer, "ThreadPoolExecutor", no_pool)
+        threads_before = threading.active_count()
+        model_path = tmp_path / "never.bin"
+        rc = cli.main(
+            ["train", "--out", str(workspace["out"]), "--model", str(model_path),
+             *SLOT_FLAGS, *TRAIN_FLAGS, "--workers", str(workers)]
+        )
+        assert rc == 1
+        assert threading.active_count() == threads_before
+        assert not model_path.exists()
+
 
 class TestSelfsimCommand:
     def test_outputs(self, workspace):
@@ -179,6 +217,11 @@ class TestSelfsimCommand:
     def test_junk_model_exits_two(self, tmp_path):
         bad = tmp_path / "model.bin"
         bad.write_bytes(b"garbage here")
+        assert cli.main(["selfsim", "--out", str(tmp_path), "--model", str(bad)]) == 2
+
+    def test_oversized_header_exits_two(self, tmp_path):
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(trainer.MODEL_MAGIC + struct.pack("<IIIIiiii", 1, 100, 2**32 - 1, 2, 1600, 1650, 1650, 1700))
         assert cli.main(["selfsim", "--out", str(tmp_path), "--model", str(bad)]) == 2
 
 

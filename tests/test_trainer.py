@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             quick_config(**kwargs)
 
+    def test_workers_capped_at_cpu_count(self):
+        quick_config(workers=trainer.max_workers())
+        with pytest.raises(ValueError, match="CPU count"):
+            quick_config(workers=trainer.max_workers() + 1)
+
 
 class TestEmbeddingOf:
     def test_zero_delta_returns_base(self):
@@ -84,6 +91,40 @@ class TestEmbeddingOf:
             model.embedding_of("fehlt", 0)
         with pytest.raises(ValueError):
             model.embedding_of("a", 2)
+
+
+def random_problem(seed, n_words, dim, n_slots, size, n_groups, k):
+    rng = np.random.default_rng(seed)
+    base = rng.normal(scale=0.4, size=(n_words, dim)).astype(np.float32)
+    deltas = rng.normal(scale=0.2, size=(n_slots, n_words, dim)).astype(np.float32)
+    ctx = rng.normal(scale=0.4, size=(n_words, dim)).astype(np.float32)
+    batch = trainer.TrainingBatch(
+        words=rng.integers(0, n_words, size),
+        slots=rng.integers(0, n_slots, size),
+        contexts=rng.integers(0, n_words, size),
+        negatives=rng.integers(0, n_words, (n_groups, k)),
+    )
+    return base, deltas, ctx, batch
+
+
+def per_pair_reference(base, deltas, ctx, batch):
+    """Loss and dense gradients with every pair scoring its own row of negatives."""
+    base, deltas, ctx = (t.astype(np.float64) for t in (base, deltas, ctx))
+    u = base[batch.words] + deltas[batch.slots, batch.words]
+    c_pos = ctx[batch.contexts]
+    c_neg = ctx[batch.negatives]  # (B, k, d)
+    s_pos = np.einsum("bd,bd->b", u, c_pos)
+    s_neg = np.einsum("bd,bkd->bk", u, c_neg)
+    loss = np.logaddexp(0.0, -s_pos).sum() + np.logaddexp(0.0, s_neg).sum()
+    g_pos = 1.0 / (1.0 + np.exp(-s_pos)) - 1.0
+    g_neg = 1.0 / (1.0 + np.exp(-s_neg))
+    grad_u = g_pos[:, None] * c_pos + np.einsum("bk,bkd->bd", g_neg, c_neg)
+    g_base, g_deltas, g_ctx = np.zeros_like(base), np.zeros_like(deltas), np.zeros_like(ctx)
+    np.add.at(g_base, batch.words, grad_u)
+    np.add.at(g_deltas, (batch.slots, batch.words), grad_u)
+    np.add.at(g_ctx, batch.contexts, g_pos[:, None] * u)
+    np.add.at(g_ctx, batch.negatives, np.einsum("bk,bd->bkd", g_neg, u))
+    return loss, g_base, g_deltas, g_ctx
 
 
 class TestGradients:
@@ -113,6 +154,58 @@ class TestGradients:
                 fd = (trainer.batch_loss(*plus, batch) - trainer.batch_loss(*minus, batch)) / (2 * h)
                 rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1.0)
                 assert rel < 1e-4
+
+    @pytest.mark.parametrize("size,n_groups", [(11, 3), (10, 6), (7, 1)])
+    def test_grouped_negatives_against_finite_differences(self, size, n_groups):
+        # ceil(size / n_groups) pairs per group; the last group is padded, and
+        # with (10, 6) the sixth negative set is scored by no real pair at all
+        base, deltas, ctx, batch = random_problem(5, 9, 3, 2, size, n_groups, 3)
+        _, g_base, g_deltas, g_ctx = trainer.batch_gradients(base, deltas, ctx, batch)
+        tensors = [base.astype(np.float64), deltas.astype(np.float64), ctx.astype(np.float64)]
+        h = 1e-5
+        for which, grad in ((0, g_base), (1, g_deltas), (2, g_ctx)):
+            flat = tensors[which].reshape(-1)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + h
+                up = trainer.batch_loss(*tensors, batch)
+                flat[j] = orig - h
+                down = trainer.batch_loss(*tensors, batch)
+                flat[j] = orig
+                fd = (up - down) / (2 * h)
+                got = grad.reshape(-1)[j]
+                assert abs(fd - got) / max(abs(fd), abs(got), 1.0) < 1e-4
+
+    def test_one_group_per_pair_matches_per_pair_reference(self):
+        base, deltas, ctx, batch = random_problem(8, 12, 5, 3, 9, 9, 4)
+        got = trainer.batch_gradients(base, deltas, ctx, batch)
+        want = per_pair_reference(base, deltas, ctx, batch)
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        for g, w in zip(got[1:], want[1:]):
+            assert np.allclose(g, w, rtol=1e-10, atol=1e-12)
+
+    def test_grouped_pairs_match_reference_with_repeated_negatives(self):
+        # sharing a set is the per-pair estimator with each set's row repeated
+        base, deltas, ctx, batch = random_problem(9, 12, 5, 3, 10, 4, 3)
+        per_pair = trainer.TrainingBatch(
+            batch.words, batch.slots, batch.contexts, np.repeat(batch.negatives, 3, axis=0)[:10]
+        )
+        got = trainer.batch_gradients(base, deltas, ctx, batch)
+        want = per_pair_reference(base, deltas, ctx, per_pair)
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        for g, w in zip(got[1:], want[1:]):
+            assert np.allclose(g, w, rtol=1e-10, atol=1e-12)
+
+    def test_grouped_step_matches_dense_gradients(self):
+        base, deltas, ctx, batch = random_problem(34, 14, 6, 4, 70, 3, 5)
+        loss_dense, g_base, g_deltas, g_ctx = trainer.batch_gradients(base, deltas, ctx, batch)
+        lr = 0.05
+        base2, deltas2, ctx2 = base.copy(), deltas.copy(), ctx.copy()
+        loss_fused = trainer.sgd_step(base2, deltas2.reshape(-1, 6), ctx2, 14, batch, lr)
+        assert loss_fused == pytest.approx(loss_dense, rel=1e-5)
+        assert np.allclose(base2, base - (lr * g_base).astype(np.float32), atol=1e-6)
+        assert np.allclose(deltas2, deltas - (lr * g_deltas).astype(np.float32), atol=1e-6)
+        assert np.allclose(ctx2, ctx - (lr * g_ctx).astype(np.float32), atol=1e-6)
 
     def test_fused_step_matches_dense_gradients(self):
         rng = np.random.default_rng(33)
@@ -195,6 +288,20 @@ class TestTraining:
         model = train_tiny(quick_config(workers=2))
         for mat in (model.base, model.deltas, model.context):
             assert np.isfinite(mat).all()
+
+    def test_one_negative_set_per_pair_group(self, monkeypatch):
+        shapes = []
+        step = trainer.sgd_step
+
+        def recording_step(base, deltas_flat, context, n_words, batch, lr):
+            shapes.append((batch.words.size, batch.negatives.shape))
+            return step(base, deltas_flat, context, n_words, batch, lr)
+
+        monkeypatch.setattr(trainer, "sgd_step", recording_step)
+        model = train_tiny(quick_config(batch_size=1000, epochs=1))
+        # 5400 pairs: five batches of 1000 (32 sets, the last group padded) and one of 400
+        assert shapes == [(1000, (32, 3))] * 5 + [(400, (13, 3))]
+        assert np.isfinite(model.epoch_losses).all()
 
 
 class TestTrainedSemantics:
@@ -287,6 +394,15 @@ class TestModelFile:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(trainer.ModelFormatError, match="version"):
+            trainer.load_model(path)
+
+    def test_oversized_header_errors_before_allocating(self, tmp_path):
+        # 36 bytes claiming 2**32 - 1 words once made numpy try to allocate 32 GiB
+        path = tmp_path / "m.bin"
+        header = struct.pack("<IIII", 1, 100, 2**32 - 1, 2) + struct.pack("<iiii", 1600, 1650, 1650, 1700)
+        path.write_bytes(trainer.MODEL_MAGIC + header)
+        assert path.stat().st_size == 36
+        with pytest.raises(trainer.ModelFormatError, match="truncated"):
             trainer.load_model(path)
 
     def test_trailing_bytes_error(self, tmp_path, synonym_model):
