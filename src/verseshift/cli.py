@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -192,21 +193,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _train_flag(f: dataclasses.Field) -> str:
+    return f.metadata["flag"] or f.name
+
+
 def _train_config(args: argparse.Namespace, cfg: dict) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        dim=int(_opt(args, cfg, "dim", "train.dim", 100)),
-        context_window=int(_opt(args, cfg, "context_window", "train.context_window", 5)),
-        negatives=int(_opt(args, cfg, "negatives", "train.negatives", 5)),
-        epochs=int(_opt(args, cfg, "epochs", "train.epochs", 5)),
-        initial_lr=float(_opt(args, cfg, "initial_lr", "train.initial_lr", 0.025)),
-        final_lr=float(_opt(args, cfg, "final_lr", "train.final_lr", 1e-4)),
-        subsample_threshold=float(
-            _opt(args, cfg, "subsample", "train.subsample_threshold", 1e-4)
-        ),
-        seed=int(_opt(args, cfg, "seed", "train.seed", 1)),
-        workers=int(_opt(args, cfg, "workers", "train.workers", 1)),
-        batch_size=int(_opt(args, cfg, "batch_size", "train.batch_size", 1024)),
-    )
+    return trainer.TrainConfig(**{
+        f.name: type(f.default)(_opt(args, cfg, _train_flag(f), f"train.{f.name}", f.default))
+        for f in dataclasses.fields(trainer.TrainConfig)
+    })
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -424,16 +419,14 @@ def _build_parser() -> _Parser:
     _add_model(p)
     p.add_argument("--cache", help="normalized cache written by ingest")
     p.add_argument("--min-count", dest="min_count", type=int, help="vocabulary threshold (default 5)")
-    p.add_argument("--dim", type=int, help="embedding dimension (default 100)")
-    p.add_argument("--context-window", dest="context_window", type=int, help="tokens each side (default 5)")
-    p.add_argument("--negatives", type=int, help="negatives per pair, shared by groups of 32 pairs (default 5)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 5)")
-    p.add_argument("--initial-lr", dest="initial_lr", type=float)
-    p.add_argument("--final-lr", dest="final_lr", type=float)
-    p.add_argument("--subsample", type=float, help="frequent-word threshold, 0 disables (default 1e-4)")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seed", type=int, help="training seed (default 1)")
-    p.add_argument("--workers", type=int, help="parallel workers, 1 to the CPU count; >1 is nondeterministic")
+    for f in dataclasses.fields(trainer.TrainConfig):
+        dest = _train_flag(f)
+        p.add_argument(
+            "--" + dest.replace("_", "-"),
+            dest=dest,
+            type=type(f.default),
+            help=f"{f.metadata['help']} (default {f.default:g})",
+        )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("selfsim", help="adjacent-slot self-similarity CSV + box plot")

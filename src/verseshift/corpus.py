@@ -48,6 +48,10 @@ class IngestResult:
         return self.dropped_missing_year + self.dropped_invalid_year + self.dropped_malformed
 
 
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _parse_record(obj: object) -> Stanza | None:
     """Validate one decoded JSON object; None means structurally malformed."""
     if not isinstance(obj, dict):
@@ -56,7 +60,7 @@ def _parse_record(obj: object) -> Stanza | None:
     lines = obj.get("lines")
     if not isinstance(sid, str) or not sid:
         return None
-    if not isinstance(lines, list) or not lines or not all(isinstance(x, str) for x in lines):
+    if not _is_str_list(lines) or not lines:
         return None
     author = obj.get("author")
     if not isinstance(author, str):
@@ -67,6 +71,10 @@ def _parse_record(obj: object) -> Stanza | None:
     elif not isinstance(poem_id, str):
         return None
     return Stanza(id=sid, poem_id=poem_id, author=author, year=0, lines=list(lines))
+
+
+def _is_year(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and YEAR_MIN <= value <= YEAR_MAX
 
 
 def ingest(path: str | Path, strict: bool = False) -> IngestResult:
@@ -106,7 +114,7 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
         if year is None:
             result.dropped_missing_year += 1
             continue
-        if isinstance(year, bool) or not isinstance(year, int) or not (YEAR_MIN <= year <= YEAR_MAX):
+        if not _is_year(year):
             result.dropped_invalid_year += 1
             continue
         stanza.year = year
@@ -446,17 +454,15 @@ def load_normalized(path: str | Path) -> list[Stanza]:
     for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        if "tokens" not in obj:
-            raise CorpusError(f"{path}:{lineno}: not a normalized cache (missing tokens)")
-        stanzas.append(
-            Stanza(
-                id=obj["id"],
-                poem_id=obj.get("poem_id", obj["id"]),
-                author=obj.get("author", ""),
-                year=int(obj["year"]),
-                lines=list(obj.get("lines", [])),
-                tokens=list(obj["tokens"]),
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed JSON in normalized cache: {exc}") from exc
+        stanza = _parse_record(obj)
+        if stanza is None or not _is_year(obj.get("year")) or not _is_str_list(obj.get("tokens")):
+            raise CorpusError(
+                f"{path}:{lineno}: not a normalized cache record (stanza fields, a year and string tokens)"
             )
-        )
+        stanza.year, stanza.tokens = obj["year"], list(obj["tokens"])
+        stanzas.append(stanza)
     return stanzas

@@ -1,4 +1,4 @@
-"""Dense kernels for the analyses: cosine similarity, Jacobi eigensolver, PCA."""
+"""Dense kernels for the analyses: cosine similarity and PCA."""
 
 from __future__ import annotations
 
@@ -7,85 +7,25 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
-
-    Raises ValueError on zero-norm input rather than silently returning 0.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = float(np.sqrt(np.dot(a, a)))
-    nb = float(np.sqrt(np.dot(b, b)))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity is undefined for zero-norm vectors")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine between corresponding rows of two equally shaped matrices."""
+    """Cosine between matching rows of ``a`` and ``b``, the one cosine kernel.
+
+    ``b`` is either shaped like ``a`` or a single vector compared against
+    every row. Raises ValueError on zero-norm input rather than silently
+    returning 0.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na = np.sqrt((a * a).sum(axis=1))
-    nb = np.sqrt((b * b).sum(axis=1))
+    na = np.sqrt(np.einsum("...d,...d->...", a, a))
+    nb = np.sqrt(np.einsum("...d,...d->...", b, b))
     if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise ValueError("cosine similarity is undefined for zero-norm rows")
-    return (a * b).sum(axis=1) / (na * nb)
+        raise ValueError("cosine similarity is undefined for zero-norm vectors")
+    return np.einsum("...d,...d->...", a, b) / (na * nb)
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below ``tol``.
-    Returns eigenvalues in descending order and the matching eigenvectors
-    as rows.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-10, rtol=1e-10):
-        raise ValueError("matrix must be symmetric")
-    p = a.shape[0]
-    v = np.eye(p)
-    if p == 1:
-        return a.diagonal().copy(), v
-
-    def offdiag_norm() -> float:
-        off = a - np.diag(a.diagonal())
-        return float(np.sqrt((off * off).sum()))
-
-    for _ in range(max_sweeps):
-        if offdiag_norm() < tol:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aij = a[i, j]
-                if aij == 0.0:
-                    continue
-                tau = (a[j, j] - a[i, i]) / (2.0 * aij)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # rotate rows/columns i and j
-                row_i = a[i, :].copy()
-                row_j = a[j, :].copy()
-                a[i, :] = c * row_i - s * row_j
-                a[j, :] = s * row_i + c * row_j
-                col_i = a[:, i].copy()
-                col_j = a[:, j].copy()
-                a[:, i] = c * col_i - s * col_j
-                a[:, j] = s * col_i + c * col_j
-                a[i, j] = 0.0
-                a[j, i] = 0.0
-                vec_i = v[:, i].copy()
-                vec_j = v[:, j].copy()
-                v[:, i] = c * vec_i - s * vec_j
-                v[:, j] = s * vec_i + c * vec_j
-    eigvals = a.diagonal().copy()
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], v[:, order].T
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of the angle between two vectors, in [-1, 1]."""
+    return float(rowwise_cosine(a, b))
 
 
 @dataclass
@@ -107,7 +47,7 @@ class PcaResult:
 
 
 def pca(data: np.ndarray, n_components: int) -> PcaResult:
-    """PCA of the rows of ``data`` via the Jacobi eigensolver.
+    """PCA of the rows of ``data`` via ``numpy.linalg.eigh`` of the covariance.
 
     Columns are mean-centered (never variance-scaled) and the covariance
     uses the n-1 divisor. Requires n >= 2 rows and
@@ -129,7 +69,8 @@ def pca(data: np.ndarray, n_components: int) -> PcaResult:
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = jacobi_eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1].T  # descending, axes as rows
 
     total = float(np.trace(cov))
     degenerate = total <= 0.0

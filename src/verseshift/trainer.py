@@ -20,11 +20,12 @@ import logging
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import TimeSlot, TimeSlotTable, Vocabulary
+from .linalg import rowwise_cosine
 
 log = logging.getLogger(__name__)
 
@@ -55,18 +56,25 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
+def _setting(default, text: str, flag: str | None = None):
+    """A TrainConfig field carrying its ``train`` help text and, if not its name, its flag."""
+    return field(default=default, metadata={"help": text, "flag": flag})
+
+
 @dataclass
 class TrainConfig:
-    dim: int = 100
-    context_window: int = 5  # tokens each side, never crossing stanza bounds
-    negatives: int = 5
-    epochs: int = 5
-    initial_lr: float = 0.025
-    final_lr: float = 1e-4
-    subsample_threshold: float = 1e-4  # 0 disables frequent-word subsampling
-    seed: int = 1
-    workers: int = 1
-    batch_size: int = 1024
+    """Training settings; the single source of the ``train`` flags and defaults."""
+
+    dim: int = _setting(100, "embedding dimension")
+    context_window: int = _setting(5, "tokens each side, never crossing stanza bounds")
+    negatives: int = _setting(5, f"negatives per pair, shared by groups of {PAIR_GROUP} pairs")
+    epochs: int = _setting(5, "training epochs")
+    initial_lr: float = _setting(0.025, "learning rate at the first pair")
+    final_lr: float = _setting(1e-4, "learning rate at the last pair")
+    subsample_threshold: float = _setting(1e-4, "frequent-word threshold, 0 disables", flag="subsample")
+    seed: int = _setting(1, "training seed")
+    workers: int = _setting(1, "parallel workers, 1 to the CPU count; >1 is nondeterministic")
+    batch_size: int = _setting(1024, "pairs per SGD step")
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -258,22 +266,18 @@ class JointEmbeddingModel:
     def nearest_neighbors(self, word: str, slot: int, k: int) -> list[tuple[str, float]]:
         """Top-k vocabulary words by cosine against the query word in a slot.
 
-        The query itself is excluded; cosine ties break by vocabulary index.
-        Asking for more neighbors than exist truncates the list.
+        The query itself is excluded and zero vectors are skipped; cosine
+        ties break by vocabulary index. Asking for more neighbors than exist
+        truncates the list. A zero query vector raises ValueError.
         """
         wi = self._word_index(word)
         self._check_slot(slot)
         if k <= 0:
             return []
         vectors = self.slot_vectors(slot)
-        query = vectors[wi]
-        qn = np.sqrt((query * query).sum())
-        if qn == 0.0:
-            raise ValueError(f"word {word!r} has a zero vector in slot {slot}")
-        norms = np.sqrt((vectors * vectors).sum(axis=1))
-        sims = np.full(len(norms), -np.inf)
-        ok = norms > 0.0
-        sims[ok] = vectors[ok] @ query / (norms[ok] * qn)
+        sims = np.full(len(vectors), -np.inf)
+        ok = vectors.any(axis=1)  # zero rows have no direction to compare
+        sims[ok] = rowwise_cosine(vectors[ok], vectors[wi])
         sims[wi] = -np.inf
         order = np.lexsort((np.arange(sims.size), -sims))
         out = []
@@ -540,16 +544,26 @@ def load_model(path) -> JointEmbeddingModel:
     starts = [s.start for s in slots]
     widths = [s.end - s.start for s in slots]
     step = min(np.diff(starts)) if len(starts) > 1 else widths[0]
-    table = TimeSlotTable(slots=tuple(slots), window_years=min(widths), step_years=int(step))
+    try:
+        table = TimeSlotTable(slots=tuple(slots), window_years=min(widths), step_years=int(step))
+    except ValueError as exc:
+        raise ModelFormatError(f"invalid slot years in {path}: {exc}") from exc
 
     words = []
-    global_counts = np.empty(n_words, dtype=np.int64)
-    slot_counts = np.empty((n_slots, n_words), dtype=np.int64)
+    # per word: the global count, then one count per slot
+    counts = np.empty((n_words, n_slots + 1), dtype="<u8")
     for i in range(n_words):
         (wlen,) = struct.unpack("<I", r.take(4))
-        words.append(r.take(wlen).decode("utf-8"))
-        (global_counts[i],) = struct.unpack("<Q", r.take(8))
-        slot_counts[:, i] = np.frombuffer(r.take(8 * n_slots), dtype="<u8").astype(np.int64)
+        try:
+            words.append(r.take(wlen).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"word {i} in {path} is not valid UTF-8") from exc
+        counts[i] = np.frombuffer(r.take(8 * (n_slots + 1)), dtype="<u8")
+    if (counts >= np.uint64(1 << 63)).any():
+        raise ModelFormatError(f"word count beyond the int64 range in {path}")
+    counts = counts.astype(np.int64)
+    global_counts = np.ascontiguousarray(counts[:, 0])
+    slot_counts = np.ascontiguousarray(counts[:, 1:].T)
     vocab = Vocabulary(
         words=words,
         index={w: i for i, w in enumerate(words)},

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import PcaResult, pca
+from .linalg import PcaResult, pca, rowwise_cosine
 from .trainer import JointEmbeddingModel
 
 log = logging.getLogger(__name__)
@@ -61,13 +61,7 @@ def build_trajectories(
     n_slots = model.n_slots
     values = np.empty((cand.size, n_slots))
     for t in range(n_slots):
-        query = model.embedding_of(target, t)
-        qn = np.sqrt((query * query).sum())
-        mat = model.slot_vectors(t, cand)
-        norms = np.sqrt((mat * mat).sum(axis=1))
-        if qn == 0.0 or np.any(norms == 0.0):
-            raise ValueError(f"zero-norm vector encountered in slot {t}")
-        values[:, t] = mat @ query / (norms * qn)
+        values[:, t] = rowwise_cosine(model.slot_vectors(t, cand), model.embedding_of(target, t))
 
     imputed = missing_slots[:, cand].T.astype(bool)
     slot_axis = np.arange(n_slots, dtype=np.float64)

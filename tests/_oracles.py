@@ -2,8 +2,9 @@
 
 Nothing here may call into verseshift.linalg: the eigenvalue oracle bisects
 the eigenvalue-counting function of the shifted matrix (negative pivots of
-an LDL^T elimination, Sylvester's law of inertia), which handles repeated
-roots and shares no code with the Jacobi path under test.
+an LDL^T elimination, Sylvester's law of inertia). It handles repeated
+roots and calls no numpy.linalg routine, so it is independent of the
+``eigh``-based PCA under test.
 """
 
 from __future__ import annotations

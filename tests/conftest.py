@@ -51,6 +51,28 @@ def make_model(words, slot_starts, base, deltas, context=None, slot_counts=None,
     return trainer.JointEmbeddingModel(vocab, table, base, deltas, np.asarray(context, np.float32))
 
 
+# Byte offsets in the file write_tiny_model saves: 20-byte header (magic,
+# version, dim, words, slots), one <ii start/end pair per slot, then per word
+# a u32 length, the UTF-8 word, its u64 global count and one u64 per slot.
+TINY_DIM_FIELD = 8
+TINY_SLOT_YEARS = 20
+TINY_WORD0 = 40
+TINY_GLOBAL_COUNT0 = 41
+TINY_SLOT_COUNT0 = 49
+
+
+def write_tiny_model(path, offset: int | None = None, raw: bytes = b"") -> bytes:
+    """Save a 2-word, 2-slot, 2-d model, overwrite ``raw`` at ``offset``; returns the bytes."""
+    deltas = [[[0.1, 0.0], [0.0, 0.2]], [[0.0, 0.3], [0.4, 0.0]]]
+    model = make_model(["a", "b"], [1600, 1650], base=[[1.0, 0.5], [0.5, 1.0]], deltas=deltas)
+    trainer.save_model(model, path)
+    data = bytearray(path.read_bytes())
+    if offset is not None:
+        data[offset : offset + len(raw)] = raw
+    path.write_bytes(bytes(data))
+    return bytes(data)
+
+
 @pytest.fixture(scope="session")
 def synonym_model():
     """Small trained model with two planted synonym pairs and one shifting word.

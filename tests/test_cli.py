@@ -11,6 +11,8 @@ import pytest
 
 from verseshift import cli, synthgen, trainer
 
+from conftest import TINY_GLOBAL_COUNT0, TINY_SLOT_COUNT0, TINY_SLOT_YEARS, TINY_WORD0, write_tiny_model
+
 SLOT_FLAGS = ["--slots", "fixed", "--start", "1600", "--end", "1800", "--window", "50"]
 TRAIN_FLAGS = [
     "--dim", "16",
@@ -145,6 +147,15 @@ class TestTrainCommand:
         assert rc == 2
         assert "ingest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_line", ['{"tokens": ["a"]}', "5", '{"id":"x","year":1700,"tokens":7}'])
+    def test_malformed_cache_line_exits_two(self, tmp_path, capsys, bad_line):
+        cache = tmp_path / "cache.jsonl"
+        good = {"id": "s1", "author": "a", "year": 1610, "lines": ["x y"], "tokens": ["x", "y"]}
+        cache.write_text(json.dumps(good) + "\n" + bad_line + "\n", encoding="utf-8")
+        rc = cli.main(["train", "--out", str(tmp_path), "--cache", str(cache), *SLOT_FLAGS, *TRAIN_FLAGS])
+        assert rc == 2
+        assert f"{cache}:2:" in capsys.readouterr().err
+
     def test_sliding_table_slot_count(self, workspace, tmp_path):
         out = workspace["out"]
         model_path = tmp_path / "sliding.bin"
@@ -223,6 +234,22 @@ class TestSelfsimCommand:
         bad = tmp_path / "model.bin"
         bad.write_bytes(trainer.MODEL_MAGIC + struct.pack("<IIIIiiii", 1, 100, 2**32 - 1, 2, 1600, 1650, 1650, 1700))
         assert cli.main(["selfsim", "--out", str(tmp_path), "--model", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "offset, raw",
+        [
+            (TINY_GLOBAL_COUNT0, struct.pack("<Q", 2**63)),
+            (TINY_SLOT_COUNT0, struct.pack("<Q", 2**64 - 1)),
+            (TINY_WORD0, b"\xff"),
+            (TINY_SLOT_YEARS, struct.pack("<iiii", 1650, 1700, 1600, 1650)),
+        ],
+        ids=["global-count", "slot-count", "utf8-word", "slot-years"],
+    )
+    def test_corrupt_model_field_exits_two(self, tmp_path, capsys, offset, raw):
+        bad = tmp_path / "model.bin"
+        write_tiny_model(bad, offset, raw)
+        assert cli.main(["selfsim", "--out", str(tmp_path), "--model", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestChangepointsCommand:

@@ -338,3 +338,21 @@ class TestNormalizedCache:
     def test_missing_cache_actionable(self, tmp_path):
         with pytest.raises(corpus.CorpusError, match="ingest"):
             corpus.load_normalized(tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"tokens": ["a"]},
+            5,
+            {"id": "x", "author": "a", "year": 1700, "lines": ["x"], "tokens": 7},
+            {"id": "x", "author": "a", "year": "1700", "lines": ["x"], "tokens": ["x"]},
+            {"id": "x", "author": "a", "year": True, "lines": ["x"], "tokens": ["x"]},
+            {"id": "x", "author": "a", "year": 1700, "lines": ["x"], "tokens": ["x", 1]},
+            {"id": "x", "author": "a", "year": 1700, "lines": [], "tokens": ["x"]},
+        ],
+    )
+    def test_schema_violation_names_line(self, tmp_path, record):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(corpus.CorpusError, match=":2:"):
+            corpus.load_normalized(path)

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from verseshift import linalg
 
-from _oracles import eigenvalues_by_bisection
-
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -49,31 +47,6 @@ class TestCosineSimilarity:
         if np.linalg.norm(a) == 0:
             return
         assert linalg.cosine_similarity(a, a) == pytest.approx(1.0, abs=1e-9)
-
-
-class TestJacobi:
-    def test_matches_bisection_oracle(self):
-        rng = np.random.default_rng(123)
-        for _ in range(40):
-            p = int(rng.integers(2, 7))
-            m = rng.normal(size=(p, p))
-            m = (m + m.T) / 2
-            vals, vecs = linalg.jacobi_eigh(m)
-            ref = eigenvalues_by_bisection(m)
-            assert np.allclose(vals, ref, atol=1e-8)
-            assert np.allclose(vecs @ vecs.T, np.eye(p), atol=1e-10)
-            # eigenpairs reconstruct the matrix
-            assert np.allclose(vecs.T @ np.diag(vals) @ vecs, m, atol=1e-9)
-
-    def test_repeated_eigenvalues(self):
-        m = np.eye(4) * 2.0
-        vals, vecs = linalg.jacobi_eigh(m)
-        assert np.allclose(vals, 2.0)
-        assert np.allclose(vecs @ vecs.T, np.eye(4), atol=1e-12)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            linalg.jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestPca:

@@ -7,7 +7,16 @@ import pytest
 
 from verseshift import corpus, trainer
 
-from conftest import make_model, make_table, make_vocab
+from conftest import (
+    TINY_GLOBAL_COUNT0,
+    TINY_SLOT_COUNT0,
+    TINY_SLOT_YEARS,
+    TINY_WORD0,
+    make_model,
+    make_table,
+    make_vocab,
+    write_tiny_model,
+)
 
 
 def tiny_docs():
@@ -410,4 +419,28 @@ class TestModelFile:
         trainer.save_model(synonym_model, path)
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(trainer.ModelFormatError):
+            trainer.load_model(path)
+
+    @pytest.mark.parametrize("offset", [TINY_GLOBAL_COUNT0, TINY_SLOT_COUNT0], ids=["global", "slot"])
+    def test_count_beyond_int64_errors(self, tmp_path, offset):
+        path = tmp_path / "m.bin"
+        write_tiny_model(path, offset, struct.pack("<Q", 2**63))
+        with pytest.raises(trainer.ModelFormatError, match="int64"):
+            trainer.load_model(path)
+
+    def test_count_at_int64_max_loads(self, tmp_path):
+        path = tmp_path / "m.bin"
+        write_tiny_model(path, TINY_SLOT_COUNT0, struct.pack("<Q", 2**63 - 1))
+        assert trainer.load_model(path).vocab.slot_counts[0, 0] == 2**63 - 1
+
+    def test_invalid_utf8_word_errors(self, tmp_path):
+        path = tmp_path / "m.bin"
+        write_tiny_model(path, TINY_WORD0, b"\xff")
+        with pytest.raises(trainer.ModelFormatError, match="UTF-8"):
+            trainer.load_model(path)
+
+    def test_non_increasing_slot_years_error(self, tmp_path):
+        path = tmp_path / "m.bin"
+        write_tiny_model(path, TINY_SLOT_YEARS, struct.pack("<iiii", 1650, 1700, 1600, 1650))
+        with pytest.raises(trainer.ModelFormatError, match="slot years"):
             trainer.load_model(path)
