@@ -210,10 +210,10 @@ def frequency_bands(total: TotalSelfSim) -> FrequencyBands:
     n = len(total.words)
     if n < 2:
         raise ValueError("frequency bands need at least 2 eligible words")
-    order = sorted(range(n), key=lambda r: (int(total.global_counts[r]), int(total.word_indices[r])))
+    order = np.lexsort((total.word_indices, total.global_counts))
     n_low = (n + 1) // 2
-    low_rows = np.array(order[:n_low])
-    high_rows = np.array(order[n_low:])
+    low_rows = order[:n_low]
+    high_rows = order[n_low:]
     band_of = {total.words[r]: "low" for r in low_rows}
     band_of.update({total.words[r]: "high" for r in high_rows})
     summaries = {

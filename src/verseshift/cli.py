@@ -1,7 +1,8 @@
 """Command-line front end: ingest, train, and the semantic-change reports.
 
 Every subcommand reads an optional JSON config (--config) whose values are
-overridden by explicit flags. Outputs are deterministic for identical
+overridden by explicit flags; COMMANDS declares each setting once, with its
+flag, config key, type and default. Outputs are deterministic for identical
 inputs and seeds. Exit codes: 0 success, 1 usage error, 2 data error,
 3 numeric failure.
 """
@@ -30,59 +31,133 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _cfg_get(cfg: dict, dotted: str):
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
+@dataclasses.dataclass(frozen=True)
+class Setting:
+    """One command setting: its flag, dotted config key (None: flag only), type and default."""
+
+    name: str
+    key: str | None
+    type: type
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+    flag: str | None = None  # when the flag is not --<name>
+
+    @property
+    def option(self) -> str:
+        return "--" + (self.flag or self.name).replace("_", "-")
+
+
+CONFIG = Setting("config", None, str, None, "JSON config file; flags override its values")
+COMMON = (CONFIG, Setting("out", "out", str, "out", "output directory"))
+MODEL = Setting("model", "model", str, None, "model file path (default <out>/model.bin)")
+CACHE = Setting("cache", "cache", str, None, "normalized cache path (default <out>/normalized.jsonl)")
+SLOTS = (
+    Setting("slots", "slots.mode", str, "fixed", "slotting mode", choices=("fixed", "sliding")),
+    Setting("start", "slots.start", int, 1575, "first slot start year"),
+    Setting("end", "slots.end", int, 1925, "exclusive end year"),
+    Setting("window", "slots.window", int, 50, "slot width in years"),
+    Setting("step", "slots.step", int, 25, "slot step in years, sliding mode only"),
+    Setting("merge_first", "slots.merge_first", bool, False, "fuse the first two fixed slots into one wide slot"),
+)
+PAIRWISE = (
+    Setting("top_n", "analysis.top_n", int, 3000, "frequent words to track"),
+    Setting("frequency_scope", "analysis.frequency_scope", str, "global",
+            "rank candidate words corpus-wide or per slot pair", choices=("global", "pair")),
+)
+TRAIN = tuple(
+    Setting(f.name, f"train.{f.name}", type(f.default), f.default, f.metadata["help"], flag=f.metadata["flag"])
+    for f in dataclasses.fields(trainer.TrainConfig)
+)
+
+# command -> (help, settings); main() runs cmd_<command> on the resolved settings
+COMMANDS: dict[str, tuple[str, tuple[Setting, ...]]] = {
+    "synth": ("generate a synthetic corpus from a spec JSON", (
+        CONFIG,
+        Setting("spec", "spec", str, None, "generator spec JSON"),
+        Setting("out", "out", str, None, "corpus file to write"),
+        Setting("seed", None, int, None, "override the spec seed"),
+    )),
+    "ingest": ("read, deduplicate and normalize a stanza corpus", (
+        *COMMON, *SLOTS,
+        Setting("corpus", "corpus", str, None, "JSON Lines stanza corpus"),
+        Setting("lemma_map", "lemma_map", str, None, "token<TAB>lemma table"),
+        CACHE,
+        Setting("strict", None, bool, False, "abort on malformed records"),
+    )),
+    "train": ("train the time-conditioned embedding model", (
+        *COMMON, *SLOTS, MODEL, CACHE,
+        Setting("min_count", "train.min_count", int, 5, "vocabulary threshold"),
+        *TRAIN,
+    )),
+    "selfsim": ("adjacent-slot self-similarity CSV + box plot", (*COMMON, MODEL, *PAIRWISE)),
+    "changepoints": ("rank dips in the self-similarity medians", (
+        *COMMON, MODEL, *PAIRWISE,
+        Setting("k", "analysis.k", int, 5, "change points to report"),
+    )),
+    "totalsim": ("distance-aggregated self-similarity + linear fit", (
+        *COMMON, MODEL,
+        Setting("stopwords", "stopwords", str, None, "stopword list, one word per line"),
+        Setting("min_per_slot", "analysis.min_per_slot", int, 50, "eligibility threshold"),
+    )),
+    "tropes": ("trajectory PCA classes for one target word", (
+        *COMMON, MODEL,
+        Setting("target", "analysis.target", str, "liebe", "target word"),
+        Setting("min_global", "analysis.min_global", int, 30, "candidate corpus count"),
+        Setting("min_per_slot", "analysis.tropes_min_per_slot", int, 2, "per-slot candidate count"),
+        Setting("top_k", "analysis.top_k", int, 25, "extreme list size"),
+        Setting("components", "analysis.components", int, 4, "PCA components"),
+    )),
+}
+
+_JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean"}
+
+
+def _config_value(cfg: dict, s: Setting):
+    """The setting's value in the config, None when absent; UsageError for a wrong type, choice or range."""
+    value = cfg
+    for part in s.key.split("."):
+        if not isinstance(value, dict) or part not in value:
             return None
-        node = node[part]
-    return node
-
-
-def _opt(args: argparse.Namespace, cfg: dict, attr: str, dotted: str, default=None):
-    value = getattr(args, attr, None)
+        value = value[part]
     if value is None:
-        value = _cfg_get(cfg, dotted)
-    return default if value is None else value
+        return None
+    accepted = (int, float) if s.type is float else s.type
+    if isinstance(value, bool) != (s.type is bool) or not isinstance(value, accepted):
+        raise UsageError(f"config key {s.key} must be a JSON {_JSON_TYPES[s.type]}")
+    if s.choices and value not in s.choices:
+        raise UsageError(f"config key {s.key} must be one of {', '.join(s.choices)}")
+    if s.type in (int, float) and not abs(value) < 2**63:  # also NaN and Infinity
+        raise UsageError(f"config key {s.key} is out of range")
+    return s.type(value)
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise UsageError("config file must hold a JSON object")
-    return cfg
+def _resolve(args: argparse.Namespace, settings: tuple[Setting, ...]) -> argparse.Namespace:
+    """Each setting from its flag, else from the --config file, else its default."""
+    cfg = {}
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise UsageError("config file must hold a JSON object")
+    resolved = argparse.Namespace()
+    for s in settings:
+        value = getattr(args, s.name)
+        if value is None and s.key is not None:
+            value = _config_value(cfg, s)
+        setattr(resolved, s.name, s.default if value is None else value)
+    return resolved
 
 
-def _out_dir(args: argparse.Namespace, cfg: dict) -> Path:
-    out = Path(_opt(args, cfg, "out", "out", "out"))
+def _out_dir(ns: argparse.Namespace) -> Path:
+    out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _slot_table(args: argparse.Namespace, cfg: dict) -> corpus.TimeSlotTable:
-    mode = _opt(args, cfg, "slots", "slots.mode", "fixed")
-    if mode not in ("fixed", "sliding"):
-        raise UsageError("--slots must be 'fixed' or 'sliding'")
-    start = int(_opt(args, cfg, "start", "slots.start", 1575))
-    end = int(_opt(args, cfg, "end", "slots.end", 1925))
-    window = int(_opt(args, cfg, "window", "slots.window", 50))
-    if mode == "fixed":
-        step = window
-    else:
-        step = int(_opt(args, cfg, "step", "slots.step", 25))
-    merge_first = bool(_opt(args, cfg, "merge_first", "slots.merge_first", False))
-    return corpus.build_slots(start, end, window, step, merge_first=merge_first)
-
-
-def _cache_path(args: argparse.Namespace, cfg: dict, out: Path) -> Path:
-    return Path(_opt(args, cfg, "cache", "cache", out / "normalized.jsonl"))
-
-
-def _model_path(args: argparse.Namespace, cfg: dict, out: Path) -> Path:
-    return Path(_opt(args, cfg, "model", "model", out / "model.bin"))
+def _slot_table(ns: argparse.Namespace) -> corpus.TimeSlotTable:
+    step = ns.window if ns.slots == "fixed" else ns.step
+    return corpus.build_slots(ns.start, ns.end, ns.window, step, merge_first=ns.merge_first)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -104,46 +179,32 @@ def _summary_row(prefix: list, s: analysis.DistributionSummary) -> list:
     ]
 
 
-def _load_stopwords(args: argparse.Namespace, cfg: dict) -> frozenset[str]:
-    path = _opt(args, cfg, "stopwords", "stopwords")
-    if path is None:
-        return frozenset()
-    return corpus.load_stopwords(path)
-
-
 # ---------------------------------------------------------------- commands
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    spec_path = _opt(args, cfg, "spec", "spec")
-    if spec_path is None:
+def cmd_synth(ns: argparse.Namespace) -> int:
+    if ns.spec is None:
         raise UsageError("synth needs --spec pointing to a generator spec JSON")
-    spec = synthgen.load_spec(spec_path)
-    if args.seed is not None:
-        spec.seed = args.seed
-    out_path = _opt(args, cfg, "out", "out")
-    if out_path is None:
+    spec = synthgen.load_spec(ns.spec)
+    if ns.seed is not None:
+        spec.seed = ns.seed
+    if ns.out is None:
         raise UsageError("synth needs --out for the corpus file")
-    n = synthgen.generate_jsonl(spec, out_path)
-    print(f"wrote {n} stanzas to {out_path}")
+    n = synthgen.generate_jsonl(spec, ns.out)
+    print(f"wrote {n} stanzas to {ns.out}")
     return 0
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    corpus_path = _opt(args, cfg, "corpus", "corpus")
-    if corpus_path is None:
+def cmd_ingest(ns: argparse.Namespace) -> int:
+    if ns.corpus is None:
         raise UsageError("ingest needs --corpus")
-    out = _out_dir(args, cfg)
-    table = _slot_table(args, cfg)
+    out = _out_dir(ns)
+    table = _slot_table(ns)
+    lemma_map = corpus.load_lemma_map(ns.lemma_map) if ns.lemma_map else {}
 
-    lemma_path = _opt(args, cfg, "lemma_map", "lemma_map")
-    lemma_map = corpus.load_lemma_map(lemma_path) if lemma_path else {}
-
-    result = corpus.ingest(corpus_path, strict=bool(args.strict))
+    result = corpus.ingest(ns.corpus, strict=ns.strict)
     if not result.stanzas:
-        log.warning("corpus %s yielded no stanzas", corpus_path)
+        log.warning("corpus %s yielded no stanzas", ns.corpus)
     total_lines = sum(len(s.lines) for s in result.stanzas)
     poems = len({s.poem_id for s in result.stanzas})
     authors = len({s.author for s in result.stanzas})
@@ -154,7 +215,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     duplicates_removed = len(normalized) - len(deduped)
     assignment = corpus.assign_slots(deduped, table)
 
-    cache = _cache_path(args, cfg, out)
+    cache = Path(ns.cache or out / "normalized.jsonl")
     corpus.save_normalized(deduped, cache)
 
     stats = {
@@ -193,33 +254,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_flag(f: dataclasses.Field) -> str:
-    return f.metadata["flag"] or f.name
-
-
-def _train_config(args: argparse.Namespace, cfg: dict) -> trainer.TrainConfig:
-    return trainer.TrainConfig(**{
-        f.name: type(f.default)(_opt(args, cfg, _train_flag(f), f"train.{f.name}", f.default))
-        for f in dataclasses.fields(trainer.TrainConfig)
-    })
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_train(ns: argparse.Namespace) -> int:
     try:
-        config = _train_config(args, cfg)
+        config = trainer.TrainConfig(**{s.name: getattr(ns, s.name) for s in TRAIN})
     except ValueError as exc:  # out-of-range training settings are usage errors
         raise UsageError(str(exc)) from exc
-    out = _out_dir(args, cfg)
-    table = _slot_table(args, cfg)
-    cache = _cache_path(args, cfg, out)
-    stanzas = corpus.load_normalized(cache)
+    out = _out_dir(ns)
+    table = _slot_table(ns)
+    stanzas = corpus.load_normalized(ns.cache or out / "normalized.jsonl")
     assignment = corpus.assign_slots(stanzas, table)
-    min_count = int(_opt(args, cfg, "min_count", "train.min_count", 5))
-    vocab = corpus.build_vocab(assignment, min_count=min_count)
+    vocab = corpus.build_vocab(assignment, min_count=ns.min_count)
     docs_by_slot = [[s.tokens for s in docs] for docs in assignment.per_slot]
     model = trainer.train(docs_by_slot, vocab, table, config)
-    model_path = _model_path(args, cfg, out)
+    model_path = Path(ns.model or out / "model.bin")
     trainer.save_model(model, model_path)
     print(f"trained {len(vocab)} words x {config.dim} dims over {len(table)} slots")
     for i, loss in enumerate(model.epoch_losses, start=1):
@@ -232,18 +279,14 @@ PAIRWISE_HEADER = ["slot_start", "slot_end", "n", "median", "q1", "q3", "p5", "p
 TOTAL_HEADER = ["distance_years", "band", "n", "median", "q1", "q3", "p5", "p95", "mean"]
 
 
-def _pairwise_series(args: argparse.Namespace, cfg: dict, model: trainer.JointEmbeddingModel):
-    top_n = int(_opt(args, cfg, "top_n", "analysis.top_n", 3000))
-    top_n = min(top_n, len(model.vocab))
-    scope = _opt(args, cfg, "frequency_scope", "analysis.frequency_scope", "global")
-    return analysis.pairwise_self_similarity(model, top_n=top_n, frequency_scope=scope)
+def _pairwise_series(ns: argparse.Namespace, model: trainer.JointEmbeddingModel):
+    top_n = min(ns.top_n, len(model.vocab))
+    return analysis.pairwise_self_similarity(model, top_n=top_n, frequency_scope=ns.frequency_scope)
 
 
-def cmd_selfsim(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    model = trainer.load_model(_model_path(args, cfg, out))
-    series = _pairwise_series(args, cfg, model)
+def cmd_selfsim(ns: argparse.Namespace) -> int:
+    out = _out_dir(ns)
+    series = _pairwise_series(ns, trainer.load_model(ns.model or out / "model.bin"))
     rows = [
         _summary_row([a.start, b.start], s)
         for (a, b), s in zip(series.pairs, series.summaries)
@@ -261,13 +304,10 @@ def cmd_selfsim(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_changepoints(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    model = trainer.load_model(_model_path(args, cfg, out))
-    series = _pairwise_series(args, cfg, model)
-    k = int(_opt(args, cfg, "k", "analysis.k", 5))
-    points = analysis.detect_change_points(series, k)
+def cmd_changepoints(ns: argparse.Namespace) -> int:
+    out = _out_dir(ns)
+    series = _pairwise_series(ns, trainer.load_model(ns.model or out / "model.bin"))
+    points = analysis.detect_change_points(series, ns.k)
     rows = [[rank, year, f"{depth:.6f}"] for rank, (year, depth) in enumerate(points, start=1)]
     _write_csv(out / "changepoints.csv", ["rank", "year", "depth"], rows)
     if points:
@@ -278,13 +318,11 @@ def cmd_changepoints(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_totalsim(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    model = trainer.load_model(_model_path(args, cfg, out))
-    stopwords = _load_stopwords(args, cfg)
-    min_per_slot = int(_opt(args, cfg, "min_per_slot", "analysis.min_per_slot", 50))
-    total = analysis.total_self_similarity(model, min_per_slot=min_per_slot, stopwords=stopwords)
+def cmd_totalsim(ns: argparse.Namespace) -> int:
+    out = _out_dir(ns)
+    model = trainer.load_model(ns.model or out / "model.bin")
+    stopwords = corpus.load_stopwords(ns.stopwords) if ns.stopwords else frozenset()
+    total = analysis.total_self_similarity(model, min_per_slot=ns.min_per_slot, stopwords=stopwords)
     bands = analysis.frequency_bands(total)
     rows = []
     for i, dist in enumerate(total.distances):
@@ -301,7 +339,7 @@ def cmd_totalsim(args: argparse.Namespace) -> int:
         "cosine similarity",
     )
     (out / "totalsim.svg").write_text(svg, encoding="utf-8")
-    print(f"{len(total.words)} eligible words at min {min_per_slot} per slot")
+    print(f"{len(total.words)} eligible words at min {ns.min_per_slot} per slot")
     if len(total.distances) >= 3:
         fit = analysis.linearity_fit(total)
         print(
@@ -314,23 +352,15 @@ def cmd_totalsim(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tropes(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    model = trainer.load_model(_model_path(args, cfg, out))
-    target = _opt(args, cfg, "target", "analysis.target", "liebe")
-    min_global = int(_opt(args, cfg, "min_global", "analysis.min_global", 30))
-    min_per_slot = int(_opt(args, cfg, "min_per_slot", "analysis.tropes_min_per_slot", 2))
-    top_k = int(_opt(args, cfg, "top_k", "analysis.top_k", 25))
-    n_components = int(_opt(args, cfg, "components", "analysis.components", 4))
-
+def cmd_tropes(ns: argparse.Namespace) -> int:
+    out = _out_dir(ns)
+    model = trainer.load_model(ns.model or out / "model.bin")
     trajectories = tropes.build_trajectories(
-        model, target, min_global=min_global, min_per_slot=min_per_slot
+        model, ns.target, min_global=ns.min_global, min_per_slot=ns.min_per_slot
     )
     report = tropes.orient_components(
-        tropes.trajectory_pca(trajectories, n_components=n_components, top_k=top_k)
+        tropes.trajectory_pca(trajectories, n_components=ns.components, top_k=ns.top_k)
     )
-
     starts = [slot.start for slot in model.slot_table]
     traj_rows = []
     for t in trajectories:
@@ -346,12 +376,11 @@ def cmd_tropes(args: argparse.Namespace) -> int:
     _write_csv(out / "report.csv", ["component", "end", "rank", "candidate", "projection"], report_rows)
 
     by_name = {t.candidate: t for t in trajectories}
-    class_ends = {"high": (0, "pos"), "low": (0, "neg"), "rising": (1, "pos"), "falling": (1, "neg")}
-    for label, (comp, end) in class_ends.items():
+    for (comp, end), label in tropes._LABELS.items():
         members = report.component_members(comp, end)
         series = [(name, list(by_name[name].values)) for name in members]
         svg = svgplot.render_line_plot(
-            f"{target}: {label} trajectories",
+            f"{ns.target}: {label} trajectories",
             [float(s) for s in starts],
             series,
             "slot start year",
@@ -360,7 +389,7 @@ def cmd_tropes(args: argparse.Namespace) -> int:
         (out / f"trope_{label}.svg").write_text(svg, encoding="utf-8")
 
     ratios = ", ".join(f"{r:.3f}" for r in report.pca.explained_variance_ratio)
-    print(f"{len(trajectories)} trajectories for target {target!r}")
+    print(f"{len(trajectories)} trajectories for target {ns.target!r}")
     print(f"explained variance ratios: {ratios}")
     print(f"wrote report.csv, trajectories.csv and 4 class SVGs under {out}")
     return 0
@@ -369,103 +398,15 @@ def cmd_tropes(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out", help="output directory (default: out)")
-
-
-def _add_slotting(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--slots", choices=["fixed", "sliding"], help="slotting mode")
-    p.add_argument("--start", type=int, help="first slot start year (default 1575)")
-    p.add_argument("--end", type=int, help="exclusive end year (default 1925)")
-    p.add_argument("--window", type=int, help="slot width in years (default 50)")
-    p.add_argument("--step", type=int, help="slot step in years (sliding mode, default 25)")
-    p.add_argument(
-        "--merge-first",
-        dest="merge_first",
-        action="store_true",
-        default=None,
-        help="fuse the first two fixed slots into one wide slot",
-    )
-
-
-def _add_model(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", help="model file path (default: <out>/model.bin)")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="verseshift", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus from a spec JSON")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--spec", help="generator spec JSON")
-    p.add_argument("--out", help="corpus file to write")
-    p.add_argument("--seed", type=int, help="override the spec seed")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ingest", help="read, deduplicate and normalize a stanza corpus")
-    _add_common(p)
-    _add_slotting(p)
-    p.add_argument("--corpus", help="JSON Lines stanza corpus")
-    p.add_argument("--lemma-map", dest="lemma_map", help="token<TAB>lemma table")
-    p.add_argument("--cache", help="normalized cache path (default: <out>/normalized.jsonl)")
-    p.add_argument("--strict", action="store_true", help="abort on malformed records")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("train", help="train the time-conditioned embedding model")
-    _add_common(p)
-    _add_slotting(p)
-    _add_model(p)
-    p.add_argument("--cache", help="normalized cache written by ingest")
-    p.add_argument("--min-count", dest="min_count", type=int, help="vocabulary threshold (default 5)")
-    for f in dataclasses.fields(trainer.TrainConfig):
-        dest = _train_flag(f)
-        p.add_argument(
-            "--" + dest.replace("_", "-"),
-            dest=dest,
-            type=type(f.default),
-            help=f"{f.metadata['help']} (default {f.default:g})",
-        )
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("selfsim", help="adjacent-slot self-similarity CSV + box plot")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--top-n", dest="top_n", type=int, help="frequent words to track (default 3000)")
-    p.add_argument(
-        "--frequency-scope",
-        dest="frequency_scope",
-        choices=["global", "pair"],
-        help="rank candidate words corpus-wide or per slot pair",
-    )
-    p.set_defaults(func=cmd_selfsim)
-
-    p = sub.add_parser("changepoints", help="rank dips in the self-similarity medians")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--top-n", dest="top_n", type=int)
-    p.add_argument("--frequency-scope", dest="frequency_scope", choices=["global", "pair"])
-    p.add_argument("--k", type=int, help="change points to report (default 5)")
-    p.set_defaults(func=cmd_changepoints)
-
-    p = sub.add_parser("totalsim", help="distance-aggregated self-similarity + linear fit")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--stopwords", help="stopword list, one word per line")
-    p.add_argument("--min-per-slot", dest="min_per_slot", type=int, help="eligibility threshold (default 50)")
-    p.set_defaults(func=cmd_totalsim)
-
-    p = sub.add_parser("tropes", help="trajectory PCA classes for one target word")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--target", help="target word (default liebe)")
-    p.add_argument("--min-global", dest="min_global", type=int, help="candidate corpus count (default 30)")
-    p.add_argument("--min-per-slot", dest="min_per_slot", type=int, help="per-slot candidate count (default 2)")
-    p.add_argument("--top-k", dest="top_k", type=int, help="extreme list size (default 25)")
-    p.add_argument("--components", type=int, help="PCA components (default 4)")
-    p.set_defaults(func=cmd_tropes)
-
+    for name, (text, settings) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for s in settings:
+            text = s.help if s.default is None or s.type is bool else f"{s.help} (default {s.default})"
+            kind = {"action": "store_true", "default": None} if s.type is bool else {"type": s.type, "choices": s.choices}
+            p.add_argument(s.option, dest=s.name, help=text, **kind)
     return parser
 
 
@@ -476,23 +417,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if not hasattr(args, "func"):
+        if args.command is None:
             parser.print_help(sys.stderr)
             return 1
-        return args.func(args)
+        ns = _resolve(args, COMMANDS[args.command][1])
+        return globals()[f"cmd_{args.command}"](ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except trainer.NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (
-        corpus.CorpusError,
-        trainer.ModelFormatError,
-        FileNotFoundError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (corpus.CorpusError, trainer.ModelFormatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

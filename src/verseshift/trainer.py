@@ -87,7 +87,7 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if not (self.initial_lr > self.final_lr > 0.0):
             raise ValueError("need initial_lr > final_lr > 0")
-        if self.subsample_threshold < 0.0:
+        if not self.subsample_threshold >= 0.0:  # NaN as well
             raise ValueError("subsample_threshold must be >= 0")
         if not (1 <= self.workers <= max_workers()):
             raise ValueError(f"workers must be between 1 and the CPU count ({max_workers()})")
@@ -500,65 +500,63 @@ def save_model(model: JointEmbeddingModel, path) -> None:
         fh.write(np.ascontiguousarray(model.context, dtype="<f4").tobytes())
 
 
-class _Reader:
-    def __init__(self, data: bytes, path) -> None:
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ModelFormatError(f"truncated model file {self.path}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-
 def load_model(path) -> JointEmbeddingModel:
     """Read a model file written by :func:`save_model`.
 
     Header sizes are checked against the file length before any array is
-    allocated, so a corrupt header fails as ModelFormatError.
+    allocated, so a corrupt header fails as ModelFormatError, and so does a
+    non-finite value in any matrix.
     """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    r = _Reader(data, path)
-    if r.take(4) != MODEL_MAGIC:
-        raise ModelFormatError(f"{path} is not a model file (bad magic)")
-    version, d, n_words, n_slots = struct.unpack("<IIII", r.take(16))
-    if version != MODEL_VERSION:
-        raise ModelFormatError(f"unsupported model version {version} in {path}")
-    if n_words == 0 or n_slots == 0 or d == 0:
-        raise ModelFormatError(f"empty dimensions in model header of {path}")
-    payload = 4 * d * n_words * (n_slots + 2)
-    # slot years, per-word fixed fields (empty words), then the f32 matrices
-    if len(data) < 20 + 8 * n_slots + n_words * (12 + 8 * n_slots) + payload:
-        raise ModelFormatError(f"truncated model file {path}: header sizes exceed its length")
-    slots = []
-    for _ in range(n_slots):
-        start, end = struct.unpack("<ii", r.take(8))
-        slots.append(TimeSlot(start, end, f"{start}-{end}"))
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int) -> bytes:
+            raw = fh.read(n)
+            if len(raw) < n:
+                raise ModelFormatError(f"truncated model file {path}")
+            return raw
+
+        if take(4) != MODEL_MAGIC:
+            raise ModelFormatError(f"{path} is not a model file (bad magic)")
+        version, d, n_words, n_slots = struct.unpack("<IIII", take(16))
+        if version != MODEL_VERSION:
+            raise ModelFormatError(f"unsupported model version {version} in {path}")
+        if n_words == 0 or n_slots == 0 or d == 0:
+            raise ModelFormatError(f"empty dimensions in model header of {path}")
+        payload = 4 * d * n_words * (n_slots + 2)
+        # slot years, per-word fixed fields (empty words), then the f32 matrices
+        if size < 20 + 8 * n_slots + n_words * (12 + 8 * n_slots) + payload:
+            raise ModelFormatError(f"truncated model file {path}: header sizes exceed its length")
+        years = [struct.unpack("<ii", take(8)) for _ in range(n_slots)]
+        words = []
+        # per word: the global count, then one count per slot
+        counts = np.empty((n_words, n_slots + 1), dtype="<u8")
+        for i in range(n_words):
+            (wlen,) = struct.unpack("<I", take(4))
+            try:
+                words.append(take(wlen).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ModelFormatError(f"word {i} in {path} is not valid UTF-8") from exc
+            counts[i] = np.frombuffer(take(8 * (n_slots + 1)), dtype="<u8")
+        if size - fh.tell() > payload:
+            raise ModelFormatError(f"trailing bytes after model payload in {path}")
+        # one float32 block: base, the per-slot deltas, then context
+        mats = np.empty((n_slots + 2, n_words, d), dtype="<f4")
+        if fh.readinto(memoryview(mats).cast("B")) != payload:
+            raise ModelFormatError(f"truncated model file {path}")
+
+    slots = tuple(TimeSlot(start, end, f"{start}-{end}") for start, end in years)
     starts = [s.start for s in slots]
     widths = [s.end - s.start for s in slots]
     step = min(np.diff(starts)) if len(starts) > 1 else widths[0]
     try:
-        table = TimeSlotTable(slots=tuple(slots), window_years=min(widths), step_years=int(step))
+        table = TimeSlotTable(slots=slots, window_years=min(widths), step_years=int(step))
     except ValueError as exc:
         raise ModelFormatError(f"invalid slot years in {path}: {exc}") from exc
-
-    words = []
-    # per word: the global count, then one count per slot
-    counts = np.empty((n_words, n_slots + 1), dtype="<u8")
-    for i in range(n_words):
-        (wlen,) = struct.unpack("<I", r.take(4))
-        try:
-            words.append(r.take(wlen).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"word {i} in {path} is not valid UTF-8") from exc
-        counts[i] = np.frombuffer(r.take(8 * (n_slots + 1)), dtype="<u8")
     if (counts >= np.uint64(1 << 63)).any():
         raise ModelFormatError(f"word count beyond the int64 range in {path}")
     counts = counts.astype(np.int64)
@@ -571,12 +569,9 @@ def load_model(path) -> JointEmbeddingModel:
         slot_counts=slot_counts,
         slot_total_tokens=slot_counts.sum(axis=1),
     )
-
-    if len(data) - r.pos < payload:
-        raise ModelFormatError(f"truncated model file {path}")
-    if len(data) - r.pos > payload:
-        raise ModelFormatError(f"trailing bytes after model payload in {path}")
-    # one float32 block: base, the per-slot deltas, then context
-    mats = np.frombuffer(data, dtype="<f4", offset=r.pos).reshape(n_slots + 2, n_words, d)
-    mats = mats.astype(np.float32)
+    for i, mat in enumerate(mats):  # slab by slab, so no full-size temporary
+        if not np.isfinite(mat).all():
+            name = "base" if i == 0 else "context" if i == n_slots + 1 else f"slot {i - 1} delta"
+            raise ModelFormatError(f"non-finite value in the {name} matrix of {path}")
+    mats = mats.astype(np.float32, copy=False)
     return JointEmbeddingModel(vocab, table, mats[0], mats[1:-1], mats[-1])

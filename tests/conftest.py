@@ -52,13 +52,16 @@ def make_model(words, slot_starts, base, deltas, context=None, slot_counts=None,
 
 
 # Byte offsets in the file write_tiny_model saves: 20-byte header (magic,
-# version, dim, words, slots), one <ii start/end pair per slot, then per word
-# a u32 length, the UTF-8 word, its u64 global count and one u64 per slot.
+# version, dim, words, slots), one <ii start/end pair per slot, per word
+# a u32 length, the UTF-8 word, its u64 global count and one u64 per slot,
+# then the float32 matrices: base, the delta of each slot, context, 16 bytes each.
 TINY_DIM_FIELD = 8
 TINY_SLOT_YEARS = 20
 TINY_WORD0 = 40
 TINY_GLOBAL_COUNT0 = 41
 TINY_SLOT_COUNT0 = 49
+TINY_BASE = 94
+TINY_DELTA1 = 126
 
 
 def write_tiny_model(path, offset: int | None = None, raw: bytes = b"") -> bytes:

@@ -7,11 +7,20 @@ import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from verseshift import cli, synthgen, trainer
 
-from conftest import TINY_GLOBAL_COUNT0, TINY_SLOT_COUNT0, TINY_SLOT_YEARS, TINY_WORD0, write_tiny_model
+from conftest import (
+    TINY_BASE,
+    TINY_DELTA1,
+    TINY_GLOBAL_COUNT0,
+    TINY_SLOT_COUNT0,
+    TINY_SLOT_YEARS,
+    TINY_WORD0,
+    write_tiny_model,
+)
 
 SLOT_FLAGS = ["--slots", "fixed", "--start", "1600", "--end", "1800", "--window", "50"]
 TRAIN_FLAGS = [
@@ -184,6 +193,11 @@ class TestTrainCommand:
             assert rc == 0
         assert m1.read_bytes() == m2.read_bytes()
 
+    def test_unallocatable_model_exits_two(self, workspace, tmp_path):
+        # 2**40 dimensions fit the int64 range but not memory: numpy raises MemoryError
+        argv = ["train", "--out", str(workspace["out"]), "--model", str(tmp_path / "m.bin"), *SLOT_FLAGS, *TRAIN_FLAGS]
+        assert cli.main([*argv, "--dim", str(2**40)]) == 2
+
     @pytest.mark.parametrize("over_cap", [False, True])
     def test_workers_out_of_range_rejected_before_threads(self, workspace, tmp_path, monkeypatch, over_cap):
         workers = trainer.max_workers() + 1 if over_cap else 0
@@ -250,6 +264,16 @@ class TestSelfsimCommand:
         write_tiny_model(bad, offset, raw)
         assert cli.main(["selfsim", "--out", str(tmp_path), "--model", str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "offset, value", [(TINY_BASE, np.nan), (TINY_DELTA1 + 4, np.inf)], ids=["nan-base", "inf-delta"]
+    )
+    def test_non_finite_model_exits_two(self, tmp_path, capsys, offset, value):
+        bad = tmp_path / "model.bin"
+        write_tiny_model(bad, offset, np.float32(value).astype("<f4").tobytes())
+        assert cli.main(["selfsim", "--out", str(tmp_path), "--model", str(bad)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "selfsim.csv").exists()
 
 
 class TestChangepointsCommand:
@@ -355,6 +379,21 @@ class TestUsageErrors:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"out": str(out), "analysis": {"top_n": 5}}), encoding="utf-8")
         assert cli.main(["selfsim", "--config", str(config)]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["selfsim", "--config", "{dir}"],
+            ["totalsim", "--model", "{model}", "--stopwords", "{dir}"],
+            ["ingest", "--corpus", "{dir}/corpus.jsonl", "--lemma-map", "{dir}"],
+        ],
+        ids=["config", "stopwords", "lemma-map"],
+    )
+    def test_directory_as_input_file_exits_two(self, tmp_path, argv):
+        model = tmp_path / "model.bin"
+        write_tiny_model(model)
+        argv = [a.format(dir=tmp_path, model=model) for a in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
 
     def test_flags_override_config(self, workspace, tmp_path, capsys):
         out = workspace["out"]

@@ -1,7 +1,8 @@
-"""Fuzzed input boundaries: damaged model files and arbitrary corpus records.
+"""Fuzzed input boundaries: damaged model files, arbitrary corpus records and configs.
 
 Every damaged input must either load or fail with the library's own error
-type, and the CLI must exit 0 or 2 for it, never with a traceback.
+type, and the CLI must exit 0 or 2 for it (or 1 for a bad config), never
+with a traceback.
 """
 
 from __future__ import annotations
@@ -95,3 +96,41 @@ def test_arbitrary_corpus_records(fuzz_dir, records):
     argv = ["ingest", "--corpus", str(path), "--out", str(root / "ingest"),
             "--start", "1600", "--end", "1700", "--window", "50"]
     assert cli.main(argv) in (0, 2)
+
+
+# no "/" or ".": a string used as the output directory names a new directory in the working one
+relative_names = st.text(st.characters(blacklist_characters="/."), max_size=8)
+config_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | relative_names,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(relative_names, inner, max_size=3),
+    max_leaves=8,
+)
+# every key selfsim reads, each absent, valid or any JSON value; the working directory is
+# a subdirectory of fuzz_dir, so "../valid.bin" is the tiny model
+selfsim_configs = config_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "out": st.just("out") | config_values,
+        "model": st.just("../valid.bin") | config_values,
+        "analysis": config_values | st.fixed_dictionaries(
+            {},
+            optional={
+                "top_n": st.integers(1, 3) | config_values,
+                "frequency_scope": st.sampled_from(["global", "pair"]) | config_values,
+            },
+        ),
+    },
+)
+
+
+@CORPUS_FUZZ
+@given(config=selfsim_configs)
+def test_arbitrary_selfsim_config(fuzz_dir, config):
+    root, _ = fuzz_dir
+    work = root / "selfsim-config"
+    work.mkdir(exist_ok=True)
+    path = root / "selfsim-config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)
+        assert cli.main(["selfsim", "--config", str(path)]) in (0, 1, 2)

@@ -8,6 +8,8 @@ import pytest
 from verseshift import corpus, trainer
 
 from conftest import (
+    TINY_BASE,
+    TINY_DELTA1,
     TINY_GLOBAL_COUNT0,
     TINY_SLOT_COUNT0,
     TINY_SLOT_YEARS,
@@ -68,6 +70,7 @@ class TestConfigValidation:
             {"subsample_threshold": -1.0},
             {"workers": 0},
             {"batch_size": 0},
+            {"subsample_threshold": float("nan")},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -443,4 +446,13 @@ class TestModelFile:
         path = tmp_path / "m.bin"
         write_tiny_model(path, TINY_SLOT_YEARS, struct.pack("<iiii", 1650, 1700, 1600, 1650))
         with pytest.raises(trainer.ModelFormatError, match="slot years"):
+            trainer.load_model(path)
+
+    @pytest.mark.parametrize(
+        "offset, value", [(TINY_BASE, np.nan), (TINY_DELTA1 + 4, np.inf)], ids=["nan-base", "inf-delta"]
+    )
+    def test_non_finite_matrix_errors(self, tmp_path, offset, value):
+        path = tmp_path / "m.bin"
+        write_tiny_model(path, offset, np.float32(value).astype("<f4").tobytes())
+        with pytest.raises(trainer.ModelFormatError, match="non-finite"):
             trainer.load_model(path)
