@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Digests of every output file of one benchmark workload, for byte-identity checks.
+
+Usage (from the repository root):
+
+    python3 scripts/output_digests.py WORKLOAD SEED OUT
+
+WORKLOAD is ``shift6`` or ``reports``. The inputs are generated with
+``vsbench/gen.py`` under ``OUT/inputs``, and the workload's command list
+comes from ``vsbench/run.py``; each command runs once, in its own process,
+with its outputs under ``OUT/run`` (``train`` gets ``--workers 1``). The
+script prints one ``<sha256>  <path relative to OUT/run>`` line per output
+file, in path order, then the sha256 of those lines. Two checkouts whose
+final lines agree wrote the same bytes. The exit code is 1 when a command
+fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import shutil
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_run():
+    spec = importlib.util.spec_from_file_location("vsbench_run", ROOT / "vsbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run(run, argv: list[str], log_path: Path) -> bool:
+    """One process of the benchmark's environment; prints its log tail when it fails."""
+    if run.run_process([sys.executable, *argv], log_path, 600.0)[0] == 0:
+        return True
+    print(f"{' '.join(argv)} failed:\n{log_path.read_text(errors='replace')[-400:]}", file=sys.stderr)
+    return False
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3 or argv[0] not in ("shift6", "reports"):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    workload, seed, out = argv[0], int(argv[1]), Path(argv[2]).resolve()
+    run = _load_run()
+    shutil.rmtree(out, ignore_errors=True)
+    inputs_dir, run_dir, logs = out / "inputs", out / "run", out / "logs"
+    logs.mkdir(parents=True)
+    if not _run(run, [str(ROOT / "vsbench" / "gen.py"), workload, str(seed), str(inputs_dir)], logs / "gen.txt"):
+        return 1
+    info = json.loads((inputs_dir / "setup.json").read_text())
+    inputs = run.Inputs({k: Path(v) for k, v in info["files"].items()}, info["truth"])
+    for i, cmd in enumerate(run.WORKLOADS[workload].pipeline(inputs, run_dir, seed)):
+        workers = ["--workers", "1"] if cmd.kind == "train" else []
+        if not _run(run, ["-m", "verseshift.cli", *cmd.argv, *workers], logs / f"{i:02d}-{cmd.kind}.txt"):
+            return 1
+
+    lines = "".join(
+        f"{_sha256(p)}  {p.relative_to(run_dir).as_posix()}\n"
+        for p in sorted(run_dir.rglob("*"), key=lambda p: p.relative_to(run_dir).as_posix())
+        if p.is_file()
+    )
+    print(lines, end="")
+    print(hashlib.sha256(lines.encode()).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -167,6 +167,34 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+class _Echo:
+    """File stand-in whose write returns its text, so csv.writer.writerow returns the formatted line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _write_trajectories(path: Path, trajectories: list[tropes.SimilarityTrajectory], starts: list[int]) -> None:
+    """trajectories.csv as _write_csv writes it, one row per candidate and slot, in one write.
+
+    Each candidate's ``target,candidate`` prefix is quoted once by a writer
+    with _write_csv's dialect (its ``\\r\\n`` terminator decides whether a
+    ``\\r`` forces quotes); the numeric cells, which that dialect never quotes,
+    fill per-slot %-templates, since ``"%.6f" % x == f"{x:.6f}"`` for a float.
+    """
+    quote = csv.writer(_Echo()).writerow
+    slot_cells = [f",{start},%.6f,%d" for start in starts]
+    chunks = [quote(["target", "candidate", "slot_start", "value", "imputed"])]
+    cells = [0] * (2 * len(starts))  # value, imputed flag, per slot
+    for t in trajectories:
+        prefix = quote([t.target, t.candidate])[:-2].replace("%", "%%")  # a % in a word is no format
+        cells[0::2] = t.values.tolist()
+        cells[1::2] = t.imputed.tolist()
+        chunks.append((prefix + ("\r\n" + prefix).join(slot_cells) + "\r\n") % tuple(cells))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(chunks))
+
+
 def _summary_row(prefix: list, s: analysis.DistributionSummary) -> list:
     return prefix + [
         s.n,
@@ -198,8 +226,8 @@ def cmd_synth(ns: argparse.Namespace) -> int:
 def cmd_ingest(ns: argparse.Namespace) -> int:
     if ns.corpus is None:
         raise UsageError("ingest needs --corpus")
-    out = _out_dir(ns)
     table = _slot_table(ns)
+    out = _out_dir(ns)
     lemma_map = corpus.load_lemma_map(ns.lemma_map) if ns.lemma_map else {}
 
     result = corpus.ingest(ns.corpus, strict=ns.strict)
@@ -259,8 +287,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
         config = trainer.TrainConfig(**{s.name: getattr(ns, s.name) for s in TRAIN})
     except ValueError as exc:  # out-of-range training settings are usage errors
         raise UsageError(str(exc)) from exc
-    out = _out_dir(ns)
     table = _slot_table(ns)
+    out = _out_dir(ns)
     stanzas = corpus.load_normalized(ns.cache or out / "normalized.jsonl")
     assignment = corpus.assign_slots(stanzas, table)
     vocab = corpus.build_vocab(assignment, min_count=ns.min_count)
@@ -362,11 +390,7 @@ def cmd_tropes(ns: argparse.Namespace) -> int:
         tropes.trajectory_pca(trajectories, n_components=ns.components, top_k=ns.top_k)
     )
     starts = [slot.start for slot in model.slot_table]
-    traj_rows = []
-    for t in trajectories:
-        for start, value, imputed in zip(starts, t.values, t.imputed):
-            traj_rows.append([t.target, t.candidate, start, f"{value:.6f}", int(imputed)])
-    _write_csv(out / "trajectories.csv", ["target", "candidate", "slot_start", "value", "imputed"], traj_rows)
+    _write_trajectories(out / "trajectories.csv", trajectories, starts)
 
     report_rows = []
     for c, (pos, neg) in enumerate(report.extremes, start=1):

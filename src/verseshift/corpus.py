@@ -272,8 +272,11 @@ def build_slots(
     step == window gives disjoint slots; step < window gives a sliding
     table with consecutive overlap of window - step years. With
     ``merge_first`` (fixed mode only) the first two slots are fused into
-    one wide slot, absorbing a sparse early period.
+    one wide slot, absorbing a sparse early period. ``start`` and ``end``
+    must lie in YEAR_MIN..YEAR_MAX, the range of a stanza year.
     """
+    if not (YEAR_MIN <= start <= YEAR_MAX and YEAR_MIN <= end <= YEAR_MAX):
+        raise ValueError(f"start and end must be years in {YEAR_MIN}..{YEAR_MAX}")
     if end <= start:
         raise ValueError("end must be greater than start")
     if window_years <= 0 or step_years <= 0:

@@ -322,7 +322,10 @@ def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray | Non
 
 def _pair_count(lengths: np.ndarray, window: int) -> int:
     total = 0
+    longest = int(lengths.max(initial=0))
     for off in range(1, window + 1):
+        if off >= longest:  # no document has a pair this far apart
+            break
         total += 2 * int(np.maximum(lengths - off, 0).sum())
     return total
 
@@ -331,8 +334,9 @@ def _slot_pairs(tokens: np.ndarray, doc_ids: np.ndarray, window: int) -> tuple[n
     """All ordered (center, context) pairs within the window, per document."""
     centers = []
     contexts = []
+    longest = int(np.bincount(doc_ids).max(initial=0))
     for off in range(1, window + 1):
-        if off >= tokens.size:
+        if off >= longest:  # no document has a pair this far apart
             break
         same_doc = doc_ids[off:] == doc_ids[:-off]
         a = tokens[:-off][same_doc]

@@ -40,7 +40,9 @@ def build_trajectories(
     ``min_per_slot`` occurrences per slot; up to ``max_missing`` slots may
     fall short and are filled by linear interpolation between the
     neighboring measured slots (edges copy the nearest measured value).
-    The returned list is ordered by vocabulary index.
+    The returned list is ordered by vocabulary index. All trajectories
+    share one ``(C, S)`` value matrix and one imputed mask: each ``values``
+    and ``imputed`` is a row view.
     """
     vocab = model.vocab
     ti = model._word_index(target)
@@ -60,27 +62,19 @@ def build_trajectories(
 
     n_slots = model.n_slots
     values = np.empty((cand.size, n_slots))
+    base = model.base[cand].astype(np.float64)  # the float64 sum slot_vectors forms, gathered once
     for t in range(n_slots):
-        values[:, t] = rowwise_cosine(model.slot_vectors(t, cand), model.embedding_of(target, t))
+        values[:, t] = rowwise_cosine(base + model.deltas[t][cand].astype(np.float64), model.embedding_of(target, t))
 
-    imputed = missing_slots[:, cand].T.astype(bool)
+    imputed = np.ascontiguousarray(missing_slots[:, cand].T, dtype=bool)
     slot_axis = np.arange(n_slots, dtype=np.float64)
-    out = []
-    for row in range(cand.size):
-        vals = values[row]
+    for row in np.flatnonzero(imputed.any(axis=1)):
         mask = imputed[row]
-        if mask.any():
-            vals = vals.copy()
-            vals[mask] = np.interp(slot_axis[mask], slot_axis[~mask], vals[~mask])
-        out.append(
-            SimilarityTrajectory(
-                target=target,
-                candidate=vocab.words[cand[row]],
-                values=vals,
-                imputed=mask.copy(),
-            )
-        )
-    return out
+        values[row, mask] = np.interp(slot_axis[mask], slot_axis[~mask], values[row, ~mask])
+    return [
+        SimilarityTrajectory(target=target, candidate=vocab.words[c], values=vals, imputed=mask)
+        for c, vals, mask in zip(cand.tolist(), values, imputed)
+    ]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -10,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from verseshift import cli, synthgen, trainer
+from verseshift import cli, synthgen, trainer, tropes
 
 from conftest import (
     TINY_BASE,
@@ -19,6 +22,7 @@ from conftest import (
     TINY_SLOT_COUNT0,
     TINY_SLOT_YEARS,
     TINY_WORD0,
+    make_model,
     write_tiny_model,
 )
 
@@ -336,6 +340,36 @@ class TestTropesCommand:
         rc = cli.main(["tropes", "--out", str(workspace["out"]), "--target", "nirgendwo"])
         assert rc == 2
 
+    def test_trajectories_csv_bytes_match_csv_writer(self, tmp_path):
+        # names that force quoting (a comma, a quote, and a \r, which only the
+        # \r\n terminator quotes) or could be read as a %-format
+        words = ["ziel", "a,b", 'sag "ja"', "wa\rgen", "pro%d", "schlicht"]
+        counts = np.full((4, len(words)), 5)
+        counts[1, 2] = 0  # 'sag "ja"' is imputed at slot 1
+        rng = np.random.default_rng(11)
+        model = make_model(
+            words, [1600, 1650, 1700, 1750],
+            base=rng.normal(size=(len(words), 3)), deltas=rng.normal(size=(4, len(words), 3)),
+            slot_counts=counts, global_counts=[100] * len(words),
+        )
+        model_path, out = tmp_path / "model.bin", tmp_path / "out"
+        trainer.save_model(model, model_path)
+        argv = ["tropes", "--out", str(out), "--model", str(model_path), "--target", "ziel",
+                "--min-global", "1", "--min-per-slot", "2", "--top-k", "2", "--components", "2"]
+        assert cli.main(argv) == 0
+
+        trajectories = tropes.build_trajectories(trainer.load_model(model_path), "ziel", min_global=1, min_per_slot=2)
+        assert [t.candidate for t in trajectories] == words[1:]
+        assert sum(t.imputed.any() for t in trajectories) == 1
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["target", "candidate", "slot_start", "value", "imputed"])
+            for t in trajectories:
+                for start, v, imp in zip([1600, 1650, 1700, 1750], t.values, t.imputed):
+                    writer.writerow([t.target, t.candidate, start, f"{v:.6f}", int(imp)])
+        assert (out / "trajectories.csv").read_bytes() == reference.read_bytes()
+
 
 class TestMergeFirst:
     def test_merged_first_slot_in_histogram(self, workspace, tmp_path):
@@ -365,6 +399,51 @@ class TestNumericFailureExitCode:
         monkeypatch.setattr(trainer_module, "train", explode)
         rc = cli.main(["train", "--out", str(workspace["out"]), *SLOT_FLAGS, *TRAIN_FLAGS])
         assert rc == 3
+
+
+def slot_source(command, workspace):
+    """The input flag of ingest (the corpus) or train (the normalized cache)."""
+    if command == "ingest":
+        return ["--corpus", str(workspace["corpus"])]
+    return ["--cache", str(workspace["out"] / "normalized.jsonl")]
+
+
+class TestHugeIntegers:
+    """Integers that pass the type checks but would lay out or scan without end."""
+
+    @staticmethod
+    def run_cli(argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        return subprocess.run([sys.executable, "-m", "verseshift.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=30)
+
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    def test_year_beyond_range_exits_two(self, workspace, tmp_path, command):
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), *slot_source(command, workspace), *SLOT_FLAGS, "--end", str(10**18)]
+        done = self.run_cli(argv)
+        assert done.returncode == 2
+        assert "must be years in 1000..2100" in done.stderr
+        assert not out.exists()
+
+    def test_window_beyond_longest_document_trains_as_that_window(self, workspace, tmp_path):
+        cache = workspace["out"] / "normalized.jsonl"
+        longest = max(len(json.loads(line)["tokens"]) for line in cache.read_text(encoding="utf-8").splitlines())
+        assert longest > 2  # wider than the window of TRAIN_FLAGS
+        huge, exact = tmp_path / "huge.bin", tmp_path / "exact.bin"
+        argv = ["train", "--out", str(workspace["out"]), *SLOT_FLAGS, *TRAIN_FLAGS, "--context-window"]
+        assert self.run_cli([*argv, str(10**18), "--model", str(huge)]).returncode == 0
+        assert cli.main([*argv, str(longest), "--model", str(exact)]) == 0
+        assert huge.read_bytes() == exact.read_bytes()
+
+
+class TestSlotLayoutBeforeOutput:
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    @pytest.mark.parametrize("bad", [["--window", "70"], ["--end", "1790"]], ids=["window", "end"])
+    def test_bad_slot_layout_creates_no_output_dir(self, workspace, tmp_path, command, bad):
+        out = tmp_path / "out"
+        assert cli.main([command, "--out", str(out), *slot_source(command, workspace), *SLOT_FLAGS, *bad]) == 2
+        assert not out.exists()
 
 
 class TestUsageErrors:

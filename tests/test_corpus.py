@@ -213,6 +213,17 @@ class TestBuildSlots:
         with pytest.raises(ValueError):
             corpus.build_slots(1500, 1800, 50, 100)
 
+    @pytest.mark.parametrize(
+        "start, end", [(1600, 10**30), (1600, corpus.YEAR_MAX + 50), (corpus.YEAR_MIN - 50, 1600), (-(10**30), 1600)]
+    )
+    def test_years_outside_stanza_range_are_error(self, start, end):
+        with pytest.raises(ValueError, match="must be years"):
+            corpus.build_slots(start, end, 50, 50)
+
+    def test_years_at_range_bounds_lay_out(self):
+        table = corpus.build_slots(corpus.YEAR_MIN, corpus.YEAR_MAX, 50, 50)
+        assert (table.slots[0].start, table.slots[-1].end) == (corpus.YEAR_MIN, corpus.YEAR_MAX)
+
 
 class TestAssign:
     def test_fixed_membership(self):

@@ -316,6 +316,16 @@ class TestTraining:
         assert np.isfinite(model.epoch_losses).all()
 
 
+    def test_window_beyond_longest_document_counts_and_pairs_as_that_window(self):
+        tokens = np.arange(9, dtype=np.int32)
+        doc_ids = np.array([0, 0, 0, 1, 1, 1, 1, 1, 2], dtype=np.int32)  # longest document: 5 tokens
+        lengths = np.bincount(doc_ids)
+        assert trainer._pair_count(lengths, 10**18) == trainer._pair_count(lengths, 5) == 26
+        for got, want in zip(trainer._slot_pairs(tokens, doc_ids, 10**18), trainer._slot_pairs(tokens, doc_ids, 5)):
+            assert np.array_equal(got, want)
+        assert trainer._slot_pairs(tokens, doc_ids, 10**18)[0].size == 26
+
+
 class TestTrainedSemantics:
     def test_synonym_clusters(self, synonym_model):
         from verseshift.linalg import cosine_similarity

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from verseshift import tropes
+from verseshift.linalg import rowwise_cosine
 from verseshift.tropes import SimilarityTrajectory
 
 from conftest import make_model
@@ -99,6 +100,37 @@ class TestBuildTrajectories:
         model = angle_model([0.0] * 3, {"k": [0.1] * 3})
         with pytest.raises(ValueError):
             tropes.build_trajectories(model, "ziel", min_global=10**6, min_per_slot=1)
+
+    def test_values_exactly_match_per_slot_reference(self):
+        rng = np.random.default_rng(3)
+        words = ["ziel", "voll", "luecke", "selten", "rand"]
+        n_slots = 5
+        counts = np.full((n_slots, len(words)), 5)
+        counts[2, 2] = 0  # "luecke" imputed at an interior slot
+        counts[0, 4] = 1  # "rand" imputed at the edge
+        counts[1:3, 3] = 0  # "selten" misses two slots and is no candidate
+        model = make_model(
+            words, [1600 + 50 * t for t in range(n_slots)],
+            base=rng.normal(size=(len(words), 7)), deltas=rng.normal(size=(n_slots, len(words), 7)),
+            slot_counts=counts, global_counts=[100] * len(words),
+        )
+        trajectories = tropes.build_trajectories(model, "ziel", min_global=1, min_per_slot=2)
+        cand = np.array([1, 2, 4])
+        assert [t.candidate for t in trajectories] == [words[c] for c in cand]
+
+        expected = np.column_stack([
+            rowwise_cosine(model.slot_vectors(t, cand), model.embedding_of("ziel", t)) for t in range(n_slots)
+        ])
+        imputed = counts[:, cand].T < 2
+        slots = np.arange(n_slots, dtype=np.float64)
+        for row, mask in enumerate(imputed):
+            if mask.any():
+                expected[row, mask] = np.interp(slots[mask], slots[~mask], expected[row, ~mask])
+        assert imputed.any(axis=1).tolist() == [False, True, True]
+        for t, want, mask in zip(trajectories, expected, imputed):
+            assert t.values.dtype == np.float64 and t.imputed.dtype == bool
+            assert np.array_equal(t.values, want)
+            assert np.array_equal(t.imputed, mask)
 
 
 def class_fixture(per_class=30, n_slots=6, noise=0.02, seed=99):
