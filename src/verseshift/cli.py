@@ -42,6 +42,7 @@ class Setting:
     help: str
     choices: tuple[str, ...] | None = None
     flag: str | None = None  # when the flag is not --<name>
+    minimum: int | None = None  # smallest value a flag or config may give
 
     @property
     def option(self) -> str:
@@ -61,7 +62,7 @@ SLOTS = (
     Setting("merge_first", "slots.merge_first", bool, False, "fuse the first two fixed slots into one wide slot"),
 )
 PAIRWISE = (
-    Setting("top_n", "analysis.top_n", int, 3000, "frequent words to track"),
+    Setting("top_n", "analysis.top_n", int, 3000, "frequent words to track", minimum=1),
     Setting("frequency_scope", "analysis.frequency_scope", str, "global",
             "rank candidate words corpus-wide or per slot pair", choices=("global", "pair")),
 )
@@ -93,20 +94,21 @@ COMMANDS: dict[str, tuple[str, tuple[Setting, ...]]] = {
     "selfsim": ("adjacent-slot self-similarity CSV + box plot", (*COMMON, MODEL, *PAIRWISE)),
     "changepoints": ("rank dips in the self-similarity medians", (
         *COMMON, MODEL, *PAIRWISE,
-        Setting("k", "analysis.k", int, 5, "change points to report"),
+        Setting("k", "analysis.k", int, 5, "change points to report", minimum=1),
     )),
     "totalsim": ("distance-aggregated self-similarity + linear fit", (
         *COMMON, MODEL,
         Setting("stopwords", "stopwords", str, None, "stopword list, one word per line"),
-        Setting("min_per_slot", "analysis.min_per_slot", int, 50, "eligibility threshold"),
+        Setting("min_per_slot", "analysis.min_per_slot", int, 50, "eligibility threshold", minimum=0),
     )),
     "tropes": ("trajectory PCA classes for one target word", (
         *COMMON, MODEL,
         Setting("target", "analysis.target", str, "liebe", "target word"),
         Setting("min_global", "analysis.min_global", int, 30, "candidate corpus count"),
-        Setting("min_per_slot", "analysis.tropes_min_per_slot", int, 2, "per-slot candidate count"),
-        Setting("top_k", "analysis.top_k", int, 25, "extreme list size"),
-        Setting("components", "analysis.components", int, 4, "PCA components"),
+        Setting("min_per_slot", "analysis.tropes_min_per_slot", int, 2, "per-slot candidate count", minimum=0),
+        Setting("top_k", "analysis.top_k", int, 25, "extreme list size", minimum=1),
+        # the rising and falling class SVGs use the second component
+        Setting("components", "analysis.components", int, 4, "PCA components", minimum=2),
     )),
 }
 
@@ -133,7 +135,10 @@ def _config_value(cfg: dict, s: Setting):
 
 
 def _resolve(args: argparse.Namespace, settings: tuple[Setting, ...]) -> argparse.Namespace:
-    """Each setting from its flag, else from the --config file, else its default."""
+    """Each setting from its flag, else from the --config file, else its default.
+
+    A flag or config value below the setting's minimum is a UsageError naming it.
+    """
     cfg = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
@@ -142,9 +147,11 @@ def _resolve(args: argparse.Namespace, settings: tuple[Setting, ...]) -> argpars
             raise UsageError("config file must hold a JSON object")
     resolved = argparse.Namespace()
     for s in settings:
-        value = getattr(args, s.name)
+        value, source = getattr(args, s.name), s.option
         if value is None and s.key is not None:
-            value = _config_value(cfg, s)
+            value, source = _config_value(cfg, s), f"config key {s.key}"
+        if s.minimum is not None and value is not None and value < s.minimum:
+            raise UsageError(f"{source} must be at least {s.minimum}")
         setattr(resolved, s.name, s.default if value is None else value)
     return resolved
 
@@ -428,7 +435,9 @@ def _build_parser() -> _Parser:
     for name, (text, settings) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for s in settings:
-            text = s.help if s.default is None or s.type is bool else f"{s.help} (default {s.default})"
+            notes = [f"default {s.default}"] if s.default is not None and s.type is not bool else []
+            notes += [] if s.minimum is None else [f"at least {s.minimum}"]
+            text = f"{s.help} ({', '.join(notes)})" if notes else s.help
             kind = {"action": "store_true", "default": None} if s.type is bool else {"type": s.type, "choices": s.choices}
             p.add_argument(s.option, dest=s.name, help=text, **kind)
     return parser

@@ -32,6 +32,10 @@ log = logging.getLogger(__name__)
 MODEL_MAGIC = b"DLKV"
 MODEL_VERSION = 1
 PAIR_GROUP = 32  # consecutive pairs of a minibatch that share one negative set
+# Longest run of one index that _scatter_add_rows sums position by position.
+# numpy's pairwise sum adds fewer than 8 terms left to right, so up to 8 rows
+# reduceat's order is the first row plus a left-to-right sum of the rest.
+SCATTER_CUTOFF = 8
 
 
 class ModelFormatError(Exception):
@@ -168,7 +172,16 @@ def batch_gradients(
 
 
 def _scatter_add_rows(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray, scale: float) -> None:
-    """mat[idx] += scale * rows with duplicate indices accumulated in float64."""
+    """mat[idx] += scale * rows with duplicate indices accumulated in float64.
+
+    The rows of each index are summed in float64 in ``np.argsort(idx)`` order,
+    bit for bit as ``np.add.reduceat`` sums them: the first row plus numpy's
+    pairwise sum of the others, which below 8 terms is a left-to-right sum.
+    Runs of at most SCATTER_CUTOFF rows are sorted longest first, so the runs
+    that have a p-th row form a prefix, and are summed one position at a time
+    over all runs at once; longer runs go through reduceat itself. The cost is
+    per position, not per run (reduceat pays a buffered cast for each run).
+    """
     if idx.size == 0:
         return
     order = np.argsort(idx)
@@ -177,7 +190,24 @@ def _scatter_add_rows(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray, scale:
     boundary[0] = True
     np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
-    sums = np.add.reduceat(rows[order], starts, axis=0, dtype=np.float64)
+    lengths = np.diff(starts, append=idx.size)
+    # longest first; runs past the cutoff tie, and int8 keys take numpy's radix sort
+    by_length = np.argsort(-np.minimum(lengths, SCATTER_CUTOFF + 1).astype(np.int8), kind="stable")
+    starts, lengths = starts[by_length], lengths[by_length]
+    sums = np.empty((starts.size, rows.shape[1]))
+    n_long = int(np.count_nonzero(lengths > SCATTER_CUTOFF))
+    if n_long:
+        long = lengths[:n_long]
+        local = np.cumsum(long) - long
+        positions = np.repeat(starts[:n_long] - local, long) + np.arange(long.sum())
+        sums[:n_long] = np.add.reduceat(np.take(rows, order[positions], axis=0), local, axis=0, dtype=np.float64)
+    first = starts[n_long:]
+    longer = np.searchsorted(-lengths[n_long:], -np.arange(SCATTER_CUTOFF))  # runs with more than p rows
+    rest = np.take(rows, order[first[: longer[1]] + 1], axis=0).astype(np.float64)
+    for p in range(2, SCATTER_CUTOFF):
+        rest[: longer[p]] += np.take(rows, order[first[: longer[p]] + p], axis=0)
+    sums[n_long:] = np.take(rows, order[first], axis=0)
+    sums[n_long : n_long + longer[1]] += rest
     sums *= scale
     mat[sorted_idx[starts]] += sums.astype(mat.dtype)
 
@@ -195,7 +225,9 @@ def sgd_step(
     ``deltas_flat`` is the (S*V, d) view of the per-slot delta stack. All
     gradients are taken at the batch-start parameter values; per-pair terms
     use the stored float32 precision while the per-row sums over the batch
-    accumulate in float64 before the single write-back.
+    accumulate in float64, in ``argsort`` order, before the single write-back
+    (:func:`_scatter_add_rows`; runs longer than SCATTER_CUTOFF rows take the
+    ``np.add.reduceat`` path).
     """
     words = batch.words.astype(np.int64)
     flat_delta_idx = batch.slots.astype(np.int64) * n_words + words

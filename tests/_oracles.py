@@ -58,3 +58,22 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     if sst == 0.0:
         return float(slope), float(intercept), 0.0
     return float(slope), float(intercept), 1.0 - float(((y - pred) ** 2).sum()) / sst
+
+
+def scatter_add_rows_reduceat(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray, scale: float) -> None:
+    """mat[idx] += scale * rows, each index's rows summed by one float64 np.add.reduceat.
+
+    The training scatter as it was before it summed runs position by
+    position; the float64 additions it makes define the exact result.
+    """
+    if idx.size == 0:
+        return
+    order = np.argsort(idx)
+    sorted_idx = idx[order]
+    boundary = np.empty(sorted_idx.size, dtype=bool)
+    boundary[0] = True
+    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    sums = np.add.reduceat(rows[order], starts, axis=0, dtype=np.float64)
+    sums *= scale
+    mat[sorted_idx[starts]] += sums.astype(mat.dtype)

@@ -326,6 +326,39 @@ def test_bad_config_value_is_usage_error(command, config, key, tmp_path, monkeyp
     assert not (tmp_path / "out").exists()
 
 
+MINIMUMS = [
+    ("tropes", "--components", "analysis.components", 2),
+    ("tropes", "--top-k", "analysis.top_k", 1),
+    ("tropes", "--min-per-slot", "analysis.tropes_min_per_slot", 0),
+    ("totalsim", "--min-per-slot", "analysis.min_per_slot", 0),
+    ("changepoints", "--k", "analysis.k", 1),
+    ("changepoints", "--top-n", "analysis.top_n", 1),
+    ("selfsim", "--top-n", "analysis.top_n", 1),
+]
+MINIMUM_IDS = [f"{command}{flag}" for command, flag, _, _ in MINIMUMS]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, flag, key, minimum", MINIMUMS, ids=MINIMUM_IDS)
+def test_value_below_minimum_is_usage_error(command, flag, key, minimum, via, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if via == "flag":
+        argv, name = [flag, str(minimum - 1)], flag
+    else:
+        section, leaf = key.split(".")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: {leaf: minimum - 1}}), encoding="utf-8")
+        argv, name = ["--config", str(path)], f"config key {key}"
+    assert cli.main([command, "--out", "run", *argv]) == 1
+    assert f"{name} must be at least {minimum}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, flag, key, minimum", MINIMUMS, ids=MINIMUM_IDS)
+def test_value_at_minimum_is_accepted(command, flag, key, minimum, tmp_path, monkeypatch):
+    assert probe(monkeypatch, tmp_path / "run", command, [flag, str(minimum)])[flag] == minimum
+
+
 def test_integer_config_value_for_float_setting(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"train": {"initial_lr": 1, "final_lr": 0.5}}), encoding="utf-8")

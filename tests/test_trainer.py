@@ -4,9 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verseshift import corpus, trainer
 
+from _oracles import scatter_add_rows_reduceat
 from conftest import (
     TINY_BASE,
     TINY_DELTA1,
@@ -239,6 +242,77 @@ class TestGradients:
         assert np.allclose(base2, base - (lr * g_base).astype(np.float32), atol=1e-6)
         assert np.allclose(deltas2, deltas - (lr * g_deltas).astype(np.float32), atol=1e-6)
         assert np.allclose(ctx2, ctx - (lr * g_ctx).astype(np.float32), atol=1e-6)
+
+
+def scatter_rows(n: int, d: int, seed: int) -> np.ndarray:
+    """Float32 rows with magnitudes from 1e-8 to 1e8, so a different order of float64 additions shows."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-8, 8, (n, d))).astype(np.float32)
+
+
+def runs(lengths, seed: int = 0) -> np.ndarray:
+    """Shuffled indices where index i occurs lengths[i] times."""
+    return np.random.default_rng(seed).permutation(np.repeat(np.arange(len(lengths)), lengths))
+
+
+def assert_scatter_matches_reduceat(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray, scale: float = -0.025):
+    want = mat.copy()
+    scatter_add_rows_reduceat(want, idx, rows, scale)
+    trainer._scatter_add_rows(mat, idx, rows, scale)
+    assert np.array_equal(mat, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestScatterAddRows:
+    """The training scatter is bit-identical to one float64 np.add.reduceat per index."""
+
+    def test_empty_index(self, dtype):
+        mat = np.ones((3, 4), dtype=dtype)
+        assert_scatter_matches_reduceat(mat, np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.float32))
+        assert (mat == 1).all()
+
+    def test_one_word_vocabulary(self, dtype):
+        idx = np.zeros(5000, dtype=np.int64)
+        assert_scatter_matches_reduceat(np.ones((1, 8), dtype=dtype), idx, scatter_rows(5000, 8, 1))
+
+    def test_runs_around_the_cutoff(self, dtype):
+        c = trainer.SCATTER_CUTOFF
+        lengths = [c - 1, c, c + 1, 2 * c, 1, 2, 3, c, c + 1, 1]
+        idx = runs(lengths)
+        assert_scatter_matches_reduceat(np.ones((len(lengths), 5), dtype=dtype), idx, scatter_rows(idx.size, 5, 2))
+
+    def test_order_of_wide_magnitudes_is_reduceats(self, dtype):
+        lengths = list(range(1, 2 * trainer.SCATTER_CUTOFF + 2)) * 3
+        idx, rows = runs(lengths, 3), scatter_rows(sum(lengths), 6, 3)
+        big = np.random.default_rng(3).random(rows.shape) < 0.5  # ±1e8 cancel, so order shows in float32 too
+        rows[big] = np.copysign(np.float32(1e8), rows[big])
+        assert_scatter_matches_reduceat(np.zeros((len(lengths), 6), dtype=dtype), idx, rows)
+        # these rows tell orders apart: a plain left-to-right float64 sum rounds differently
+        order = np.argsort(idx)
+        left_to_right = np.zeros((len(lengths), 6))
+        for i in order:
+            left_to_right[idx[i]] += rows[i]
+        want = np.zeros((len(lengths), 6))
+        scatter_add_rows_reduceat(want, idx, rows, 1.0)
+        assert not np.array_equal(left_to_right, want)
+
+    def test_delta_stack_view(self, dtype):
+        n_slots, n_words, d = 3, 7, 4
+        deltas = np.random.default_rng(4).standard_normal((n_slots, n_words, d)).astype(dtype)
+        want = deltas.copy()
+        idx = runs([1, 9, 2, 8, 3, 17, 1, 5, 4], 4) * 2 + 1  # flat (slot, word) rows across slots
+        rows = scatter_rows(idx.size, d, 4)
+        scatter_add_rows_reduceat(want.reshape(-1, d), idx, rows, -0.05)
+        deltas_flat = deltas.reshape(-1, d)
+        assert np.shares_memory(deltas_flat, deltas)
+        trainer._scatter_add_rows(deltas_flat, idx, rows, -0.05)
+        assert np.array_equal(deltas, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_rows=st.integers(1, 60), n=st.integers(0, 600), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_random_batches(self, dtype, n_rows, n, d, seed):
+        idx = np.random.default_rng(seed).integers(0, n_rows, n)
+        assert_scatter_matches_reduceat(np.ones((n_rows, d), dtype=dtype), idx, scatter_rows(n, d, seed))
 
 
 class TestTraining:
