@@ -14,7 +14,7 @@ from .analysis import (
 )
 from .corpus import (
     CorpusError,
-    SlotAssignment,
+    Documents,
     Stanza,
     TimeSlot,
     TimeSlotTable,
@@ -22,10 +22,10 @@ from .corpus import (
     assign_slots,
     build_slots,
     build_vocab,
-    build_vocab_from_tokens,
     dedup_first_line,
     ingest,
     load_lemma_map,
+    load_normalized,
     load_stopwords,
     normalize,
 )

@@ -157,9 +157,14 @@ def _resolve(args: argparse.Namespace, settings: tuple[Setting, ...]) -> argpars
 
 
 def _out_dir(ns: argparse.Namespace) -> Path:
+    """Make --out; each command calls it only once its results are computed, just before its first write."""
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _model_path(ns: argparse.Namespace) -> Path:
+    return Path(ns.model or Path(ns.out) / "model.bin")
 
 
 def _slot_table(ns: argparse.Namespace) -> corpus.TimeSlotTable:
@@ -234,7 +239,6 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     if ns.corpus is None:
         raise UsageError("ingest needs --corpus")
     table = _slot_table(ns)
-    out = _out_dir(ns)
     lemma_map = corpus.load_lemma_map(ns.lemma_map) if ns.lemma_map else {}
 
     result = corpus.ingest(ns.corpus, strict=ns.strict)
@@ -248,10 +252,8 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     total_tokens = sum(len(s.tokens) for s in normalized)
     deduped = corpus.dedup_first_line(normalized)
     duplicates_removed = len(normalized) - len(deduped)
-    assignment = corpus.assign_slots(deduped, table)
-
-    cache = Path(ns.cache or out / "normalized.jsonl")
-    corpus.save_normalized(deduped, cache)
+    member = corpus.assign_slots([s.year for s in deduped], table)
+    out_of_slot_range = int((~member.any(axis=1)).sum())
 
     stats = {
         "stanzas": len(result.stanzas),
@@ -264,12 +266,15 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
         "dropped_malformed": result.dropped_malformed,
         "dropped_empty_after_normalize": len(result.stanzas) - len(normalized),
         "duplicates_removed": duplicates_removed,
-        "out_of_slot_range": assignment.dropped,
+        "out_of_slot_range": out_of_slot_range,
         "slot_histogram": [
-            {"label": slot.label, "start": slot.start, "end": slot.end, "stanzas": len(docs)}
-            for slot, docs in zip(table, assignment.per_slot)
+            {"label": slot.label, "start": slot.start, "end": slot.end, "stanzas": n}
+            for slot, n in zip(table, member.sum(axis=0).tolist())
         ],
     }
+    out = _out_dir(ns)
+    cache = Path(ns.cache or out / "normalized.jsonl")
+    corpus.save_normalized(deduped, cache)
     (out / "ingest_stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
 
     print(f"stanzas  {stats['stanzas']}")
@@ -283,8 +288,8 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     print("stanzas per slot:")
     for entry in stats["slot_histogram"]:
         print(f"  {entry['label']:>12}  {entry['stanzas']}")
-    if assignment.dropped:
-        print(f"  (outside all slots: {assignment.dropped})")
+    if out_of_slot_range:
+        print(f"  (outside all slots: {out_of_slot_range})")
     print(f"normalized cache: {cache}")
     return 0
 
@@ -295,13 +300,11 @@ def cmd_train(ns: argparse.Namespace) -> int:
     except ValueError as exc:  # out-of-range training settings are usage errors
         raise UsageError(str(exc)) from exc
     table = _slot_table(ns)
-    out = _out_dir(ns)
-    stanzas = corpus.load_normalized(ns.cache or out / "normalized.jsonl")
-    assignment = corpus.assign_slots(stanzas, table)
-    vocab = corpus.build_vocab(assignment, min_count=ns.min_count)
-    docs_by_slot = [[s.tokens for s in docs] for docs in assignment.per_slot]
-    model = trainer.train(docs_by_slot, vocab, table, config)
-    model_path = Path(ns.model or out / "model.bin")
+    docs = corpus.load_normalized(ns.cache or Path(ns.out) / "normalized.jsonl")
+    vocab = corpus.build_vocab(docs, table, min_count=ns.min_count)
+    model = trainer.train(docs, vocab, table, config)
+    model_path = _model_path(ns)
+    _out_dir(ns)
     trainer.save_model(model, model_path)
     print(f"trained {len(vocab)} words x {config.dim} dims over {len(table)} slots")
     for i, loss in enumerate(model.epoch_losses, start=1):
@@ -320,13 +323,11 @@ def _pairwise_series(ns: argparse.Namespace, model: trainer.JointEmbeddingModel)
 
 
 def cmd_selfsim(ns: argparse.Namespace) -> int:
-    out = _out_dir(ns)
-    series = _pairwise_series(ns, trainer.load_model(ns.model or out / "model.bin"))
+    series = _pairwise_series(ns, trainer.load_model(_model_path(ns)))
     rows = [
         _summary_row([a.start, b.start], s)
         for (a, b), s in zip(series.pairs, series.summaries)
     ]
-    _write_csv(out / "selfsim.csv", PAIRWISE_HEADER, rows)
     svg = svgplot.render_box_plot(
         "Self-similarity of frequent words across adjacent time slots",
         [str(b.start) for _, b in series.pairs],
@@ -334,17 +335,18 @@ def cmd_selfsim(ns: argparse.Namespace) -> int:
         "start year of the later slot",
         "cosine similarity",
     )
+    out = _out_dir(ns)
+    _write_csv(out / "selfsim.csv", PAIRWISE_HEADER, rows)
     (out / "selfsim.svg").write_text(svg, encoding="utf-8")
     print(f"wrote {out / 'selfsim.csv'} and {out / 'selfsim.svg'}")
     return 0
 
 
 def cmd_changepoints(ns: argparse.Namespace) -> int:
-    out = _out_dir(ns)
-    series = _pairwise_series(ns, trainer.load_model(ns.model or out / "model.bin"))
+    series = _pairwise_series(ns, trainer.load_model(_model_path(ns)))
     points = analysis.detect_change_points(series, ns.k)
     rows = [[rank, year, f"{depth:.6f}"] for rank, (year, depth) in enumerate(points, start=1)]
-    _write_csv(out / "changepoints.csv", ["rank", "year", "depth"], rows)
+    _write_csv(_out_dir(ns) / "changepoints.csv", ["rank", "year", "depth"], rows)
     if points:
         for rank, (year, depth) in enumerate(points, start=1):
             print(f"change point {rank}: year {year} depth {depth:.4f}")
@@ -354,8 +356,7 @@ def cmd_changepoints(ns: argparse.Namespace) -> int:
 
 
 def cmd_totalsim(ns: argparse.Namespace) -> int:
-    out = _out_dir(ns)
-    model = trainer.load_model(ns.model or out / "model.bin")
+    model = trainer.load_model(_model_path(ns))
     stopwords = corpus.load_stopwords(ns.stopwords) if ns.stopwords else frozenset()
     total = analysis.total_self_similarity(model, min_per_slot=ns.min_per_slot, stopwords=stopwords)
     bands = analysis.frequency_bands(total)
@@ -365,7 +366,6 @@ def cmd_totalsim(ns: argparse.Namespace) -> int:
     for band in ("low", "high"):
         for i, dist in enumerate(bands.distances):
             rows.append(_summary_row([dist, band], bands.summaries[band][i]))
-    _write_csv(out / "totalsim.csv", TOTAL_HEADER, rows)
     svg = svgplot.render_box_plot(
         "Self-similarity by year distance between time slots",
         [str(d) for d in total.distances],
@@ -373,10 +373,12 @@ def cmd_totalsim(ns: argparse.Namespace) -> int:
         "distance in years",
         "cosine similarity",
     )
+    fit = analysis.linearity_fit(total) if len(total.distances) >= 3 else None
+    out = _out_dir(ns)
+    _write_csv(out / "totalsim.csv", TOTAL_HEADER, rows)
     (out / "totalsim.svg").write_text(svg, encoding="utf-8")
     print(f"{len(total.words)} eligible words at min {ns.min_per_slot} per slot")
-    if len(total.distances) >= 3:
-        fit = analysis.linearity_fit(total)
+    if fit is not None:
         print(
             f"linear fit: slope {fit.slope:.6g} per year, intercept {fit.intercept:.4f}, "
             f"r_squared {fit.r_squared:.4f}"
@@ -388,8 +390,7 @@ def cmd_totalsim(ns: argparse.Namespace) -> int:
 
 
 def cmd_tropes(ns: argparse.Namespace) -> int:
-    out = _out_dir(ns)
-    model = trainer.load_model(ns.model or out / "model.bin")
+    model = trainer.load_model(_model_path(ns))
     trajectories = tropes.build_trajectories(
         model, ns.target, min_global=ns.min_global, min_per_slot=ns.min_per_slot
     )
@@ -397,26 +398,29 @@ def cmd_tropes(ns: argparse.Namespace) -> int:
         tropes.trajectory_pca(trajectories, n_components=ns.components, top_k=ns.top_k)
     )
     starts = [slot.start for slot in model.slot_table]
-    _write_trajectories(out / "trajectories.csv", trajectories, starts)
 
     report_rows = []
     for c, (pos, neg) in enumerate(report.extremes, start=1):
         for end, entries in (("pos", pos), ("neg", neg)):
             for rank, entry in enumerate(entries, start=1):
                 report_rows.append([c, end, rank, entry.candidate, f"{entry.projection:.6f}"])
-    _write_csv(out / "report.csv", ["component", "end", "rank", "candidate", "projection"], report_rows)
 
     by_name = {t.candidate: t for t in trajectories}
+    svgs = {}
     for (comp, end), label in tropes._LABELS.items():
         members = report.component_members(comp, end)
-        series = [(name, list(by_name[name].values)) for name in members]
-        svg = svgplot.render_line_plot(
+        svgs[label] = svgplot.render_line_plot(
             f"{ns.target}: {label} trajectories",
             [float(s) for s in starts],
-            series,
+            [(name, list(by_name[name].values)) for name in members],
             "slot start year",
             "cosine similarity",
         )
+
+    out = _out_dir(ns)
+    _write_trajectories(out / "trajectories.csv", trajectories, starts)
+    _write_csv(out / "report.csv", ["component", "end", "rank", "candidate", "projection"], report_rows)
+    for label, svg in svgs.items():
         (out / f"trope_{label}.svg").write_text(svg, encoding="utf-8")
 
     ratios = ", ".join(f"{r:.3f}" for r in report.pca.explained_variance_ratio)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import logging
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +45,37 @@ class IngestResult:
     @property
     def dropped(self) -> int:
         return self.dropped_missing_year + self.dropped_invalid_year + self.dropped_malformed
+
+
+@dataclass
+class Documents:
+    """A corpus in columns: document d holds ``types[ids[offsets[d]:offsets[d + 1]]]``."""
+
+    types: list[str]  # distinct tokens, in the order first seen
+    ids: np.ndarray  # (N,) int32 indices into types
+    offsets: np.ndarray  # (D + 1,) int64 document bounds in ids
+    years: np.ndarray  # (D,) int64
+
+    @classmethod
+    def from_tokens(cls, token_lists: list[list[str]], years) -> Documents:
+        if len(token_lists) != len(years):
+            raise ValueError("need one year per token list")
+        index: dict[str, int] = {}
+        lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+        ids = np.fromiter(
+            (index.setdefault(t, len(index)) for tokens in token_lists for t in tokens),
+            dtype=np.int32,
+            count=int(lengths.sum()),
+        )
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        return cls(types=list(index), ids=ids, offsets=offsets, years=np.asarray(years, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.years)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
 
 def _is_str_list(value: object) -> bool:
@@ -301,45 +331,31 @@ def build_slots(
     return TimeSlotTable(slots=slots, window_years=window_years, step_years=step_years)
 
 
-@dataclass
-class SlotAssignment:
-    """Stanzas routed to every slot containing their year."""
+def assign_slots(years, table: TimeSlotTable) -> np.ndarray:
+    """(D, S) bool membership: document d is in slot s when its year lies in it.
 
-    table: TimeSlotTable
-    per_slot: list[list[Stanza]]
-    stanzas: list[Stanza]  # unique in-range stanzas
-    dropped: int  # out-of-range stanzas
-
-
-def assign_slots(stanzas: list[Stanza], table: TimeSlotTable) -> SlotAssignment:
-    """Route each stanza into all slots whose interval contains its year.
-
-    Fixed tables partition; sliding tables duplicate a stanza into up to
-    ceil(window/step) slots. Out-of-range stanzas are dropped and counted.
+    Fixed tables partition; sliding tables put a document in up to
+    ceil(window/step) slots. Out-of-range documents are in no slot and
+    are counted in a warning.
     """
-    per_slot: list[list[Stanza]] = [[] for _ in table]
-    in_range: list[Stanza] = []
-    dropped = 0
-    for stanza in stanzas:
-        hits = table.slots_for_year(stanza.year)
-        if not hits:
-            dropped += 1
-            continue
-        in_range.append(stanza)
-        for i in hits:
-            per_slot[i].append(stanza)
+    years = np.asarray(years, dtype=np.int64).reshape(-1, 1)
+    starts = np.array([s.start for s in table], dtype=np.int64)
+    ends = np.array([s.end for s in table], dtype=np.int64)
+    member = (years >= starts) & (years < ends)
+    dropped = int(np.count_nonzero(~member.any(axis=1)))
     if dropped:
         log.warning("%d stanzas fall outside all time slots", dropped)
-    return SlotAssignment(table=table, per_slot=per_slot, stanzas=in_range, dropped=dropped)
+    return member
 
 
 @dataclass
 class Vocabulary:
     """Dense word index with global and per-slot occurrence counts.
 
-    In fixed-mode slotting the per-slot counts of a word sum to its global
-    count; in sliding mode slot counts overlap and may exceed it, which is
-    why the global count is tracked from the unique stanza set.
+    Global counts cover the documents in at least one slot, once each; a
+    slot counts every document it holds. In fixed-mode slotting the
+    per-slot counts of a word sum to its global count; in sliding mode slot
+    counts overlap and may exceed it.
     """
 
     words: list[str]
@@ -364,71 +380,32 @@ class Vocabulary:
         return [self.words[i] for i in np.flatnonzero(ok)]
 
 
-def _vocab_from_counts(
-    global_counter: Counter,
-    slot_counters: list[Counter],
-    slot_total_tokens: list[int],
-    min_count: int,
-) -> Vocabulary:
-    words = [w for w, c in global_counter.items() if c >= min_count]
-    if not words:
+def build_vocab(docs: Documents, table: TimeSlotTable, min_count: int = 5) -> Vocabulary:
+    """Count words over the slotted documents and keep those with global count >= min_count.
+
+    Words are ordered by global count descending, ties by ``str`` order,
+    which keeps top-N selection stable.
+    """
+    member = assign_slots(docs.years, table)
+    lengths = docs.lengths
+    n_types = len(docs.types)
+    counts = np.bincount(docs.ids[np.repeat(member.any(axis=1), lengths)], minlength=n_types)
+    kept = np.flatnonzero(counts >= max(min_count, 1)).tolist()
+    if not kept:
         raise CorpusError(f"no words reach min_count={min_count}; vocabulary is empty")
-    # frequency-descending order, ties alphabetical, keeps top-N selection stable
-    words.sort(key=lambda w: (-global_counter[w], w))
-    index = {w: i for i, w in enumerate(words)}
-    global_counts = np.array([global_counter[w] for w in words], dtype=np.int64)
-    slot_counts = np.zeros((len(slot_counters), len(words)), dtype=np.int64)
-    for s, counter in enumerate(slot_counters):
-        for w, c in counter.items():
-            i = index.get(w)
-            if i is not None:
-                slot_counts[s, i] = c
+    by_count = counts.tolist()
+    kept.sort(key=lambda t: (-by_count[t], docs.types[t]))
+    words = [docs.types[t] for t in kept]
+    slot_counts = np.zeros((len(table), len(kept)), dtype=np.int64)
+    for s, in_slot in enumerate(member.T):
+        slot_counts[s] = np.bincount(docs.ids[np.repeat(in_slot, lengths)], minlength=n_types)[kept]
     return Vocabulary(
         words=words,
-        index=index,
-        global_counts=global_counts,
+        index={w: i for i, w in enumerate(words)},
+        global_counts=counts[kept],
         slot_counts=slot_counts,
-        slot_total_tokens=np.array(slot_total_tokens, dtype=np.int64),
+        slot_total_tokens=lengths @ member,
     )
-
-
-def build_vocab(assignment: SlotAssignment, min_count: int = 5) -> Vocabulary:
-    """Count words over an assignment and keep those with global count >= min_count."""
-    global_counter: Counter = Counter()
-    for stanza in assignment.stanzas:
-        global_counter.update(stanza.tokens)
-    slot_counters = []
-    slot_totals = []
-    for docs in assignment.per_slot:
-        counter: Counter = Counter()
-        total = 0
-        for stanza in docs:
-            counter.update(stanza.tokens)
-            total += len(stanza.tokens)
-        slot_counters.append(counter)
-        slot_totals.append(total)
-    return _vocab_from_counts(global_counter, slot_counters, slot_totals, min_count)
-
-
-def build_vocab_from_tokens(docs_by_slot: list[list[list[str]]], min_count: int = 1) -> Vocabulary:
-    """Vocabulary straight from per-slot token documents.
-
-    Assumes disjoint slots (global counts are the per-slot sums); handy for
-    small fixtures that skip the stanza plumbing.
-    """
-    global_counter: Counter = Counter()
-    slot_counters = []
-    slot_totals = []
-    for docs in docs_by_slot:
-        counter: Counter = Counter()
-        total = 0
-        for doc in docs:
-            counter.update(doc)
-            total += len(doc)
-        slot_counters.append(counter)
-        slot_totals.append(total)
-        global_counter.update(counter)
-    return _vocab_from_counts(global_counter, slot_counters, slot_totals, min_count)
 
 
 def save_normalized(stanzas: list[Stanza], path: str | Path) -> None:
@@ -446,14 +423,14 @@ def save_normalized(stanzas: list[Stanza], path: str | Path) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def load_normalized(path: str | Path) -> list[Stanza]:
-    """Read a normalized corpus cache written by :func:`save_normalized`."""
+def load_normalized(path: str | Path) -> Documents:
+    """Read the tokens and years of a normalized corpus cache written by :func:`save_normalized`."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(
             f"normalized corpus cache {path} does not exist; run the ingest command first"
         )
-    stanzas = []
+    token_lists, years = [], []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
@@ -461,11 +438,10 @@ def load_normalized(path: str | Path) -> list[Stanza]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}:{lineno}: malformed JSON in normalized cache: {exc}") from exc
-        stanza = _parse_record(obj)
-        if stanza is None or not _is_year(obj.get("year")) or not _is_str_list(obj.get("tokens")):
+        if _parse_record(obj) is None or not _is_year(obj.get("year")) or not _is_str_list(obj.get("tokens")):
             raise CorpusError(
                 f"{path}:{lineno}: not a normalized cache record (stanza fields, a year and string tokens)"
             )
-        stanza.year, stanza.tokens = obj["year"], list(obj["tokens"])
-        stanzas.append(stanza)
-    return stanzas
+        token_lists.append(obj["tokens"])
+        years.append(obj["year"])
+    return Documents.from_tokens(token_lists, years)

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import TimeSlot, TimeSlotTable, Vocabulary
+from . import corpus
+from .corpus import Documents, TimeSlot, TimeSlotTable, Vocabulary
 from .linalg import rowwise_cosine
 
 log = logging.getLogger(__name__)
@@ -320,25 +321,17 @@ class JointEmbeddingModel:
         return out
 
 
-def _encode_documents(
-    docs_by_slot: list[list[list[str]]], vocab: Vocabulary
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per slot: concatenated in-vocabulary token ids and their document ids."""
+def _slot_tokens(docs: Documents, vocab: Vocabulary, member: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per slot: its documents' in-vocabulary token ids, in corpus order, and their document numbers."""
+    vocab_ids = np.array([vocab.index.get(t, -1) for t in docs.types], dtype=np.int32)[docs.ids]
+    doc_ids = np.repeat(np.arange(len(docs), dtype=np.int32), docs.lengths)
+    known = vocab_ids >= 0
     encoded = []
-    for slot, docs in enumerate(docs_by_slot):
-        tokens: list[int] = []
-        doc_ids: list[int] = []
-        n_docs = 0
-        for doc in docs:
-            ids = [vocab.index[t] for t in doc if t in vocab.index]
-            if not ids:
-                continue
-            tokens.extend(ids)
-            doc_ids.extend([n_docs] * len(ids))
-            n_docs += 1
-        if n_docs == 0:
+    for slot, in_slot in enumerate(member.T):
+        keep = known & np.repeat(in_slot, docs.lengths)
+        if not keep.any():
             log.warning("slot %d has no trainable documents; its deltas stay zero", slot)
-        encoded.append((np.array(tokens, dtype=np.int32), np.array(doc_ids, dtype=np.int32)))
+        encoded.append((vocab_ids[keep], doc_ids[keep]))
     return encoded
 
 
@@ -383,23 +376,23 @@ def _slot_pairs(tokens: np.ndarray, doc_ids: np.ndarray, window: int) -> tuple[n
 
 
 def train(
-    docs_by_slot: list[list[list[str]]],
+    docs: Documents,
     vocab: Vocabulary,
     slot_table: TimeSlotTable,
     config: TrainConfig,
 ) -> JointEmbeddingModel:
-    """Train the joint model over per-slot token documents.
+    """Train the joint model over the documents of every time slot.
 
-    Every (target-in-slot, context) pair within the window contributes a
-    negative-sampling step; each group of PAIR_GROUP consecutive pairs
-    shares k negatives drawn from the corpus-wide unigram distribution
-    raised to 0.75. The learning rate decays linearly over all scheduled
-    pairs. Single-worker runs with a fixed seed are fully
+    A document trains in each slot that contains its year, with its
+    out-of-vocabulary tokens removed; context windows never cross
+    documents. Every (target-in-slot, context) pair within the window
+    contributes a negative-sampling step; each group of PAIR_GROUP
+    consecutive pairs shares k negatives drawn from the corpus-wide unigram
+    distribution raised to 0.75. The learning rate decays linearly over all
+    scheduled pairs. Single-worker runs with a fixed seed are fully
     deterministic; extra workers update the shared matrices without locks
     and trade determinism for speed.
     """
-    if len(docs_by_slot) != len(slot_table):
-        raise ValueError("docs_by_slot must have one entry per time slot")
     if len(slot_table) < 2:
         raise ValueError("training needs at least 2 time slots")
     n_words = len(vocab)
@@ -411,7 +404,7 @@ def train(
     context = np.zeros((n_words, d), dtype=np.float32)
     model = JointEmbeddingModel(vocab, slot_table, base, deltas, context)
 
-    encoded = _encode_documents(docs_by_slot, vocab)
+    encoded = _slot_tokens(docs, vocab, corpus.assign_slots(docs.years, slot_table))
     keep_prob = _keep_probabilities(vocab, config.subsample_threshold)
 
     weights = vocab.global_counts.astype(np.float64) ** 0.75

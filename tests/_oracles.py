@@ -4,10 +4,14 @@ Nothing here may call into verseshift.linalg: the eigenvalue oracle bisects
 the eigenvalue-counting function of the shifted matrix (negative pivots of
 an LDL^T elimination, Sylvester's law of inertia). It handles repeated
 roots and calls no numpy.linalg routine, so it is independent of the
-``eigh``-based PCA under test.
+``eigh``-based PCA under test. The corpus oracles are the per-token Python
+routing, counting and encoding that the columnar corpus replaced.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,3 +81,73 @@ def scatter_add_rows_reduceat(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray
     sums = np.add.reduceat(rows[order], starts, axis=0, dtype=np.float64)
     sums *= scale
     mat[sorted_idx[starts]] += sums.astype(mat.dtype)
+
+
+def route_documents(token_lists: list[list[str]], years: list[int], table) -> tuple[list[list[list[str]]], list[list[str]]]:
+    """Per slot, the token lists of the documents whose year it contains; and the in-range documents.
+
+    The per-stanza routing of ``slots_for_year`` that slot assignment did
+    before the corpus was columnar.
+    """
+    per_slot: list[list[list[str]]] = [[] for _ in table]
+    in_range = []
+    for tokens, year in zip(token_lists, years):
+        hits = table.slots_for_year(year)
+        if hits:
+            in_range.append(tokens)
+        for i in hits:
+            per_slot[i].append(tokens)
+    return per_slot, in_range
+
+
+def build_vocab_counter(per_slot: list[list[list[str]]], in_range: list[list[str]], min_count: int):
+    """Words, index and counts as the Counter-based vocabulary builder made them; None when no word is kept."""
+    global_counter: Counter = Counter()
+    for tokens in in_range:
+        global_counter.update(tokens)
+    slot_counters = []
+    slot_totals = []
+    for docs in per_slot:
+        counter: Counter = Counter()
+        total = 0
+        for tokens in docs:
+            counter.update(tokens)
+            total += len(tokens)
+        slot_counters.append(counter)
+        slot_totals.append(total)
+    words = [w for w, c in global_counter.items() if c >= min_count]
+    if not words:
+        return None
+    words.sort(key=lambda w: (-global_counter[w], w))
+    index = {w: i for i, w in enumerate(words)}
+    slot_counts = np.zeros((len(slot_counters), len(words)), dtype=np.int64)
+    for s, counter in enumerate(slot_counters):
+        for w, c in counter.items():
+            i = index.get(w)
+            if i is not None:
+                slot_counts[s, i] = c
+    return SimpleNamespace(
+        words=words,
+        index=index,
+        global_counts=np.array([global_counter[w] for w in words], dtype=np.int64),
+        slot_counts=slot_counts,
+        slot_total_tokens=np.array(slot_totals, dtype=np.int64),
+    )
+
+
+def encode_documents(per_slot: list[list[list[str]]], index: dict[str, int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per slot: concatenated in-vocabulary token ids and contiguous numbers of the documents that keep any."""
+    encoded = []
+    for docs in per_slot:
+        tokens: list[int] = []
+        doc_ids: list[int] = []
+        n_docs = 0
+        for doc in docs:
+            ids = [index[t] for t in doc if t in index]
+            if not ids:
+                continue
+            tokens.extend(ids)
+            doc_ids.extend([n_docs] * len(ids))
+            n_docs += 1
+        encoded.append((np.array(tokens, dtype=np.int32), np.array(doc_ids, dtype=np.int32)))
+    return encoded

@@ -17,6 +17,21 @@ def make_stanza(sid="s1", year=1700, lines=("Eine Zeile hier",), tokens=(), auth
     )
 
 
+def stanza_documents(stanzas):
+    """Columnar documents of normalized stanzas, as the cache would load them."""
+    return corpus.Documents.from_tokens([s.tokens for s in stanzas], [s.year for s in stanzas])
+
+
+def slot_documents(docs_by_slot, table):
+    """Columnar documents from per-slot token lists; each slot's documents fall in its start year.
+
+    For a fixed table this places every document in exactly its own slot.
+    """
+    token_lists = [doc for docs in docs_by_slot for doc in docs]
+    years = [slot.start for slot, docs in zip(table, docs_by_slot) for _ in docs]
+    return corpus.Documents.from_tokens(token_lists, years)
+
+
 def make_vocab(words, slot_counts, global_counts=None):
     """Vocabulary straight from arrays; slot_counts is (S, V)."""
     slot_counts = np.asarray(slot_counts, dtype=np.int64)
@@ -108,11 +123,9 @@ def synonym_model():
     stanzas = [
         corpus.Stanza(r["id"], r["poem_id"], r["author"], r["year"], r["lines"]) for r in records
     ]
-    stanzas = corpus.normalize(stanzas)
+    docs = stanza_documents(corpus.normalize(stanzas))
     table = corpus.build_slots(1700, 1800, 50, 50)
-    assignment = corpus.assign_slots(stanzas, table)
-    vocab = corpus.build_vocab(assignment, min_count=1)
-    docs = [[s.tokens for s in slot] for slot in assignment.per_slot]
+    vocab = corpus.build_vocab(docs, table, min_count=1)
     config = trainer.TrainConfig(
         dim=32,
         context_window=3,

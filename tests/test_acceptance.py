@@ -17,6 +17,7 @@ from verseshift import analysis, cli, corpus, synthgen, trainer, tropes
 from verseshift.tropes import SimilarityTrajectory
 
 from _oracles import eigenvalues_by_bisection, ols_fit
+from conftest import slot_documents, stanza_documents
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -230,10 +231,9 @@ def test_criterion_5_frequency_bands(tmp_path):
     stanzas = corpus.normalize(
         [corpus.Stanza(r["id"], r["poem_id"], r["author"], r["year"], r["lines"]) for r in records]
     )
+    docs = stanza_documents(stanzas)
     table = corpus.build_slots(1600, 1900, 50, 50)
-    assignment = corpus.assign_slots(stanzas, table)
-    vocab = corpus.build_vocab(assignment, min_count=5)
-    docs = [[s.tokens for s in slot] for slot in assignment.per_slot]
+    vocab = corpus.build_vocab(docs, table, min_count=5)
     config = trainer.TrainConfig(
         dim=40, context_window=3, negatives=5, epochs=3,
         subsample_threshold=0.0, seed=66, batch_size=2048,
@@ -301,8 +301,9 @@ def test_criterion_7_determinism_and_roundtrip(tmp_path):
             pick = group_a if rng.random() < 0.5 else group_b
             slot_docs.append([pick[j] for j in rng.integers(0, 3, 6)])
         docs.append(slot_docs)
-    vocab = corpus.build_vocab_from_tokens(docs, min_count=1)
     table = corpus.build_slots(1700, 1800, 50, 50)
+    docs = slot_documents(docs, table)
+    vocab = corpus.build_vocab(docs, table, min_count=1)
     config = trainer.TrainConfig(
         dim=16, context_window=2, negatives=3, epochs=2,
         subsample_threshold=0.0, seed=12, batch_size=128,

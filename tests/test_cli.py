@@ -446,6 +446,63 @@ class TestSlotLayoutBeforeOutput:
         assert not out.exists()
 
 
+class TestNoOutputOnFailure:
+    """A command that fails makes no --out: it computes every result before its first write."""
+
+    @pytest.mark.parametrize("command", ["selfsim", "changepoints", "totalsim", "tropes"])
+    def test_missing_model(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert cli.main([command, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_missing_cache(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["train", "--out", str(out), *SLOT_FLAGS, *TRAIN_FLAGS]) == 2
+        assert not out.exists()
+
+    def test_unreadable_corpus(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["ingest", "--corpus", str(tmp_path / "no.jsonl"), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tropes", "--target", "stab0", "--min-global", "10", "--components", "1000"],
+            ["tropes", "--target", "nirgendwo"],
+            ["totalsim", "--min-per-slot", "100000"],
+        ],
+        ids=["tropes-components", "tropes-target", "totalsim-threshold"],
+    )
+    def test_analysis_data_error(self, workspace, tmp_path, argv):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out), "--model", str(workspace["out"] / "model.bin")]) == 2
+        assert not out.exists()
+
+
+def test_trace_harness_spans(tmp_path):
+    """The benchmark child's --trace wrappers still find every name they wrap."""
+    root = Path(__file__).resolve().parent.parent
+    corpus_path = tmp_path / "corpus.jsonl"
+    synthgen.generate_jsonl(pipeline_spec(), corpus_path)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    spans = set()
+    for argv in (
+        ["ingest", "--corpus", str(corpus_path), "--out", str(out), *SLOT_FLAGS],
+        ["train", "--out", str(out), *SLOT_FLAGS, *TRAIN_FLAGS, "--epochs", "1"],
+    ):
+        result = tmp_path / f"{argv[0]}.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "vsbench" / "child.py"), str(result), "1", *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        spans |= {span[0] for span in json.loads(result.read_text())["spans"]}
+    wrapped = {"corpus.load_normalized", "corpus.build_vocab", "corpus.assign_slots", "trainer.train", "trainer.sgd_step"}
+    assert wrapped <= spans
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         assert cli.main(["selfsim", "--definitely-not-a-flag"]) == 1

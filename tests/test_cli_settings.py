@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from verseshift import analysis, cli, corpus, synthgen, trainer, tropes
+from verseshift import analysis, cli, corpus, svgplot, synthgen, trainer, tropes
 
 REQUIRED = "required"  # the command exits 1 without it
 CONFIG = {"--config": (None, str, None)}
@@ -81,7 +81,12 @@ PINNED = {
 REQUIRED_ARGV = {"synth": ["--spec", "spec.json", "--out", "corpus.jsonl"], "ingest": ["--corpus", "c.jsonl"]}
 OTHER_CHOICE = {"--slots": "sliding", "--frequency-scope": "pair"}
 TABLE = corpus.build_slots(1600, 1700, 50, 50)
-FAKE_MODEL = SimpleNamespace(vocab=range(10**6))  # larger than any top_n used here
+FAKE_MODEL = SimpleNamespace(vocab=range(10**6), slot_table=TABLE)  # vocab larger than any top_n used here
+# empty results, so that each analysis command reaches its first write
+SERIES = SimpleNamespace(pairs=[], summaries=[])
+TOTAL = SimpleNamespace(distances=[], summaries=[], words=[])
+BANDS = SimpleNamespace(distances=[], summaries={"low": [], "high": []})
+REPORT = SimpleNamespace(extremes=[], component_members=lambda component, end: [])
 
 
 class Reached(Exception):
@@ -132,7 +137,8 @@ def _train(calls):
     }
 
 
-# command -> (stubbed library calls and what they return, the call to stop at, observed values)
+# command -> (stubbed library calls and what they return, the call to stop at, observed values);
+# each command stops at its first write, when --out has just been made
 PROBES = {
     "synth": (
         {(synthgen, "load_spec"): lambda path: SimpleNamespace(seed=None), (synthgen, "generate_jsonl"): None},
@@ -145,7 +151,7 @@ PROBES = {
     ),
     "ingest": (
         {(corpus, "build_slots"): TABLE, (corpus, "load_lemma_map"): {},
-         (corpus, "ingest"): SimpleNamespace(stanzas=[]), (corpus, "save_normalized"): None},
+         (corpus, "ingest"): corpus.IngestResult(stanzas=[]), (corpus, "save_normalized"): None},
         "save_normalized",
         lambda c: {
             **_slots(c),
@@ -162,20 +168,22 @@ PROBES = {
         _train,
     ),
     "selfsim": (
-        {(trainer, "load_model"): FAKE_MODEL, (analysis, "pairwise_self_similarity"): None},
-        "pairwise_self_similarity",
+        {(trainer, "load_model"): FAKE_MODEL, (analysis, "pairwise_self_similarity"): SERIES,
+         (svgplot, "render_box_plot"): "", (cli, "_write_csv"): None},
+        "_write_csv",
         _pairwise,
     ),
     "changepoints": (
-        {(trainer, "load_model"): FAKE_MODEL, (analysis, "pairwise_self_similarity"): None,
-         (analysis, "detect_change_points"): None},
-        "detect_change_points",
+        {(trainer, "load_model"): FAKE_MODEL, (analysis, "pairwise_self_similarity"): SERIES,
+         (analysis, "detect_change_points"): [], (cli, "_write_csv"): None},
+        "_write_csv",
         lambda c: {**_pairwise(c), "--k": _arg(c, "detect_change_points", 1)},
     ),
     "totalsim": (
         {(trainer, "load_model"): FAKE_MODEL, (corpus, "load_stopwords"): frozenset(),
-         (analysis, "total_self_similarity"): None},
-        "total_self_similarity",
+         (analysis, "total_self_similarity"): TOTAL, (analysis, "frequency_bands"): BANDS,
+         (svgplot, "render_box_plot"): "", (cli, "_write_csv"): None},
+        "_write_csv",
         lambda c: {
             "--model": str(_arg(c, "load_model", 0)),
             "--stopwords": _arg(c, "load_stopwords", 0),
@@ -184,8 +192,9 @@ PROBES = {
     ),
     "tropes": (
         {(trainer, "load_model"): FAKE_MODEL, (tropes, "build_trajectories"): [],
-         (tropes, "trajectory_pca"): None},
-        "trajectory_pca",
+         (tropes, "trajectory_pca"): None, (tropes, "orient_components"): REPORT,
+         (svgplot, "render_line_plot"): "", (cli, "_write_trajectories"): None},
+        "_write_trajectories",
         lambda c: {
             "--model": str(_arg(c, "load_model", 0)),
             "--target": _arg(c, "build_trajectories", 1),

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verseshift import corpus
+from verseshift import corpus, trainer
 
+from _oracles import build_vocab_counter, encode_documents, route_documents
 from conftest import make_stanza
 
 
@@ -228,95 +229,96 @@ class TestBuildSlots:
 class TestAssign:
     def test_fixed_membership(self):
         table = corpus.build_slots(1575, 1925, 50, 50, merge_first=True)
-        assignment = corpus.assign_slots([make_stanza(year=1610, tokens=["a"])], table)
-        hits = [i for i, docs in enumerate(assignment.per_slot) if docs]
+        member = corpus.assign_slots([1610], table)
+        hits = np.flatnonzero(member[0]).tolist()
         assert hits == [0]  # the merged [1575, 1675) slot
 
     def test_sliding_double_membership(self):
         table = corpus.build_slots(1575, 1925, 50, 25)
-        assignment = corpus.assign_slots([make_stanza(year=1610)], table)
-        starts = [table[i].start for i, docs in enumerate(assignment.per_slot) if docs]
+        member = corpus.assign_slots([1610], table)
+        starts = [table[i].start for i in np.flatnonzero(member[0])]
         assert starts == [1575, 1600]
 
-    def test_out_of_range_dropped(self):
+    def test_out_of_range_dropped(self, caplog):
         table = corpus.build_slots(1575, 1925, 50, 50, merge_first=True)
-        assignment = corpus.assign_slots([make_stanza(year=1950)], table)
-        assert assignment.dropped == 1
-        assert not assignment.stanzas
+        with caplog.at_level("WARNING"):
+            member = corpus.assign_slots([1950], table)
+        assert np.count_nonzero(~member.any(axis=1)) == 1
+        assert not member.any()
+        assert any("1 stanzas fall outside all time slots" in m for m in caplog.messages)
 
     def test_boundary_year_goes_to_next_slot(self):
         table = corpus.build_slots(1600, 1800, 50, 50)
-        assignment = corpus.assign_slots([make_stanza(year=1650)], table)
-        hits = [i for i, docs in enumerate(assignment.per_slot) if docs]
+        member = corpus.assign_slots([1650], table)
+        hits = np.flatnonzero(member[0]).tolist()
         assert hits == [1]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(1575, 1924), max_size=30))
     def test_fixed_partitions(self, years):
         table = corpus.build_slots(1575, 1925, 50, 50)
-        stanzas = [make_stanza(f"s{i}", y) for i, y in enumerate(years)]
-        assignment = corpus.assign_slots(stanzas, table)
-        assert sum(len(d) for d in assignment.per_slot) == len(years)
+        member = corpus.assign_slots(years, table)
+        assert member.sum() == len(years)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(1575, 1924), max_size=30))
     def test_sliding_membership_counts(self, years):
         table = corpus.build_slots(1575, 1925, 50, 25)
-        stanzas = [make_stanza(f"s{i}", y) for i, y in enumerate(years)]
-        assignment = corpus.assign_slots(stanzas, table)
-        per_stanza = {}
-        for docs in assignment.per_slot:
-            for s in docs:
-                per_stanza[s.id] = per_stanza.get(s.id, 0) + 1
-        for stanza in stanzas:
-            expected = 1 if stanza.year < 1600 or stanza.year >= 1900 else 2
-            assert per_stanza[stanza.id] == expected
+        member = corpus.assign_slots(years, table)
+        for year, per_stanza in zip(years, member.sum(axis=1)):
+            expected = 1 if year < 1600 or year >= 1900 else 2
+            assert per_stanza == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(corpus.YEAR_MIN, corpus.YEAR_MAX), max_size=30), st.booleans())
+    def test_matches_slots_for_year(self, years, sliding):
+        table = corpus.build_slots(1575, 1925, 50, 25 if sliding else 50)
+        member = corpus.assign_slots(years, table)
+        for year, row in zip(years, member):
+            assert np.flatnonzero(row).tolist() == table.slots_for_year(year)
 
 
-def _assigned(docs_tokens_years, table):
-    stanzas = [
-        make_stanza(f"s{i}", year, tokens=tokens)
-        for i, (tokens, year) in enumerate(docs_tokens_years)
-    ]
-    return corpus.assign_slots(stanzas, table)
+def _documents(docs_tokens_years):
+    return corpus.Documents.from_tokens([tokens for tokens, _ in docs_tokens_years],
+                                        [year for _, year in docs_tokens_years])
 
 
 class TestVocabulary:
     def test_min_count_filters(self):
         table = corpus.build_slots(1600, 1700, 50, 50)
-        assignment = _assigned([(["a", "a", "b"], 1610), (["a"], 1660)], table)
-        vocab = corpus.build_vocab(assignment, min_count=2)
+        docs = _documents([(["a", "a", "b"], 1610), (["a"], 1660)])
+        vocab = corpus.build_vocab(docs, table, min_count=2)
         assert vocab.words == ["a"]
 
     def test_min_count_one_keeps_all(self):
         table = corpus.build_slots(1600, 1700, 50, 50)
-        assignment = _assigned([(["a", "b", "c"], 1610)], table)
-        vocab = corpus.build_vocab(assignment, min_count=1)
+        docs = _documents([(["a", "b", "c"], 1610)])
+        vocab = corpus.build_vocab(docs, table, min_count=1)
         assert set(vocab.words) == {"a", "b", "c"}
 
     def test_empty_vocab_is_error(self):
         table = corpus.build_slots(1600, 1700, 50, 50)
-        assignment = _assigned([(["a"], 1610)], table)
+        docs = _documents([(["a"], 1610)])
         with pytest.raises(corpus.CorpusError):
-            corpus.build_vocab(assignment, min_count=5)
+            corpus.build_vocab(docs, table, min_count=5)
 
     def test_all_slot_flag(self):
         table = corpus.build_slots(1600, 1700, 50, 50)
         docs = [(["oft"] * 50 + ["selten"], 1610), (["oft"] * 50, 1660)]
-        vocab = corpus.build_vocab(_assigned(docs, table), min_count=1)
+        vocab = corpus.build_vocab(_documents(docs), table, min_count=1)
         assert vocab.all_slot_words(min_per_slot=50) == ["oft"]
         assert vocab.all_slot_words(min_per_slot=51) == []
 
     def test_fixed_mode_counts_sum_to_global(self):
         table = corpus.build_slots(1600, 1700, 50, 50)
         docs = [(["a", "b", "a"], 1610), (["a", "b"], 1660)]
-        vocab = corpus.build_vocab(_assigned(docs, table), min_count=1)
+        vocab = corpus.build_vocab(_documents(docs), table, min_count=1)
         assert np.array_equal(vocab.slot_counts.sum(axis=0), vocab.global_counts)
 
     def test_sliding_mode_counts_tracked_separately(self):
         table = corpus.build_slots(1600, 1700, 50, 25)
         # year 1630 lands in two slots; global count stays at the unique total
-        vocab = corpus.build_vocab(_assigned([(["a", "a"], 1630)], table), min_count=1)
+        vocab = corpus.build_vocab(_documents([(["a", "a"], 1630)]), table, min_count=1)
         assert vocab.global_counts[vocab.index["a"]] == 2
         assert vocab.slot_counts.sum(axis=0)[vocab.index["a"]] == 4
 
@@ -324,7 +326,7 @@ class TestVocabulary:
     @given(st.lists(st.sampled_from(["rot", "grün", "blau", "gold"]), min_size=1, max_size=40))
     def test_index_bijection(self, tokens):
         table = corpus.build_slots(1600, 1700, 50, 50)
-        vocab = corpus.build_vocab(_assigned([(tokens, 1610)], table), min_count=1)
+        vocab = corpus.build_vocab(_documents([(tokens, 1610)]), table, min_count=1)
         for word, idx in vocab.index.items():
             assert vocab.words[idx] == word
         assert sorted(vocab.index.values()) == list(range(len(vocab)))
@@ -332,9 +334,78 @@ class TestVocabulary:
     def test_frequency_order(self):
         table = corpus.build_slots(1600, 1700, 50, 50)
         vocab = corpus.build_vocab(
-            _assigned([(["b", "a", "a", "c", "c", "c"], 1610)], table), min_count=1
+            _documents([(["b", "a", "a", "c", "c", "c"], 1610)]), table, min_count=1
         )
         assert vocab.words == ["c", "a", "b"]
+
+
+# "a" and "a\x00" differ only by a trailing NUL, which a fixed-width numpy string drops
+ORACLE_TOKENS = ["ä", "Z", "a", "a\x00", "b", "zz", "é"]
+ORACLE_YEARS = [corpus.YEAR_MIN, 1574, 1575, 1599, 1600, 1624, 1625, 1650, 1899, 1900, 1924, 1925, corpus.YEAR_MAX]
+ORACLE_TABLES = {
+    "fixed": corpus.build_slots(1575, 1925, 50, 50),
+    "merged": corpus.build_slots(1575, 1925, 50, 50, merge_first=True),
+    "sliding": corpus.build_slots(1575, 1925, 50, 25),
+}
+oracle_docs = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(ORACLE_TOKENS), max_size=8),
+        st.sampled_from(ORACLE_YEARS) | st.integers(1550, 1950),
+    ),
+    max_size=12,
+)
+
+
+class TestColumnarOracle:
+    """Vocabulary and per-slot encoding against the per-token Python path they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_docs, st.sampled_from(sorted(ORACLE_TABLES)), st.integers(-1, 4))
+    def test_matches_counter_path(self, docs_years, table_name, min_count):
+        table = ORACLE_TABLES[table_name]
+        token_lists = [tokens for tokens, _ in docs_years]
+        years = [year for _, year in docs_years]
+        per_slot, in_range = route_documents(token_lists, years, table)
+        expected = build_vocab_counter(per_slot, in_range, min_count)
+        docs = corpus.Documents.from_tokens(token_lists, years)
+        if expected is None:
+            with pytest.raises(corpus.CorpusError):
+                corpus.build_vocab(docs, table, min_count=min_count)
+            return
+        vocab = corpus.build_vocab(docs, table, min_count=min_count)
+        assert vocab.words == expected.words
+        assert vocab.index == expected.index
+        for name in ("global_counts", "slot_counts", "slot_total_tokens"):
+            assert np.array_equal(getattr(vocab, name), getattr(expected, name)), name
+
+        member = corpus.assign_slots(docs.years, table)
+        encoded = trainer._slot_tokens(docs, vocab, member)
+        for (tokens, doc_ids), (want_tokens, want_doc_ids) in zip(encoded, encode_documents(per_slot, vocab.index)):
+            assert np.array_equal(tokens, want_tokens)
+            assert np.array_equal(np.flatnonzero(np.diff(doc_ids)), np.flatnonzero(np.diff(want_doc_ids)))
+
+    def test_from_tokens_columns(self):
+        docs = corpus.Documents.from_tokens([["b", "a", "b"], [], ["a\x00", "a"]], [1600, 1610, 1620])
+        assert docs.types == ["b", "a", "a\x00"]
+        assert docs.ids.tolist() == [0, 1, 0, 2, 1]
+        assert docs.offsets.tolist() == [0, 3, 3, 5]
+        assert docs.years.tolist() == [1600, 1610, 1620]
+        assert len(docs) == 3
+        with pytest.raises(ValueError, match="one year per token list"):
+            corpus.Documents.from_tokens([["a"]], [])
+
+    def test_ties_break_by_str_order_not_first_seen(self):
+        table = ORACLE_TABLES["fixed"]
+        docs = _documents([(["ä", "a\x00", "Z", "a"], 1600)])
+        assert corpus.build_vocab(docs, table, min_count=1).words == ["Z", "a", "a\x00", "ä"]
+
+    def test_out_of_range_documents_not_counted(self):
+        table = ORACLE_TABLES["fixed"]
+        docs = _documents([(["a", "b"], 1600), (["a", "a", "c"], 1950), ([], 1610)])
+        vocab = corpus.build_vocab(docs, table, min_count=1)
+        assert vocab.words == ["a", "b"]
+        assert vocab.global_counts.tolist() == [1, 1]
+        assert vocab.slot_total_tokens.tolist() == [2] + [0] * (len(table) - 1)
 
 
 class TestNormalizedCache:
@@ -343,8 +414,8 @@ class TestNormalizedCache:
         path = tmp_path / "cache.jsonl"
         corpus.save_normalized(stanzas, path)
         loaded = corpus.load_normalized(path)
-        assert loaded[0].tokens == stanzas[0].tokens
-        assert loaded[0].year == stanzas[0].year
+        assert [loaded.types[i] for i in loaded.ids] == stanzas[0].tokens
+        assert loaded.years.tolist() == [stanzas[0].year]
 
     def test_missing_cache_actionable(self, tmp_path):
         with pytest.raises(corpus.CorpusError, match="ingest"):

@@ -14,6 +14,8 @@ import pytest
 
 from verseshift import analysis, corpus, trainer, tropes
 
+from conftest import stanza_documents
+
 CORPUS_ENV = "DLK_CORPUS"
 
 REFERENCE_COUNTS = {
@@ -63,10 +65,9 @@ def test_reference_duplicate_removal(prepared):
 def sliding_model(prepared):
     _, normalized = prepared
     deduped = corpus.dedup_first_line(normalized)
+    docs = stanza_documents(deduped)
     table = corpus.build_slots(1575, 1925, 50, 25)
-    assignment = corpus.assign_slots(deduped, table)
-    vocab = corpus.build_vocab(assignment, min_count=5)
-    docs = [[s.tokens for s in slot] for slot in assignment.per_slot]
+    vocab = corpus.build_vocab(docs, table, min_count=5)
     config = trainer.TrainConfig(seed=1)
     return trainer.train(docs, vocab, table, config)
 
@@ -82,10 +83,9 @@ def test_reference_eligible_word_count(sliding_model):
 def test_reference_rising_tropes(prepared):
     _, normalized = prepared
     deduped = corpus.dedup_first_line(normalized)
+    docs = stanza_documents(deduped)
     table = corpus.build_slots(1575, 1925, 50, 50, merge_first=True)
-    assignment = corpus.assign_slots(deduped, table)
-    vocab = corpus.build_vocab(assignment, min_count=5)
-    docs = [[s.tokens for s in slot] for slot in assignment.per_slot]
+    vocab = corpus.build_vocab(docs, table, min_count=5)
     model = trainer.train(docs, vocab, table, trainer.TrainConfig(seed=1))
     trajectories = tropes.build_trajectories(model, "liebe", min_global=30, min_per_slot=2)
     report = tropes.orient_components(tropes.trajectory_pca(trajectories, 4, 25))

@@ -1,13 +1,15 @@
-"""Fuzzed input boundaries: damaged model files, arbitrary corpus records and configs.
+"""Fuzzed input boundaries: damaged model files, arbitrary corpus records, configs and integer settings.
 
 Every damaged input must either load or fail with the library's own error
-type, and the CLI must exit 0 or 2 for it (or 1 for a bad config), never
-with a traceback.
+type, and the CLI must exit 0 or 2 for it (or 1 for a bad config or
+setting), never with a traceback: cli.main returns an exit code or the
+test errors with the escaping exception.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 
 import pytest
@@ -134,3 +136,39 @@ def test_arbitrary_selfsim_config(fuzz_dir, config):
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(work)
         assert cli.main(["selfsim", "--config", str(path)]) in (0, 1, 2)
+
+
+INTEGER_SETTINGS = {
+    command: [s for s in cli.COMMANDS[command][1] if s.type is int] for command in ("changepoints", "totalsim", "tropes")
+}
+integer_values = st.integers(-3, 6) | st.integers(-(2**70), 2**70)
+
+
+@CORPUS_FUZZ
+@given(data=st.data(), command=st.sampled_from(sorted(INTEGER_SETTINGS)), via_config=st.booleans())
+def test_integer_settings(fuzz_dir, data, command, via_config):
+    """Any integer for every integer setting, as flag or config; a failing command leaves no --out."""
+    root, _ = fuzz_dir
+    settings_ = INTEGER_SETTINGS[command]
+    values = data.draw(st.fixed_dictionaries({}, optional={s.name: integer_values for s in settings_}))
+    out = root / "integer-out"
+    shutil.rmtree(out, ignore_errors=True)
+    argv = [command, "--out", str(out), "--model", str(root / "valid.bin")]
+    if command == "tropes":
+        argv += ["--target", "a"]  # a word of the tiny model
+    if via_config:
+        config: dict = {}
+        for s in settings_:
+            if s.name in values:
+                section, leaf = s.key.split(".")
+                config.setdefault(section, {})[leaf] = values[s.name]
+        path = root / "integer-config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    else:
+        for s in settings_:
+            if s.name in values:
+                argv += [s.option, str(values[s.name])]
+    rc = cli.main(argv)
+    assert rc in (0, 1, 2)
+    assert rc == 0 or not out.exists()

@@ -42,9 +42,9 @@ class TestGenerate:
         synthgen.generate_jsonl(spec, path)
         stanzas = corpus.normalize(corpus.ingest(path).stanzas)
         table = corpus.build_slots(1600, 1750, 50, 50)
-        assignment = corpus.assign_slots(stanzas, table)
-        for docs in assignment.per_slot:
-            counts = Counter(tok for s in docs for tok in s.tokens)
+        member = corpus.assign_slots([s.year for s in stanzas], table)
+        for in_slot in member.T:
+            counts = Counter(tok for s, hit in zip(stanzas, in_slot) if hit for tok in s.tokens)
             for item in spec.planted:
                 assert counts[item.word] == item.occurrences_per_slot
 
@@ -54,9 +54,9 @@ class TestGenerate:
         synthgen.generate_jsonl(spec, path)
         stanzas = corpus.normalize(corpus.ingest(path).stanzas)
         table = corpus.build_slots(1600, 1750, 50, 50)
-        assignment = corpus.assign_slots(stanzas, table)
-        for docs in assignment.per_slot:
-            total = sum(len(s.tokens) for s in docs)
+        member = corpus.assign_slots([s.year for s in stanzas], table)
+        for in_slot in member.T:
+            total = sum(len(s.tokens) for s, hit in zip(stanzas, in_slot) if hit)
             assert spec.tokens_per_slot - spec.stanza_tokens < total <= spec.tokens_per_slot
 
     def test_seed_determinism(self, tmp_path):

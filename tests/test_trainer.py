@@ -20,6 +20,7 @@ from conftest import (
     make_model,
     make_table,
     make_vocab,
+    slot_documents,
     write_tiny_model,
 )
 
@@ -54,9 +55,9 @@ def quick_config(**overrides):
 
 
 def train_tiny(config=None, docs=None):
-    docs = docs or tiny_docs()
-    vocab = corpus.build_vocab_from_tokens(docs, min_count=1)
     table = make_table([1700, 1750])
+    docs = slot_documents(docs or tiny_docs(), table)
+    vocab = corpus.build_vocab(docs, table, min_count=1)
     return trainer.train(docs, vocab, table, config or quick_config())
 
 
@@ -336,9 +337,9 @@ class TestTraining:
             assert after <= before * 1.01
 
     def test_absent_word_keeps_zero_delta(self):
-        docs = [[["nur", "hier", "nur", "hier"]] * 30, [["ganz", "anders", "ganz"]] * 30]
-        vocab = corpus.build_vocab_from_tokens(docs, min_count=1)
         table = make_table([1700, 1750])
+        docs = slot_documents([[["nur", "hier", "nur", "hier"]] * 30, [["ganz", "anders", "ganz"]] * 30], table)
+        vocab = corpus.build_vocab(docs, table, min_count=1)
         model = trainer.train(docs, vocab, table, quick_config())
         for word in ("nur", "hier"):
             row = vocab.index[word]
@@ -348,9 +349,9 @@ class TestTraining:
         assert np.all(model.deltas[0, vocab.index["ganz"]] == 0.0)
 
     def test_empty_slot_warns_and_stays_zero(self, caplog):
-        docs = [[["a", "b", "a", "b"]] * 40, []]
-        vocab = corpus.build_vocab_from_tokens(docs, min_count=1)
         table = make_table([1700, 1750])
+        docs = slot_documents([[["a", "b", "a", "b"]] * 40, []], table)
+        vocab = corpus.build_vocab(docs, table, min_count=1)
         with caplog.at_level("WARNING"):
             model = trainer.train(docs, vocab, table, quick_config())
         assert np.all(model.deltas[1] == 0.0)
@@ -362,11 +363,11 @@ class TestTraining:
             assert np.isfinite(mat).all()
 
     def test_needs_two_slots(self):
-        docs = [[["a", "b"]]]
-        vocab = corpus.build_vocab_from_tokens(docs, min_count=1)
         table = corpus.TimeSlotTable(
             slots=(corpus.TimeSlot(1700, 1750, "1700-1750"),), window_years=50, step_years=50
         )
+        docs = slot_documents([[["a", "b"]]], table)
+        vocab = corpus.build_vocab(docs, table, min_count=1)
         with pytest.raises(ValueError):
             trainer.train(docs, vocab, table, quick_config())
 
