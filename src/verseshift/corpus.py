@@ -152,21 +152,37 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     return result
 
 
-def _first_line_key(line: str) -> str:
-    cleaned = "".join(c for c in line.casefold() if not unicodedata.category(c).startswith("P"))
-    return " ".join(cleaned.split())
+class _Memo(dict):
+    """A dict that computes and stores the value of a missing key with ``fn``."""
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _punct_or_self(code: int) -> int | None:
+    """A ``str.translate`` entry: None deletes a punctuation character, its own code keeps it."""
+    return None if unicodedata.category(chr(code)).startswith("P") else code
 
 
 def dedup_first_line(stanzas: list[Stanza]) -> list[Stanza]:
     """Keep one stanza per normalized first line.
 
-    The earliest-year stanza wins; equal years break the tie by the
-    lexicographically smallest id. Input order of survivors is preserved,
-    so the operation is idempotent.
+    The key is the casefolded first line without punctuation characters
+    (Unicode category P*), its whitespace runs collapsed to one space. The
+    punctuation is removed by ``str.translate`` with a table that this call
+    fills as it meets each new character. The earliest-year stanza wins;
+    equal years break the tie by the lexicographically smallest id. Input
+    order of survivors is preserved, so the operation is idempotent.
     """
+    punct = _Memo(_punct_or_self)
     best: dict[str, Stanza] = {}
     for stanza in stanzas:
-        key = _first_line_key(stanza.lines[0])
+        key = " ".join(stanza.lines[0].casefold().translate(punct).split())
         cur = best.get(key)
         if cur is None or (stanza.year, stanza.id) < (cur.year, cur.id):
             best[key] = stanza
@@ -194,20 +210,27 @@ def tokenize_line(line: str) -> list[str]:
 
 
 def normalize(stanzas: list[Stanza], lemma_map: dict[str, str] | None = None) -> list[Stanza]:
-    """Fill stanza tokens, mapping each token through the lemma table.
+    """Fill stanza tokens: :func:`tokenize_line`, then each token through the lemma table.
 
-    Tokens missing from the table pass through unchanged. Stopword removal
-    is deliberately not applied here; it is an analysis-time filter.
-    Stanzas that end up with no tokens are dropped with a logged reason.
+    Tokens missing from the table pass through unchanged; a lemma is taken
+    as it stands, even an empty one. Each distinct whitespace piece goes
+    through :func:`tokenize_line` and the table once per call, so repeated
+    tokens share one ``str``. Stopword removal is deliberately not applied
+    here; it is an analysis-time filter. Stanzas that end up with no tokens
+    are dropped with a logged reason.
     """
     lemma_map = lemma_map or {}
+
+    def token_of(piece: str) -> str | None:
+        toks = tokenize_line(piece)
+        return lemma_map.get(toks[0], toks[0]) if toks else None
+
+    memo = _Memo(token_of)
     kept: list[Stanza] = []
     dropped = 0
     for stanza in stanzas:
-        tokens: list[str] = []
-        for line in stanza.lines:
-            for tok in tokenize_line(line):
-                tokens.append(lemma_map.get(tok, tok))
+        # joined with a space, the lines split into the same pieces as one by one
+        tokens = [tok for tok in map(memo.__getitem__, " ".join(stanza.lines).split()) if tok is not None]
         if tokens:
             stanza.tokens = tokens
             kept.append(stanza)

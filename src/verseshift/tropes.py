@@ -123,9 +123,13 @@ def trajectory_pca(
 
     Trajectory order is the tie-break for equal projections, which matches
     vocabulary order when the list comes from :func:`build_trajectories`.
+    Both ends of a component list top_k candidates, so there must be at
+    least 2 * top_k trajectories, or the two lists would share candidates.
     """
     if len(trajectories) < n_components + 1:
         raise ValueError(f"need at least {n_components + 1} trajectories for {n_components} components")
+    if 2 * top_k > len(trajectories):
+        raise ValueError(f"need at least {2 * top_k} trajectories for top_k={top_k} at both ends of a component")
     matrix = np.vstack([t.values for t in trajectories])
     result = pca(matrix, n_components)
     if result.degenerate:

@@ -5,11 +5,15 @@ the eigenvalue-counting function of the shifted matrix (negative pivots of
 an LDL^T elimination, Sylvester's law of inertia). It handles repeated
 roots and calls no numpy.linalg routine, so it is independent of the
 ``eigh``-based PCA under test. The corpus oracles are the per-token Python
-routing, counting and encoding that the columnar corpus replaced.
+routing, counting and encoding that the columnar corpus replaced, and the
+per-character tokenizer and first-line key that the ingest memo tables
+replaced. The step oracle is the training step with fancy-index gathers, a
+padded copy of every group and the ``logaddexp`` loss.
 """
 
 from __future__ import annotations
 
+import unicodedata
 from collections import Counter
 from types import SimpleNamespace
 
@@ -81,6 +85,71 @@ def scatter_add_rows_reduceat(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray
     sums = np.add.reduceat(rows[order], starts, axis=0, dtype=np.float64)
     sums *= scale
     mat[sorted_idx[starts]] += sums.astype(mat.dtype)
+
+
+def log_sigmoid_logaddexp(x: np.ndarray) -> np.ndarray:
+    return -np.logaddexp(0.0, -x)
+
+
+def batch_terms_padded(u: np.ndarray, c_pos: np.ndarray, c_neg: np.ndarray):
+    """Loss and raw gradients of a pair batch, with u always copied into zero-padded groups."""
+    n_pairs, d = u.shape
+    n_groups, k, _ = c_neg.shape
+    size = -(-n_pairs // n_groups)
+    u_grouped = np.zeros((n_groups * size, d), dtype=u.dtype)
+    u_grouped[:n_pairs] = u
+    u_grouped = u_grouped.reshape(n_groups, size, d)
+    s_pos = np.einsum("bd,bd->b", u, c_pos)
+    s_neg = u_grouped @ c_neg.transpose(0, 2, 1)
+    g_pos = 0.5 * (np.tanh(0.5 * s_pos) + 1.0) - 1.0
+    g_neg = 0.5 * (np.tanh(0.5 * s_neg) + 1.0)
+    loss = -(
+        log_sigmoid_logaddexp(s_pos.astype(np.float64)).sum()
+        + log_sigmoid_logaddexp(-s_neg.reshape(-1, k)[:n_pairs].astype(np.float64)).sum()
+    )
+    grad_u = g_pos[:, None] * c_pos + (g_neg @ c_neg).reshape(-1, d)[:n_pairs]
+    grad_c_pos = g_pos[:, None] * u
+    grad_c_neg = g_neg.transpose(0, 2, 1) @ u_grouped
+    return float(loss), grad_u, grad_c_pos, grad_c_neg
+
+
+def sgd_step_reference(base, deltas_flat, context, n_words: int, batch, lr: float) -> float:
+    """One training step with fancy-index gathers and one reduceat per scatter; returns the loss."""
+    words = batch.words.astype(np.int64)
+    flat_delta_idx = batch.slots.astype(np.int64) * n_words + words
+    u = base[words] + deltas_flat[flat_delta_idx]
+    loss, grad_u, grad_c_pos, grad_c_neg = batch_terms_padded(u, context[batch.contexts], context[batch.negatives])
+    scatter_add_rows_reduceat(base, words, grad_u, -lr)
+    scatter_add_rows_reduceat(deltas_flat, flat_delta_idx, grad_u, -lr)
+    context_idx = np.concatenate([batch.contexts, batch.negatives.ravel()]).astype(np.int64)
+    context_rows = np.concatenate([grad_c_pos, grad_c_neg.reshape(-1, context.shape[1])])
+    scatter_add_rows_reduceat(context, context_idx, context_rows, -lr)
+    return loss
+
+
+def _is_punct(c: str) -> bool:
+    return unicodedata.category(c).startswith("P")
+
+
+def tokenize_line(line: str) -> list[str]:
+    """Whitespace pieces with edge punctuation stripped character by character, lowercased; empty ones dropped."""
+    out = []
+    for piece in line.split():
+        start, end = 0, len(piece)
+        while start < end and _is_punct(piece[start]):
+            start += 1
+        while end > start and _is_punct(piece[end - 1]):
+            end -= 1
+        tok = piece[start:end].lower()
+        if tok:
+            out.append(tok)
+    return out
+
+
+def first_line_key(line: str) -> str:
+    """The casefolded line without punctuation characters, whitespace runs collapsed."""
+    cleaned = "".join(c for c in line.casefold() if not _is_punct(c))
+    return " ".join(cleaned.split())
 
 
 def route_documents(token_lists: list[list[str]], years: list[int], table) -> tuple[list[list[list[str]]], list[list[str]]]:

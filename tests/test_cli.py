@@ -370,6 +370,25 @@ class TestTropesCommand:
                     writer.writerow([t.target, t.candidate, start, f"{v:.6f}", int(imp)])
         assert (out / "trajectories.csv").read_bytes() == reference.read_bytes()
 
+    @pytest.mark.parametrize("n_candidates,code", [(6, 0), (5, 2)], ids=["2k-equals-n", "2k-above-n"])
+    def test_top_k_bound(self, tmp_path, n_candidates, code):
+        words = ["ziel", *(f"kandidat{i}" for i in range(n_candidates))]
+        rng = np.random.default_rng(5)
+        model = make_model(
+            words, [1600, 1650, 1700, 1750],
+            base=rng.normal(size=(len(words), 3)), deltas=rng.normal(size=(4, len(words), 3)),
+            global_counts=[100] * len(words),
+        )
+        model_path, out = tmp_path / "model.bin", tmp_path / "out"
+        trainer.save_model(model, model_path)
+        argv = ["tropes", "--out", str(out), "--model", str(model_path), "--target", "ziel",
+                "--min-global", "1", "--min-per-slot", "2", "--top-k", "3", "--components", "2"]
+        assert cli.main(argv) == code
+        if code:
+            assert not out.exists()
+        else:
+            assert len(read_csv(out / "report.csv")[1]) == 2 * 2 * 3  # components x ends x top-k
+
 
 class TestMergeFirst:
     def test_merged_first_slot_in_histogram(self, workspace, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from verseshift import corpus, trainer
 
-from _oracles import build_vocab_counter, encode_documents, route_documents
+from _oracles import build_vocab_counter, encode_documents, first_line_key, route_documents, tokenize_line
 from conftest import make_stanza
 
 
@@ -158,6 +158,52 @@ class TestNormalize:
         stanza = make_stanza(lines=["die und der"])
         out = corpus.normalize([stanza])
         assert out[0].tokens == ["die", "und", "der"]
+
+
+# letters whose lower() and casefold() differ (ß, İ), ASCII and Unicode
+# punctuation, and whitespace that str.split() splits on besides the space
+LINE_CHARS = "aAbBäÖßİ .,;!?'\"-»«’—\t\u2028"
+# short first lines from few characters, so stanzas often share a key (ß casefolds to ss)
+FIRST_LINE_CHARS = "sSß .»’"
+# a lemma that is only punctuation and an empty lemma are appended as they stand
+LEMMAS = {"a": "b", "ab": "»«", "b": "", "ä": "a"}
+
+
+class TestIngestMemo:
+    """normalize and dedup_first_line agree with the per-character tokenizer and first-line key."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet=FIRST_LINE_CHARS, max_size=4),
+                st.lists(st.text(alphabet=LINE_CHARS, max_size=16), max_size=2),
+                st.integers(1700, 1702),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_per_character_reference(self, drawn):
+        stanzas = [make_stanza(sid=f"s{i}", year=year, lines=[first, *rest]) for i, (first, rest, year) in enumerate(drawn)]
+        want = {}
+        for s in stanzas:
+            tokens = [LEMMAS.get(t, t) for line in s.lines for t in tokenize_line(line)]
+            if tokens:
+                want[s.id] = tokens
+        kept = corpus.normalize(stanzas, LEMMAS)
+        assert {s.id: s.tokens for s in kept} == want
+        assert [s.id for s in kept] == list(want)
+        best = {}
+        for s in kept:
+            key = first_line_key(s.lines[0])
+            if key not in best or (s.year, s.id) < (best[key].year, best[key].id):
+                best[key] = s
+        survivors = [s.id for s in kept if best[first_line_key(s.lines[0])] is s]
+        assert [s.id for s in corpus.dedup_first_line(kept)] == survivors
+
+    def test_lemma_of_punctuation_kept(self):
+        out = corpus.normalize([make_stanza(lines=["Ab b, AB"])], LEMMAS)
+        assert out[0].tokens == ["»«", "", "»«"]
 
 
 class TestTables:

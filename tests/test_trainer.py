@@ -4,12 +4,12 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from verseshift import corpus, trainer
 
-from _oracles import scatter_add_rows_reduceat
+from _oracles import log_sigmoid_logaddexp, scatter_add_rows_reduceat, sgd_step_reference
 from conftest import (
     TINY_BASE,
     TINY_DELTA1,
@@ -314,6 +314,50 @@ class TestScatterAddRows:
     def test_random_batches(self, dtype, n_rows, n, d, seed):
         idx = np.random.default_rng(seed).integers(0, n_rows, n)
         assert_scatter_matches_reduceat(np.ones((n_rows, d), dtype=dtype), idx, scatter_rows(n, d, seed))
+
+
+def test_log_sigmoid_matches_logaddexp():
+    x = np.array([0.0, 1e-300, 1.0, 40.0, 745.0, 1e308])
+    x = np.concatenate([x, -x])
+    np.testing.assert_allclose(trainer._log_sigmoid(x), log_sigmoid_logaddexp(x), rtol=1e-14, atol=0.0)
+    pos_inf, neg_inf, nan = trainer._log_sigmoid(np.array([np.inf, -np.inf, np.nan]))
+    assert pos_inf == 0.0 and neg_inf == -np.inf and np.isnan(nan)
+
+
+class TestStepMatchesOracle:
+    """sgd_step gives bit for bit the parameters of the step with fancy-index gathers and padded groups."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_words=st.integers(1, 40),
+        n_slots=st.integers(1, 4),
+        d=st.integers(1, 8),
+        size=st.one_of(st.integers(1, 4).map(lambda g: g * trainer.PAIR_GROUP), st.integers(1, 160)),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_words=5, n_slots=3, d=4, size=2 * trainer.PAIR_GROUP, k=3, seed=0)  # full groups: no padding
+    @example(n_words=5, n_slots=3, d=4, size=2 * trainer.PAIR_GROUP + 7, k=3, seed=0)  # padded last group
+    def test_steps_bit_identical(self, n_words, n_slots, d, size, k, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(scale=0.5, size=(n_words, d)).astype(np.float32)
+        deltas = rng.normal(scale=0.2, size=(n_slots, n_words, d)).astype(np.float32)
+        context = rng.normal(scale=0.5, size=(n_words, d)).astype(np.float32)
+        want = [base.copy(), deltas.copy(), context.copy()]
+        n_groups = -(-size // trainer.PAIR_GROUP)
+        for lr in (0.5, 0.05, 0.005):
+            batch = trainer.TrainingBatch(
+                words=rng.integers(0, n_words, size, dtype=np.int32),
+                slots=rng.integers(0, n_slots, size, dtype=np.int32),
+                contexts=rng.integers(0, n_words, size, dtype=np.int32),
+                negatives=rng.integers(0, n_words, (n_groups, k), dtype=np.int32),
+            )
+            loss = trainer.sgd_step(base, deltas.reshape(-1, d), context, n_words, batch, lr)
+            want_loss = sgd_step_reference(want[0], want[1].reshape(-1, d), want[2], n_words, batch, lr)
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+            assert np.array_equal(base, want[0])
+            assert np.array_equal(deltas, want[1])
+            assert np.array_equal(context, want[2])
 
 
 class TestTraining:

@@ -254,6 +254,15 @@ class TestTrajectoryPca:
         assert report.pca.degenerate
         assert np.all(report.pca.explained_variance_ratio == 0.0)
 
+    def test_top_k_at_most_half_the_trajectories(self):
+        trajectories, _ = class_fixture(per_class=3)
+        report = tropes.trajectory_pca(trajectories, n_components=2, top_k=6)  # 2 * top_k == 12 trajectories
+        for pos, neg in report.extremes:
+            assert len(pos) == len(neg) == 6
+            assert not ({e.candidate for e in pos} & {e.candidate for e in neg})
+        with pytest.raises(ValueError, match="top_k=6"):
+            tropes.trajectory_pca(trajectories[:11], n_components=2, top_k=6)
+
     def test_too_few_trajectories(self):
         trajectories, _ = class_fixture(per_class=1)
         with pytest.raises(ValueError):
