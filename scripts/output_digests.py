@@ -5,10 +5,11 @@ Usage (from the repository root):
 
     python3 scripts/output_digests.py WORKLOAD SEED OUT
 
-WORKLOAD is ``shift6`` or ``reports``. The inputs are generated with
-``vsbench/gen.py`` under ``OUT/inputs``, and the workload's command list
-comes from ``vsbench/run.py``; each command runs once, in its own process,
-with its outputs under ``OUT/run`` (``train`` gets ``--workers 1``). The
+WORKLOAD is ``shift6``, ``sliding13`` or ``reports``; only ``sliding13``
+trains with subsampling on. The inputs are generated with ``vsbench/gen.py``
+under ``OUT/inputs``, and the workload's command list comes from
+``vsbench/run.py``; each command runs once, in its own process, with its
+outputs under ``OUT/run`` (``train`` gets ``--workers 1``). The
 script prints one ``<sha256>  <path relative to OUT/run>`` line per output
 file, in path order, then the sha256 of those lines. Two checkouts whose
 final lines agree wrote the same bytes. The exit code is 1 when a command
@@ -48,7 +49,7 @@ def _run(run, argv: list[str], log_path: Path) -> bool:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 3 or argv[0] not in ("shift6", "reports"):
+    if len(argv) != 3 or argv[0] not in ("shift6", "sliding13", "reports"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     workload, seed, out = argv[0], int(argv[1]), Path(argv[2]).resolve()

@@ -114,8 +114,10 @@ def detect_change_points(series: SelfSimSeries, k: int) -> list[tuple[int, float
     Depth is the mean of the neighboring medians minus the minimum's median,
     so the measure is invariant under shifting all medians by a constant.
     Each change point is reported as (start year of the later slot, depth),
-    deepest first, ties broken by the earlier year. Fewer minima than ``k``
-    yields a shorter list.
+    deepest first, ties broken by the earlier year. Depths are compared
+    rounded to 12 decimals, so dips that differ only by rounding noise tie;
+    the reported depth is not rounded. Fewer minima than ``k`` yields a
+    shorter list.
     """
     medians = [s.median for s in series.summaries]
     if len(medians) < 3:
@@ -125,7 +127,7 @@ def detect_change_points(series: SelfSimSeries, k: int) -> list[tuple[int, float
         if medians[i] < medians[i - 1] and medians[i] < medians[i + 1]:
             depth = (medians[i - 1] + medians[i + 1]) / 2.0 - medians[i]
             points.append((series.pairs[i][1].start, depth))
-    points.sort(key=lambda p: (-p[1], p[0]))
+    points.sort(key=lambda p: (-round(p[1], 12), p[0]))
     return points[: max(0, k)]
 
 

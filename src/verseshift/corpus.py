@@ -245,18 +245,19 @@ def normalize(stanzas: list[Stanza], lemma_map: dict[str, str] | None = None) ->
 def load_lemma_map(path: str | Path) -> dict[str, str]:
     """Read a two-column token<TAB>lemma table; later duplicates override.
 
-    Keys and lemmas are casefolded so lookups agree with the lowercased
-    token stream.
+    Keys and lemmas are stripped and lowercased so lookups agree with the
+    lowercased token stream; a row whose key or lemma is then empty is
+    skipped with a warning.
     """
     mapping: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
-        parts = line.split("\t")
+        parts = [part.strip().lower() for part in line.split("\t")]
         if len(parts) < 2 or not parts[0] or not parts[1]:
             log.warning("%s:%d: skipping malformed lemma row", path, lineno)
             continue
-        mapping[parts[0].strip().lower()] = parts[1].strip().lower()
+        mapping[parts[0]] = parts[1]
     return mapping
 
 

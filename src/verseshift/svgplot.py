@@ -145,7 +145,6 @@ def render_line_plot(
     series: list[tuple[str, list[float]]],
     x_axis_label: str,
     y_axis_label: str,
-    show_legend: bool = False,
 ) -> str:
     """Multi-line plot over shared x positions, one polyline per series."""
     if not series or not x_values:
@@ -169,20 +168,11 @@ def render_line_plot(
             f'<text x="{x_px(x):.2f}" y="{bottom + 20}" text-anchor="middle" font-size="11" '
             f'font-family="sans-serif">{x:g}</text>'
         )
-    for idx, (label, vals) in enumerate(series):
+    for idx, (_, vals) in enumerate(series):
         color = LINE_COLORS[idx % len(LINE_COLORS)]
         pts = " ".join(f"{x_px(x):.2f},{to_px(y):.2f}" for x, y in zip(x_values, vals))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" opacity="0.85" points="{pts}"/>'
         )
-        if show_legend and idx < 12:
-            ly = MARGIN_TOP + 16 * idx
-            parts.append(
-                f'<line x1="{right - 150}" y1="{ly}" x2="{right - 126}" y2="{ly}" stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{right - 120}" y="{ly + 4}" font-size="11" font-family="sans-serif">'
-                f"{_escape(label)}</text>"
-            )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -387,6 +387,22 @@ def _slot_pairs(tokens: np.ndarray, doc_ids: np.ndarray, window: int) -> tuple[n
     return np.concatenate(centers), np.concatenate(contexts)
 
 
+def _subsampled(encoded, keep_prob: np.ndarray | None, seed: int, epoch: int):
+    """Each slot's kept (tokens, doc_ids) in one epoch, slot by slot.
+
+    The keep draws come from ``default_rng([seed, 1, epoch])`` in slot order,
+    so the same epoch always keeps the same tokens and the pair count pass
+    and the training pass can each redraw them.
+    """
+    if keep_prob is None:
+        yield from encoded
+        return
+    rng = np.random.default_rng([seed, 1, epoch])
+    for tokens, doc_ids in encoded:
+        mask = rng.random(tokens.size) < keep_prob[tokens]
+        yield tokens[mask], doc_ids[mask]
+
+
 def train(
     docs: Documents,
     vocab: Vocabulary,
@@ -401,9 +417,11 @@ def train(
     contributes a negative-sampling step; each group of PAIR_GROUP
     consecutive pairs shares k negatives drawn from the corpus-wide unigram
     distribution raised to 0.75. The learning rate decays linearly over all
-    scheduled pairs. Single-worker runs with a fixed seed are fully
-    deterministic; extra workers update the shared matrices without locks
-    and trade determinism for speed.
+    scheduled pairs. Each epoch holds its pairs in one (N, 3) int32 block of
+    (word, slot, context) rows and a shuffling permutation; a batch gathers
+    its rows through the permutation. Single-worker runs with a fixed seed
+    are fully deterministic; extra workers update the shared matrices
+    without locks and trade determinism for speed.
     """
     if len(slot_table) < 2:
         raise ValueError("training needs at least 2 time slots")
@@ -422,27 +440,15 @@ def train(
     weights = vocab.global_counts.astype(np.float64) ** 0.75
     neg_cdf = np.cumsum(weights / weights.sum())
 
-    # Per-epoch subsampling masks are drawn up front so the total pair count
-    # (and with it the exact linear learning-rate schedule) is known.
-    masks: list[list[np.ndarray | None]] = []
-    epoch_pair_counts: list[int] = []
-    for epoch in range(config.epochs):
-        rng_mask = np.random.default_rng([config.seed, 1, epoch])
-        slot_masks: list[np.ndarray | None] = []
-        count = 0
-        for tokens, doc_ids in encoded:
-            if keep_prob is None:
-                slot_masks.append(None)
-                kept_doc_ids = doc_ids
-            else:
-                mask = rng_mask.random(tokens.size) < keep_prob[tokens]
-                slot_masks.append(mask)
-                kept_doc_ids = doc_ids[mask]
-            if kept_doc_ids.size:
-                lengths = np.bincount(kept_doc_ids)
-                count += _pair_count(lengths, config.context_window)
-        masks.append(slot_masks)
-        epoch_pair_counts.append(count)
+    # Every epoch's pairs are counted first, so the exact linear
+    # learning-rate schedule is known before the first step.
+    epoch_pair_counts = [
+        sum(
+            _pair_count(np.bincount(doc_ids), config.context_window)
+            for _, doc_ids in _subsampled(encoded, keep_prob, config.seed, epoch)
+        )
+        for epoch in range(config.epochs)
+    ]
     total_pairs = sum(epoch_pair_counts)
     if total_pairs == 0:
         log.warning("no training pairs were scheduled; returning the initial model")
@@ -451,69 +457,52 @@ def train(
     deltas_flat = deltas.reshape(len(slot_table) * n_words, d)
     lr_span = config.final_lr - config.initial_lr
     pairs_done = 0
-    for epoch in range(config.epochs):
+    for epoch, n_pairs in enumerate(epoch_pair_counts):
         rng_epoch = np.random.default_rng([config.seed, 2, epoch])
-        parts_w, parts_c, parts_s = [], [], []
-        for slot, (tokens, doc_ids) in enumerate(encoded):
-            mask = masks[epoch][slot]
-            if mask is not None:
-                tokens = tokens[mask]
-                doc_ids = doc_ids[mask]
+        pairs = np.empty((n_pairs, 3), dtype=np.int32)  # word, slot, context
+        filled = 0
+        for slot, (tokens, doc_ids) in enumerate(_subsampled(encoded, keep_prob, config.seed, epoch)):
             w, c = _slot_pairs(tokens, doc_ids, config.context_window)
-            parts_w.append(w)
-            parts_c.append(c)
-            parts_s.append(np.full(w.size, slot, dtype=np.int32))
-        all_w = np.concatenate(parts_w)
-        all_c = np.concatenate(parts_c)
-        all_s = np.concatenate(parts_s)
+            block = pairs[filled : filled + w.size]
+            block[:, 0] = w
+            block[:, 1] = slot
+            block[:, 2] = c
+            filled += w.size
         # pair-level shuffle keeps every slot represented across the whole
         # learning-rate range instead of letting large slots dominate the tail
-        perm = rng_epoch.permutation(all_w.size)
-        all_w = all_w[perm]
-        all_c = all_c[perm]
-        all_s = all_s[perm]
+        perm = rng_epoch.permutation(n_pairs)
 
-        bounds = list(range(0, all_w.size, config.batch_size)) + [all_w.size]
-        batch_jobs = []
-        offset = pairs_done
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            lr = config.initial_lr + lr_span * (offset / total_pairs)
-            batch_jobs.append((lo, hi, lr))
-            offset = offset + (hi - lo)
-
-        def run_batches(jobs, rng) -> float:
+        def run_batches(starts, rng) -> float:
             loss_sum = 0.0
-            for lo, hi, lr in jobs:
-                n_groups = -(-(hi - lo) // PAIR_GROUP)
+            for lo in starts:
+                words, slots, contexts = np.take(pairs, perm[lo : lo + config.batch_size], axis=0).T
+                n_groups = -(-words.size // PAIR_GROUP)
                 negs = np.searchsorted(
                     neg_cdf, rng.random((n_groups, config.negatives)), side="right"
                 ).astype(np.int32)
                 np.clip(negs, 0, n_words - 1, out=negs)
-                batch = TrainingBatch(all_w[lo:hi], all_s[lo:hi], all_c[lo:hi], negs)
+                lr = config.initial_lr + lr_span * ((pairs_done + lo) / total_pairs)
+                batch = TrainingBatch(words, slots, contexts, negs)
                 loss = sgd_step(base, deltas_flat, context, n_words, batch, lr)
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss in epoch {epoch}")
                 loss_sum += loss
             return loss_sum
 
+        starts = range(0, n_pairs, config.batch_size)
         if config.workers == 1:
-            epoch_loss = run_batches(batch_jobs, rng_epoch)
+            epoch_loss = run_batches(starts, rng_epoch)
         else:
-            chunks = [batch_jobs[i :: config.workers] for i in range(config.workers)]
+            chunks = [starts[i :: config.workers] for i in range(config.workers)]
             rngs = rng_epoch.spawn(config.workers)
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 epoch_loss = sum(pool.map(run_batches, chunks, rngs))
+        del pairs, perm  # before the next epoch builds its own
 
-        pairs_done += epoch_pair_counts[epoch]
-        mean_loss = epoch_loss / max(1, epoch_pair_counts[epoch])
+        pairs_done += n_pairs
+        mean_loss = epoch_loss / max(1, n_pairs)
         model.epoch_losses.append(mean_loss)
-        log.info(
-            "epoch %d/%d: %d pairs, mean loss %.5f",
-            epoch + 1,
-            config.epochs,
-            epoch_pair_counts[epoch],
-            mean_loss,
-        )
+        log.info("epoch %d/%d: %d pairs, mean loss %.5f", epoch + 1, config.epochs, n_pairs, mean_loss)
         for name, mat in (("base", base), ("deltas", deltas), ("context", context)):
             if not np.isfinite(mat).all():
                 raise NumericError(f"non-finite values in {name} after epoch {epoch}")
@@ -523,10 +512,9 @@ def train(
 def save_model(model: JointEmbeddingModel, path) -> None:
     """Write the little-endian binary model file."""
     vocab = model.vocab
-    n_slots = model.n_slots
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<IIII", MODEL_VERSION, model.dim, len(vocab), n_slots))
+        fh.write(struct.pack("<IIII", MODEL_VERSION, model.dim, len(vocab), model.n_slots))
         for slot in model.slot_table:
             fh.write(struct.pack("<ii", slot.start, slot.end))
         for i, word in enumerate(vocab.words):
@@ -535,10 +523,8 @@ def save_model(model: JointEmbeddingModel, path) -> None:
             fh.write(raw)
             fh.write(struct.pack("<Q", int(vocab.global_counts[i])))
             fh.write(vocab.slot_counts[:, i].astype("<u8").tobytes())
-        fh.write(np.ascontiguousarray(model.base, dtype="<f4").tobytes())
-        for t in range(n_slots):
-            fh.write(np.ascontiguousarray(model.deltas[t], dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(model.context, dtype="<f4").tobytes())
+        for mat in (model.base, model.deltas, model.context):
+            fh.write(np.ascontiguousarray(mat, dtype="<f4"))
 
 
 def load_model(path) -> JointEmbeddingModel:

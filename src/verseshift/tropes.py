@@ -18,6 +18,8 @@ from .trainer import JointEmbeddingModel
 
 log = logging.getLogger(__name__)
 
+MAX_MISSING = 1  # slots a candidate may fall short in, filled by interpolation
+
 
 @dataclass
 class SimilarityTrajectory:
@@ -32,12 +34,11 @@ def build_trajectories(
     target: str,
     min_global: int = 30,
     min_per_slot: int = 2,
-    max_missing: int = 1,
 ) -> list[SimilarityTrajectory]:
     """Per-slot cosine trajectories of every eligible candidate against ``target``.
 
     Candidates need a global count of at least ``min_global`` and at least
-    ``min_per_slot`` occurrences per slot; up to ``max_missing`` slots may
+    ``min_per_slot`` occurrences per slot; up to MAX_MISSING slots may
     fall short and are filled by linear interpolation between the
     neighboring measured slots (edges copy the nearest measured value).
     The returned list is ordered by vocabulary index. All trajectories
@@ -53,7 +54,7 @@ def build_trajectories(
     missing_slots = (vocab.slot_counts < min_per_slot).astype(np.int64)
     cand_mask = (
         (vocab.global_counts >= min_global)
-        & (missing_slots.sum(axis=0) <= max_missing)
+        & (missing_slots.sum(axis=0) <= MAX_MISSING)
     )
     cand_mask[ti] = False
     cand = np.flatnonzero(cand_mask)
@@ -189,8 +190,6 @@ def orient_components(report: TropeReport) -> TropeReport:
         undetermined=undetermined,
     )
 
-
-TRAJECTORY_CLASSES = ("high", "low", "rising", "falling")
 
 _LABELS = {(0, "pos"): "high", (0, "neg"): "low", (1, "pos"): "rising", (1, "neg"): "falling"}
 

@@ -8,7 +8,9 @@ roots and calls no numpy.linalg routine, so it is independent of the
 routing, counting and encoding that the columnar corpus replaced, and the
 per-character tokenizer and first-line key that the ingest memo tables
 replaced. The step oracle is the training step with fancy-index gathers, a
-padded copy of every group and the ``logaddexp`` loss.
+padded copy of every group and the ``logaddexp`` loss. The training oracle
+is the single-worker loop that drew every epoch's subsampling masks up
+front and shuffled concatenated per-slot pair arrays by permuted copies.
 """
 
 from __future__ import annotations
@@ -220,3 +222,71 @@ def encode_documents(per_slot: list[list[list[str]]], index: dict[str, int]) -> 
             n_docs += 1
         encoded.append((np.array(tokens, dtype=np.int32), np.array(doc_ids, dtype=np.int32)))
     return encoded
+
+
+def train_reference(docs, vocab, slot_table, config):
+    """Single-worker training with masks drawn up front and permuted copies of the epoch's pairs.
+
+    Uses the package's step and pair helpers, so it pins only the order of
+    the random draws, the pairs, the batches and the learning rates.
+    """
+    from verseshift import corpus, trainer
+
+    n_words, d = len(vocab), config.dim
+    rng_init = np.random.default_rng([config.seed, 0])
+    base = rng_init.uniform(-0.5 / d, 0.5 / d, size=(n_words, d)).astype(np.float32)
+    deltas = np.zeros((len(slot_table), n_words, d), dtype=np.float32)
+    context = np.zeros((n_words, d), dtype=np.float32)
+    model = trainer.JointEmbeddingModel(vocab, slot_table, base, deltas, context)
+    encoded = trainer._slot_tokens(docs, vocab, corpus.assign_slots(docs.years, slot_table))
+    keep_prob = trainer._keep_probabilities(vocab, config.subsample_threshold)
+    weights = vocab.global_counts.astype(np.float64) ** 0.75
+    neg_cdf = np.cumsum(weights / weights.sum())
+
+    masks, epoch_pair_counts = [], []
+    for epoch in range(config.epochs):
+        rng_mask = np.random.default_rng([config.seed, 1, epoch])
+        slot_masks, count = [], 0
+        for tokens, doc_ids in encoded:
+            mask = None if keep_prob is None else rng_mask.random(tokens.size) < keep_prob[tokens]
+            slot_masks.append(mask)
+            kept_doc_ids = doc_ids if mask is None else doc_ids[mask]
+            if kept_doc_ids.size:
+                count += trainer._pair_count(np.bincount(kept_doc_ids), config.context_window)
+        masks.append(slot_masks)
+        epoch_pair_counts.append(count)
+    total_pairs = sum(epoch_pair_counts)
+    if total_pairs == 0:
+        return model
+
+    deltas_flat = deltas.reshape(len(slot_table) * n_words, d)
+    lr_span = config.final_lr - config.initial_lr
+    pairs_done = 0
+    for epoch in range(config.epochs):
+        rng_epoch = np.random.default_rng([config.seed, 2, epoch])
+        parts_w, parts_c, parts_s = [], [], []
+        for slot, (tokens, doc_ids) in enumerate(encoded):
+            mask = masks[epoch][slot]
+            if mask is not None:
+                tokens, doc_ids = tokens[mask], doc_ids[mask]
+            w, c = trainer._slot_pairs(tokens, doc_ids, config.context_window)
+            parts_w.append(w)
+            parts_c.append(c)
+            parts_s.append(np.full(w.size, slot, dtype=np.int32))
+        perm = rng_epoch.permutation(sum(w.size for w in parts_w))
+        all_w = np.concatenate(parts_w)[perm]
+        all_c = np.concatenate(parts_c)[perm]
+        all_s = np.concatenate(parts_s)[perm]
+        epoch_loss, offset = 0.0, pairs_done
+        for lo in range(0, all_w.size, config.batch_size):
+            hi = min(lo + config.batch_size, all_w.size)
+            lr = config.initial_lr + lr_span * (offset / total_pairs)
+            offset += hi - lo
+            n_groups = -(-(hi - lo) // trainer.PAIR_GROUP)
+            negs = np.searchsorted(neg_cdf, rng_epoch.random((n_groups, config.negatives)), side="right").astype(np.int32)
+            np.clip(negs, 0, n_words - 1, out=negs)
+            batch = trainer.TrainingBatch(all_w[lo:hi], all_s[lo:hi], all_c[lo:hi], negs)
+            epoch_loss += trainer.sgd_step(base, deltas_flat, context, n_words, batch, lr)
+        pairs_done += epoch_pair_counts[epoch]
+        model.epoch_losses.append(epoch_loss / max(1, epoch_pair_counts[epoch]))
+    return model

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from verseshift import corpus, trainer
 
 from _oracles import build_vocab_counter, encode_documents, first_line_key, route_documents, tokenize_line
-from conftest import make_stanza
+from conftest import make_stanza, make_table, stanza_documents
 
 
 def write_jsonl(path, records):
@@ -216,6 +216,18 @@ class TestTables:
         p = tmp_path / "l.tsv"
         p.write_text("nur-eine-spalte\ngeht\tgehen\n", encoding="utf-8")
         assert corpus.load_lemma_map(p) == {"geht": "gehen"}
+
+    def test_lemma_map_skips_blank_lemma_and_key(self, tmp_path, caplog):
+        p = tmp_path / "l.tsv"
+        p.write_text("und\t \n \tnacht\ngeht\tgehen\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            lemmas = corpus.load_lemma_map(p)
+        assert lemmas == {"geht": "gehen"}
+        assert sum("malformed lemma row" in m for m in caplog.messages) == 2
+        stanzas = corpus.normalize([make_stanza(lines=["Rosen und Dornen und Nacht"])], lemmas)
+        assert stanzas[0].tokens == ["rosen", "und", "dornen", "und", "nacht"]
+        vocab = corpus.build_vocab(stanza_documents(stanzas), make_table([1700, 1750]), min_count=1)
+        assert "und" in vocab.index and "" not in vocab.index
 
     def test_stopwords_comments(self, tmp_path):
         p = tmp_path / "s.txt"

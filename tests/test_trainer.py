@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from verseshift import corpus, trainer
 
-from _oracles import log_sigmoid_logaddexp, scatter_add_rows_reduceat, sgd_step_reference
+from _oracles import log_sigmoid_logaddexp, scatter_add_rows_reduceat, sgd_step_reference, train_reference
 from conftest import (
     TINY_BASE,
     TINY_DELTA1,
@@ -443,6 +443,51 @@ class TestTraining:
         for got, want in zip(trainer._slot_pairs(tokens, doc_ids, 10**18), trainer._slot_pairs(tokens, doc_ids, 5)):
             assert np.array_equal(got, want)
         assert trainer._slot_pairs(tokens, doc_ids, 10**18)[0].size == 26
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=20), st.integers(1, 14))
+def test_pair_count_sizes_the_pair_block(lengths, window):
+    # documents left empty by subsampling leave gaps in the document numbers
+    doc_ids = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    tokens = np.arange(doc_ids.size, dtype=np.int32)
+    w, c = trainer._slot_pairs(tokens, doc_ids, window)
+    assert trainer._pair_count(np.bincount(doc_ids), window) == w.size == c.size
+
+
+def reference_corpus(table):
+    """Documents of 1 to 10 tokens over 30 Zipf-weighted words, years spread over the table."""
+    rng = np.random.default_rng(8)
+    words = [f"w{i:02d}" for i in range(30)]
+    p = 1.0 / np.arange(1, 31)
+    token_lists = [list(rng.choice(words, size=rng.integers(1, 11), p=p / p.sum())) for _ in range(240)]
+    years = rng.integers(table[0].start, table[-1].end, size=len(token_lists))
+    return corpus.Documents.from_tokens(token_lists, years.tolist())
+
+
+class TestTrainMatchesReference:
+    """train gives bit for bit the model of the loop with up-front masks and permuted pair copies."""
+
+    @pytest.mark.parametrize("table", [corpus.build_slots(1700, 1800, 25, 25), corpus.build_slots(1700, 1800, 50, 25)],
+                             ids=["fixed", "sliding"])
+    @pytest.mark.parametrize("subsample", [0.0, 0.01])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_bit_identical(self, table, subsample, epochs):
+        docs = reference_corpus(table)
+        vocab = corpus.build_vocab(docs, table, min_count=1)
+        config = quick_config(epochs=epochs, subsample_threshold=subsample, batch_size=97, seed=5)
+        encoded = trainer._slot_tokens(docs, vocab, corpus.assign_slots(docs.years, table))
+        n_pairs = sum(trainer._pair_count(np.bincount(doc_ids), config.context_window) for _, doc_ids in encoded)
+        assert n_pairs % config.batch_size  # the last batch of an unsubsampled epoch is partial
+        if subsample:
+            assert trainer._keep_probabilities(vocab, subsample).min() < 0.5  # frequent words are dropped
+        got = trainer.train(docs, vocab, table, config)
+        want = train_reference(docs, vocab, table, config)
+        assert np.array_equal(got.base, want.base)
+        assert np.array_equal(got.deltas, want.deltas)
+        assert np.array_equal(got.context, want.context)
+        assert got.epoch_losses == want.epoch_losses
+        assert len(got.epoch_losses) == epochs
 
 
 class TestTrainedSemantics:
