@@ -286,8 +286,6 @@ class TimeSlotTable:
     """Ordered year intervals, either disjoint (fixed) or overlapping (sliding)."""
 
     slots: tuple[TimeSlot, ...]
-    window_years: int
-    step_years: int
 
     def __post_init__(self) -> None:
         starts = [s.start for s in self.slots]
@@ -305,10 +303,6 @@ class TimeSlotTable:
 
     def __getitem__(self, i: int) -> TimeSlot:
         return self.slots[i]
-
-    @property
-    def is_sliding(self) -> bool:
-        return self.step_years < self.window_years
 
     def slots_for_year(self, year: int) -> list[int]:
         return [i for i, s in enumerate(self.slots) if s.contains(year)]
@@ -352,7 +346,7 @@ def build_slots(
     if len(bounds) < 2:
         raise ValueError(f"degenerate slotting: only {len(bounds)} slot(s)")
     slots = tuple(TimeSlot(a, b, f"{a}-{b}") for a, b in bounds)
-    return TimeSlotTable(slots=slots, window_years=window_years, step_years=step_years)
+    return TimeSlotTable(slots)
 
 
 def assign_slots(years, table: TimeSlotTable) -> np.ndarray:

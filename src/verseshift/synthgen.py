@@ -12,6 +12,7 @@ pipeline reads, and generation is byte-deterministic under the seed.
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,14 +187,35 @@ def generate_jsonl(spec: SynthSpec, path: str | Path) -> int:
     return len(records)
 
 
-def spec_from_dict(obj: dict) -> SynthSpec:
-    planted = [PlantedWord(**item) for item in obj.get("planted", [])]
-    fields = {k: v for k, v in obj.items() if k != "planted"}
-    return SynthSpec(planted=planted, **fields)
+def _matches(value, hint) -> bool:
+    """Whether a JSON value has a field's declared type; a planted entry is checked when it is built."""
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_matches(v, typing.get_args(hint)[0]) for v in value)
+    if typing.get_args(hint):  # a union such as int | None
+        return any(_matches(value, h) for h in typing.get_args(hint))
+    accepted = (int, float) if hint is float else hint
+    # bool is a subclass of int, but JSON true and false are not numbers
+    return hint is PlantedWord or (not isinstance(value, bool) and isinstance(value, accepted))
+
+
+def _build(cls, obj, where: str):
+    """``cls`` from a JSON object of its fields, each of its declared type; anything else raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(obj).__name__}")
+    try:
+        built = cls(**obj)
+    except TypeError as exc:  # an unknown or a missing field
+        raise ValueError(f"{where}: {exc}") from exc
+    for key, hint in typing.get_type_hints(cls).items():
+        value = getattr(built, key)
+        if not _matches(value, hint):
+            raise ValueError(f"{where}: {key} must be {getattr(hint, '__name__', hint)}, not {type(value).__name__}")
+    return built
 
 
 def load_spec(path: str | Path) -> SynthSpec:
     """Read a generator spec from a JSON document mirroring :class:`SynthSpec`."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return spec_from_dict(obj)
+        spec = _build(SynthSpec, json.load(fh), "spec")
+    spec.planted = [_build(PlantedWord, item, f"planted entry {i}") for i, item in enumerate(spec.planted)]
+    return spec

@@ -31,7 +31,7 @@ from .linalg import rowwise_cosine
 log = logging.getLogger(__name__)
 
 MODEL_MAGIC = b"DLKV"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 PAIR_GROUP = 32  # consecutive pairs of a minibatch that share one negative set
 # Longest run of one index that _scatter_add_rows sums position by position.
 # numpy's pairwise sum adds fewer than 8 terms left to right, so up to 8 rows
@@ -510,29 +510,26 @@ def train(
 
 
 def save_model(model: JointEmbeddingModel, path) -> None:
-    """Write the little-endian binary model file."""
+    """Write the little-endian binary model file: a header, then one block per column."""
     vocab = model.vocab
+    raw = [word.encode("utf-8") for word in vocab.words]
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<IIII", MODEL_VERSION, model.dim, len(vocab), model.n_slots))
-        for slot in model.slot_table:
-            fh.write(struct.pack("<ii", slot.start, slot.end))
-        for i, word in enumerate(vocab.words):
-            raw = word.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<Q", int(vocab.global_counts[i])))
-            fh.write(vocab.slot_counts[:, i].astype("<u8").tobytes())
+        fh.write(np.array([(slot.start, slot.end) for slot in model.slot_table], dtype="<i4"))
+        fh.write(np.array([len(r) for r in raw], dtype="<u4"))
+        fh.write(np.column_stack((vocab.global_counts, vocab.slot_counts.T)).astype("<u8", order="C"))
+        fh.write(b"".join(raw))
         for mat in (model.base, model.deltas, model.context):
             fh.write(np.ascontiguousarray(mat, dtype="<f4"))
 
 
 def load_model(path) -> JointEmbeddingModel:
-    """Read a model file written by :func:`save_model`.
+    """Read a model file written by :func:`save_model`, each block straight into its array.
 
-    Header sizes are checked against the file length before any array is
-    allocated, so a corrupt header fails as ModelFormatError, and so does a
-    non-finite value in any matrix.
+    The header's sizes are checked against the file length before any array
+    is allocated, and with the word lengths the length must match exactly.
+    A corrupt file or a non-finite matrix value raises ModelFormatError.
     """
     try:
         fh = open(path, "rb")
@@ -541,64 +538,50 @@ def load_model(path) -> JointEmbeddingModel:
     with fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def take(n: int) -> bytes:
-            raw = fh.read(n)
-            if len(raw) < n:
+        def block(dtype: str, shape) -> np.ndarray:
+            out = np.empty(shape, dtype=dtype)
+            if fh.readinto(memoryview(out).cast("B")) != out.nbytes:
                 raise ModelFormatError(f"truncated model file {path}")
-            return raw
+            return out
 
-        if take(4) != MODEL_MAGIC:
+        if fh.read(4) != MODEL_MAGIC:
             raise ModelFormatError(f"{path} is not a model file (bad magic)")
-        version, d, n_words, n_slots = struct.unpack("<IIII", take(16))
+        version, d, n_words, n_slots = block("<u4", 4).tolist()
         if version != MODEL_VERSION:
             raise ModelFormatError(f"unsupported model version {version} in {path}")
         if n_words == 0 or n_slots == 0 or d == 0:
             raise ModelFormatError(f"empty dimensions in model header of {path}")
         payload = 4 * d * n_words * (n_slots + 2)
-        # slot years, per-word fixed fields (empty words), then the f32 matrices
-        if size < 20 + 8 * n_slots + n_words * (12 + 8 * n_slots) + payload:
+        # slot years, word lengths, counts, the f32 matrices; the words themselves may be empty
+        fixed = 20 + 8 * n_slots + n_words * (12 + 8 * n_slots)
+        if size < fixed + payload:
             raise ModelFormatError(f"truncated model file {path}: header sizes exceed its length")
-        years = [struct.unpack("<ii", take(8)) for _ in range(n_slots)]
-        words = []
-        # per word: the global count, then one count per slot
-        counts = np.empty((n_words, n_slots + 1), dtype="<u8")
-        for i in range(n_words):
-            (wlen,) = struct.unpack("<I", take(4))
-            try:
-                words.append(take(wlen).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise ModelFormatError(f"word {i} in {path} is not valid UTF-8") from exc
-            counts[i] = np.frombuffer(take(8 * (n_slots + 1)), dtype="<u8")
-        if size - fh.tell() > payload:
-            raise ModelFormatError(f"trailing bytes after model payload in {path}")
-        # one float32 block: base, the per-slot deltas, then context
-        mats = np.empty((n_slots + 2, n_words, d), dtype="<f4")
-        if fh.readinto(memoryview(mats).cast("B")) != payload:
-            raise ModelFormatError(f"truncated model file {path}")
+        years = block("<i4", (n_slots, 2)).tolist()
+        lengths = block("<u4", n_words)
+        n_bytes = int(lengths.sum(dtype=np.uint64))
+        if size != fixed + n_bytes + payload:
+            raise ModelFormatError(f"{path} is {size} bytes, its word lengths say {fixed + n_bytes + payload}")
+        counts = block("<u8", (n_words, n_slots + 1))  # the global count, then one count per slot
+        raw = block("u1", n_bytes).data
+        pos = 0  # where the next word starts in raw
+        try:
+            words = [str(raw[pos : (pos := pos + n)], "utf-8") for n in lengths.tolist()]
+        except UnicodeDecodeError as exc:  # pos is already the end of the failing word
+            i = int(np.searchsorted(np.cumsum(lengths), pos))
+            raise ModelFormatError(f"word {i} in {path} is not valid UTF-8") from exc
+        mats = block("<f4", (n_slots + 2, n_words, d))  # base, the per-slot deltas, then context
 
-    slots = tuple(TimeSlot(start, end, f"{start}-{end}") for start, end in years)
-    starts = [s.start for s in slots]
-    widths = [s.end - s.start for s in slots]
-    step = min(np.diff(starts)) if len(starts) > 1 else widths[0]
     try:
-        table = TimeSlotTable(slots=slots, window_years=min(widths), step_years=int(step))
+        table = TimeSlotTable(tuple(TimeSlot(start, end, f"{start}-{end}") for start, end in years))
     except ValueError as exc:
         raise ModelFormatError(f"invalid slot years in {path}: {exc}") from exc
     if (counts >= np.uint64(1 << 63)).any():
         raise ModelFormatError(f"word count beyond the int64 range in {path}")
-    counts = counts.astype(np.int64)
-    global_counts = np.ascontiguousarray(counts[:, 0])
-    slot_counts = np.ascontiguousarray(counts[:, 1:].T)
-    vocab = Vocabulary(
-        words=words,
-        index={w: i for i, w in enumerate(words)},
-        global_counts=global_counts,
-        slot_counts=slot_counts,
-        slot_total_tokens=slot_counts.sum(axis=1),
-    )
+    counts = counts.astype(np.int64).T.copy()  # (S+1, V): the global counts, then one row per slot
+    index = {w: i for i, w in enumerate(words)}
+    vocab = Vocabulary(words, index, counts[0], counts[1:], slot_total_tokens=counts[1:].sum(axis=1))
     for i, mat in enumerate(mats):  # slab by slab, so no full-size temporary
         if not np.isfinite(mat).all():
             name = "base" if i == 0 else "context" if i == n_slots + 1 else f"slot {i - 1} delta"
             raise ModelFormatError(f"non-finite value in the {name} matrix of {path}")
-    mats = mats.astype(np.float32, copy=False)
     return JointEmbeddingModel(vocab, table, mats[0], mats[1:-1], mats[-1])

@@ -47,9 +47,7 @@ def make_vocab(words, slot_counts, global_counts=None):
 
 
 def make_table(starts, width=50):
-    slots = tuple(corpus.TimeSlot(s, s + width, f"{s}-{s + width}") for s in starts)
-    step = starts[1] - starts[0] if len(starts) > 1 else width
-    return corpus.TimeSlotTable(slots=slots, window_years=width, step_years=step)
+    return corpus.TimeSlotTable(tuple(corpus.TimeSlot(s, s + width, f"{s}-{s + width}") for s in starts))
 
 
 def make_model(words, slot_starts, base, deltas, context=None, slot_counts=None, global_counts=None):
@@ -67,14 +65,16 @@ def make_model(words, slot_starts, base, deltas, context=None, slot_counts=None,
 
 
 # Byte offsets in the file write_tiny_model saves: 20-byte header (magic,
-# version, dim, words, slots), one <ii start/end pair per slot, per word
-# a u32 length, the UTF-8 word, its u64 global count and one u64 per slot,
-# then the float32 matrices: base, the delta of each slot, context, 16 bytes each.
+# version, dim, words, slots), then one block per column: a <ii start/end pair
+# per slot, a u32 byte length per word, per word its u64 global count and one
+# u64 count per slot, the words' UTF-8 bytes back to back, then the float32
+# matrices: base, the delta of each slot, context, 16 bytes each.
 TINY_DIM_FIELD = 8
 TINY_SLOT_YEARS = 20
-TINY_WORD0 = 40
-TINY_GLOBAL_COUNT0 = 41
-TINY_SLOT_COUNT0 = 49
+TINY_WORD_LENGTHS = 36
+TINY_GLOBAL_COUNT0 = 44
+TINY_SLOT_COUNT0 = 52
+TINY_WORD0 = 92
 TINY_BASE = 94
 TINY_DELTA1 = 126
 

@@ -107,6 +107,26 @@ class TestSynthCommand:
     def test_missing_spec_is_usage_error(self, tmp_path):
         assert cli.main(["synth", "--out", str(tmp_path / "x.jsonl")]) == 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"bogus": 1},
+            {"planted": [5]},
+            [1, 2],
+            {"slot_count": "six"},
+            {"planted": [{"word": "rose", "context_words": "abc"}]},
+            {"planted": [{"kind": "stable"}]},
+        ],
+        ids=["unknown-key", "planted-not-object", "not-object", "wrong-type", "string-for-list", "missing-word"],
+    )
+    def test_malformed_spec_exits_two(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "corpus.jsonl"
+        assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIngestCommand:
     def test_stats_match_generator_arithmetic(self, workspace):
@@ -250,7 +270,8 @@ class TestSelfsimCommand:
 
     def test_oversized_header_exits_two(self, tmp_path):
         bad = tmp_path / "model.bin"
-        bad.write_bytes(trainer.MODEL_MAGIC + struct.pack("<IIIIiiii", 1, 100, 2**32 - 1, 2, 1600, 1650, 1650, 1700))
+        header = struct.pack("<IIIIiiii", trainer.MODEL_VERSION, 100, 2**32 - 1, 2, 1600, 1650, 1650, 1700)
+        bad.write_bytes(trainer.MODEL_MAGIC + header)
         assert cli.main(["selfsim", "--out", str(tmp_path), "--model", str(bad)]) == 2
 
     @pytest.mark.parametrize(

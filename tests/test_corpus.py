@@ -247,14 +247,12 @@ class TestBuildSlots:
             (1825, 1875),
             (1875, 1925),
         ]
-        assert not table.is_sliding
 
     def test_sliding_thirteen_slots(self):
         table = corpus.build_slots(1575, 1925, 50, 25)
         assert len(table) == 13
         assert [s.start for s in table] == list(range(1575, 1900, 25))
         assert all(s.end - s.start == 50 for s in table)
-        assert table.is_sliding
 
     def test_single_slot_is_error(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from verseshift import cli, corpus, trainer
 
-from conftest import TINY_DIM_FIELD, write_tiny_model
+from conftest import TINY_DIM_FIELD, TINY_WORD_LENGTHS, write_tiny_model
 
 # the whole module runs in a few seconds: each CLI ingest example costs about 50 ms
 MODEL_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -58,11 +58,14 @@ def test_single_bit_flip(fuzz_dir, data):
     check_model_bytes(root, bytes(flipped))
 
 
+# dim, word count and slot count in the header, then the first word's byte length
+SIZE_FIELDS = [TINY_DIM_FIELD, TINY_DIM_FIELD + 4, TINY_DIM_FIELD + 8, TINY_WORD_LENGTHS]
+
+
 @MODEL_FUZZ
-@given(field=st.sampled_from([0, 1, 2]), value=st.integers(min_value=0, max_value=2**32 - 1))
-def test_inflated_header_field(fuzz_dir, field, value):
+@given(offset=st.sampled_from(SIZE_FIELDS), value=st.integers(min_value=0, max_value=2**32 - 1))
+def test_inflated_header_field(fuzz_dir, offset, value):
     root, valid = fuzz_dir
-    offset = TINY_DIM_FIELD + 4 * field  # dim, word count, slot count
     data = bytearray(valid)
     data[offset : offset + 4] = struct.pack("<I", value)
     check_model_bytes(root, bytes(data))

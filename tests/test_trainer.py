@@ -407,9 +407,7 @@ class TestTraining:
             assert np.isfinite(mat).all()
 
     def test_needs_two_slots(self):
-        table = corpus.TimeSlotTable(
-            slots=(corpus.TimeSlot(1700, 1750, "1700-1750"),), window_years=50, step_years=50
-        )
+        table = corpus.TimeSlotTable((corpus.TimeSlot(1700, 1750, "1700-1750"),))
         docs = slot_documents([[["a", "b"]]], table)
         vocab = corpus.build_vocab(docs, table, min_count=1)
         with pytest.raises(ValueError):
@@ -546,16 +544,23 @@ class TestModelFile:
     def test_roundtrip_bit_exact(self, tmp_path, synonym_model):
         path1 = tmp_path / "m1.bin"
         path2 = tmp_path / "m2.bin"
-        trainer.save_model(synonym_model, path1)
+        vocab = synonym_model.vocab
+        # a lemma may hold multi-byte UTF-8 and an internal space
+        words = ["grüne au", "straße", "日本語", *vocab.words[3:]]
+        starts = [s.start for s in synonym_model.slot_table]
+        model = make_model(
+            words, starts, synonym_model.base, synonym_model.deltas, synonym_model.context,
+            vocab.slot_counts, vocab.global_counts,
+        )
+        trainer.save_model(model, path1)
         loaded = trainer.load_model(path1)
-        assert np.array_equal(loaded.base, synonym_model.base)
-        assert np.array_equal(loaded.deltas, synonym_model.deltas)
-        assert np.array_equal(loaded.context, synonym_model.context)
-        assert loaded.vocab.words == synonym_model.vocab.words
-        assert np.array_equal(loaded.vocab.slot_counts, synonym_model.vocab.slot_counts)
-        assert [
-            (s.start, s.end) for s in loaded.slot_table
-        ] == [(s.start, s.end) for s in synonym_model.slot_table]
+        assert np.array_equal(loaded.base, model.base)
+        assert np.array_equal(loaded.deltas, model.deltas)
+        assert np.array_equal(loaded.context, model.context)
+        assert loaded.vocab.words == words
+        assert np.array_equal(loaded.vocab.global_counts, vocab.global_counts)
+        assert np.array_equal(loaded.vocab.slot_counts, vocab.slot_counts)
+        assert [(s.start, s.end) for s in loaded.slot_table] == [(s.start, s.end) for s in synonym_model.slot_table]
         trainer.save_model(loaded, path2)
         assert path1.read_bytes() == path2.read_bytes()
 
@@ -573,19 +578,20 @@ class TestModelFile:
         with pytest.raises(trainer.ModelFormatError, match="not a model file"):
             trainer.load_model(path)
 
-    def test_unsupported_version_errors(self, tmp_path, synonym_model):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unsupported_version_errors(self, tmp_path, synonym_model, version):
         path = tmp_path / "m.bin"
         trainer.save_model(synonym_model, path)
         data = bytearray(path.read_bytes())
-        data[4] = 99
+        data[4] = version
         path.write_bytes(bytes(data))
-        with pytest.raises(trainer.ModelFormatError, match="version"):
+        with pytest.raises(trainer.ModelFormatError, match=f"version {version} "):
             trainer.load_model(path)
 
     def test_oversized_header_errors_before_allocating(self, tmp_path):
         # 36 bytes claiming 2**32 - 1 words once made numpy try to allocate 32 GiB
         path = tmp_path / "m.bin"
-        header = struct.pack("<IIII", 1, 100, 2**32 - 1, 2) + struct.pack("<iiii", 1600, 1650, 1650, 1700)
+        header = struct.pack("<IIII", trainer.MODEL_VERSION, 100, 2**32 - 1, 2) + struct.pack("<iiii", 1600, 1650, 1650, 1700)
         path.write_bytes(trainer.MODEL_MAGIC + header)
         assert path.stat().st_size == 36
         with pytest.raises(trainer.ModelFormatError, match="truncated"):
@@ -612,8 +618,8 @@ class TestModelFile:
 
     def test_invalid_utf8_word_errors(self, tmp_path):
         path = tmp_path / "m.bin"
-        write_tiny_model(path, TINY_WORD0, b"\xff")
-        with pytest.raises(trainer.ModelFormatError, match="UTF-8"):
+        write_tiny_model(path, TINY_WORD0 + 1, b"\xff")
+        with pytest.raises(trainer.ModelFormatError, match="word 1 .* UTF-8"):
             trainer.load_model(path)
 
     def test_non_increasing_slot_years_error(self, tmp_path):
