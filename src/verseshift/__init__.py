@@ -29,7 +29,7 @@ from .corpus import (
     load_stopwords,
     normalize,
 )
-from .linalg import PcaResult, cosine_similarity, pca
+from .linalg import PcaResult, pca
 from .synthgen import PlantedWord, SynthSpec, generate, generate_jsonl, load_spec
 from .trainer import (
     JointEmbeddingModel,

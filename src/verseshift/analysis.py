@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TimeSlot
-from .linalg import rowwise_cosine
+from .linalg import row_norms, rowwise_cosine
 from .trainer import JointEmbeddingModel
 
 log = logging.getLogger(__name__)
@@ -154,6 +154,9 @@ def total_self_similarity(
     slot are measured. For each such word the cosines of all unordered slot
     pairs are bucketed by distance and averaged, leaving one value per word
     and distance; the summaries then describe the word sample per distance.
+    The slot vectors are built ROW_BLOCK words at a time (see
+    :meth:`JointEmbeddingModel.slot_blocks`), so the memory beyond the model
+    is one block, whatever the number of eligible words.
     """
     vocab = model.vocab
     eligible_mask = (vocab.slot_counts >= min_per_slot).all(axis=0)
@@ -176,12 +179,12 @@ def total_self_similarity(
     dist_pos = {dist: k for k, dist in enumerate(distances)}
 
     sums = np.zeros((word_indices.size, len(distances)))
-    counts = np.zeros(len(distances), dtype=np.int64)
-    slot_mats = [model.slot_vectors(t, word_indices) for t in range(model.n_slots)]
-    for (i, j), dist in dist_of_pair.items():
-        cos = rowwise_cosine(slot_mats[i], slot_mats[j])
-        sums[:, dist_pos[dist]] += cos
-        counts[dist_pos[dist]] += 1
+    counts = np.bincount([dist_pos[dist] for dist in dist_of_pair.values()], minlength=len(distances))
+    for lo, vecs in model.slot_blocks(word_indices):
+        norms = [row_norms(v) for v in vecs]
+        rows = slice(lo, lo + len(vecs[0]))
+        for (i, j), dist in dist_of_pair.items():
+            sums[rows, dist_pos[dist]] += rowwise_cosine(vecs[i], vecs[j], norms[i], norms[j])
     word_means = sums / counts[None, :]
     summaries = [DistributionSummary.from_values(word_means[:, k]) for k in range(len(distances))]
     return TotalSelfSim(

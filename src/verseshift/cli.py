@@ -187,24 +187,27 @@ class _Echo:
 
 
 def _write_trajectories(path: Path, trajectories: list[tropes.SimilarityTrajectory], starts: list[int]) -> None:
-    """trajectories.csv as _write_csv writes it, one row per candidate and slot, in one write.
+    """trajectories.csv as _write_csv writes it, one row per candidate and slot, one write per block.
 
     Each candidate's ``target,candidate`` prefix is quoted once by a writer
     with _write_csv's dialect (its ``\\r\\n`` terminator decides whether a
     ``\\r`` forces quotes); the numeric cells, which that dialect never quotes,
     fill per-slot %-templates, since ``"%.6f" % x == f"{x:.6f}"`` for a float.
+    The text of ROW_BLOCK candidates is joined and written at a time.
     """
     quote = csv.writer(_Echo()).writerow
     slot_cells = [f",{start},%.6f,%d" for start in starts]
-    chunks = [quote(["target", "candidate", "slot_start", "value", "imputed"])]
     cells = [0] * (2 * len(starts))  # value, imputed flag, per slot
-    for t in trajectories:
-        prefix = quote([t.target, t.candidate])[:-2].replace("%", "%%")  # a % in a word is no format
-        cells[0::2] = t.values.tolist()
-        cells[1::2] = t.imputed.tolist()
-        chunks.append((prefix + ("\r\n" + prefix).join(slot_cells) + "\r\n") % tuple(cells))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(chunks))
+        fh.write(quote(["target", "candidate", "slot_start", "value", "imputed"]))
+        for lo in range(0, len(trajectories), trainer.ROW_BLOCK):
+            chunks = []
+            for t in trajectories[lo : lo + trainer.ROW_BLOCK]:
+                prefix = quote([t.target, t.candidate])[:-2].replace("%", "%%")  # a % in a word is no format
+                cells[0::2] = t.values.tolist()
+                cells[1::2] = t.imputed.tolist()
+                chunks.append((prefix + ("\r\n" + prefix).join(slot_cells) + "\r\n") % tuple(cells))
+            fh.write("".join(chunks))
 
 
 def _summary_row(prefix: list, s: analysis.DistributionSummary) -> list:

@@ -275,7 +275,10 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 class TimeSlot:
     start: int  # inclusive
     end: int  # exclusive
-    label: str
+
+    @property
+    def label(self) -> str:
+        return f"{self.start}-{self.end}"
 
     def contains(self, year: int) -> bool:
         return self.start <= year < self.end
@@ -345,8 +348,7 @@ def build_slots(
         bounds = [(bounds[0][0], bounds[1][1])] + bounds[2:]
     if len(bounds) < 2:
         raise ValueError(f"degenerate slotting: only {len(bounds)} slot(s)")
-    slots = tuple(TimeSlot(a, b, f"{a}-{b}") for a, b in bounds)
-    return TimeSlotTable(slots)
+    return TimeSlotTable(tuple(TimeSlot(a, b) for a, b in bounds))
 
 
 def assign_slots(years, table: TimeSlotTable) -> np.ndarray:
@@ -380,22 +382,15 @@ class Vocabulary:
     index: dict[str, int]
     global_counts: np.ndarray  # (V,) int64
     slot_counts: np.ndarray  # (S, V) int64
-    slot_total_tokens: np.ndarray  # (S,) int64, includes out-of-vocabulary tokens
+    # (S,) int64 tokens per slot: build_vocab counts out-of-vocabulary tokens too, while
+    # load_model can only sum the in-vocabulary slot counts, as model.bin holds no others
+    slot_total_tokens: np.ndarray
 
     def __len__(self) -> int:
         return len(self.words)
 
     def __contains__(self, word: str) -> bool:
         return word in self.index
-
-    @property
-    def n_slots(self) -> int:
-        return int(self.slot_counts.shape[0])
-
-    def all_slot_words(self, min_per_slot: int = 50) -> list[str]:
-        """Words occurring at least ``min_per_slot`` times in every slot."""
-        ok = (self.slot_counts >= min_per_slot).all(axis=0)
-        return [self.words[i] for i in np.flatnonzero(ok)]
 
 
 def build_vocab(docs: Documents, table: TimeSlotTable, min_count: int = 5) -> Vocabulary:

@@ -7,25 +7,28 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``a`` (of ``a`` itself for a single vector), in float64."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.sqrt(np.einsum("...d,...d->...", a, a))
+
+
+def rowwise_cosine(a: np.ndarray, b: np.ndarray, norm_a=None, norm_b=None) -> np.ndarray:
     """Cosine between matching rows of ``a`` and ``b``, the one cosine kernel.
 
     ``b`` is either shaped like ``a`` or a single vector compared against
-    every row. Raises ValueError on zero-norm input rather than silently
+    every row. ``norm_a`` and ``norm_b`` may pass in the :func:`row_norms`
+    of an operand that is compared more than once; the result is the same
+    bit for bit. Raises ValueError on zero-norm input rather than silently
     returning 0.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na = np.sqrt(np.einsum("...d,...d->...", a, a))
-    nb = np.sqrt(np.einsum("...d,...d->...", b, b))
+    na = row_norms(a) if norm_a is None else norm_a
+    nb = row_norms(b) if norm_b is None else norm_b
     if np.any(na == 0.0) or np.any(nb == 0.0):
         raise ValueError("cosine similarity is undefined for zero-norm vectors")
     return np.einsum("...d,...d->...", a, b) / (na * nb)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1]."""
-    return float(rowwise_cosine(a, b))
 
 
 @dataclass

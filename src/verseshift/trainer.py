@@ -16,7 +16,10 @@ context rows to update by the group size.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import math
+import mmap
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +40,7 @@ PAIR_GROUP = 32  # consecutive pairs of a minibatch that share one negative set
 # numpy's pairwise sum adds fewer than 8 terms left to right, so up to 8 rows
 # reduceat's order is the first row plus a left-to-right sum of the rest.
 SCATTER_CUTOFF = 8
+ROW_BLOCK = 256  # words whose float64 slot vectors an analysis holds at once
 
 
 class ModelFormatError(Exception):
@@ -308,6 +312,17 @@ class JointEmbeddingModel:
             return self.base.astype(np.float64) + self.deltas[slot].astype(np.float64)
         return self.base[rows].astype(np.float64) + self.deltas[slot][rows].astype(np.float64)
 
+    def slot_blocks(self, rows: np.ndarray):
+        """The vectors of ``rows`` in every slot, ROW_BLOCK rows at a time.
+
+        Yields the offset of each block in ``rows`` and the block's S float64
+        :meth:`slot_vectors` matrices, so a caller holds S * ROW_BLOCK * d
+        floats rather than S * len(rows) * d.
+        """
+        for lo in range(0, rows.size, ROW_BLOCK):
+            block = rows[lo : lo + ROW_BLOCK]
+            yield lo, [self.slot_vectors(t, block) for t in range(self.n_slots)]
+
     def nearest_neighbors(self, word: str, slot: int, k: int) -> list[tuple[str, float]]:
         """Top-k vocabulary words by cosine against the query word in a slot.
 
@@ -510,26 +525,43 @@ def train(
 
 
 def save_model(model: JointEmbeddingModel, path) -> None:
-    """Write the little-endian binary model file: a header, then one block per column."""
+    """Write the little-endian binary model file: a header, then one block per column.
+
+    The file is written under a temporary name next to ``path`` and then
+    renamed over it, so a reader never sees a partial file: a process that
+    has the old file mapped keeps reading the old bytes, and a failed write
+    leaves the old file as it was.
+    """
     vocab = model.vocab
     raw = [word.encode("utf-8") for word in vocab.words]
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<IIII", MODEL_VERSION, model.dim, len(vocab), model.n_slots))
-        fh.write(np.array([(slot.start, slot.end) for slot in model.slot_table], dtype="<i4"))
-        fh.write(np.array([len(r) for r in raw], dtype="<u4"))
-        fh.write(np.column_stack((vocab.global_counts, vocab.slot_counts.T)).astype("<u8", order="C"))
-        fh.write(b"".join(raw))
-        for mat in (model.base, model.deltas, model.context):
-            fh.write(np.ascontiguousarray(mat, dtype="<f4"))
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MODEL_MAGIC)
+            fh.write(struct.pack("<IIII", MODEL_VERSION, model.dim, len(vocab), model.n_slots))
+            fh.write(np.array([(slot.start, slot.end) for slot in model.slot_table], dtype="<i4"))
+            fh.write(np.array([len(r) for r in raw], dtype="<u4"))
+            fh.write(np.column_stack((vocab.global_counts, vocab.slot_counts.T)).astype("<u8", order="C"))
+            fh.write(b"".join(raw))
+            for mat in (model.base, model.deltas, model.context):
+                fh.write(np.ascontiguousarray(mat, dtype="<f4"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_model(path) -> JointEmbeddingModel:
-    """Read a model file written by :func:`save_model`, each block straight into its array.
+    """Map a model file written by :func:`save_model` read-only and view each block in place.
 
     The header's sizes are checked against the file length before any array
     is allocated, and with the word lengths the length must match exactly.
     A corrupt file or a non-finite matrix value raises ModelFormatError.
+    The matrices are read-only views of the mapped file, so loading costs
+    no copy; the file must not be truncated in place while they are in use
+    (:func:`save_model` replaces a file instead of rewriting it).
     """
     try:
         fh = open(path, "rb")
@@ -537,42 +569,54 @@ def load_model(path) -> JointEmbeddingModel:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     with fh:
         size = os.fstat(fh.fileno()).st_size
-
-        def block(dtype: str, shape) -> np.ndarray:
-            out = np.empty(shape, dtype=dtype)
-            if fh.readinto(memoryview(out).cast("B")) != out.nbytes:
-                raise ModelFormatError(f"truncated model file {path}")
-            return out
-
-        if fh.read(4) != MODEL_MAGIC:
-            raise ModelFormatError(f"{path} is not a model file (bad magic)")
-        version, d, n_words, n_slots = block("<u4", 4).tolist()
-        if version != MODEL_VERSION:
-            raise ModelFormatError(f"unsupported model version {version} in {path}")
-        if n_words == 0 or n_slots == 0 or d == 0:
-            raise ModelFormatError(f"empty dimensions in model header of {path}")
-        payload = 4 * d * n_words * (n_slots + 2)
-        # slot years, word lengths, counts, the f32 matrices; the words themselves may be empty
-        fixed = 20 + 8 * n_slots + n_words * (12 + 8 * n_slots)
-        if size < fixed + payload:
-            raise ModelFormatError(f"truncated model file {path}: header sizes exceed its length")
-        years = block("<i4", (n_slots, 2)).tolist()
-        lengths = block("<u4", n_words)
-        n_bytes = int(lengths.sum(dtype=np.uint64))
-        if size != fixed + n_bytes + payload:
-            raise ModelFormatError(f"{path} is {size} bytes, its word lengths say {fixed + n_bytes + payload}")
-        counts = block("<u8", (n_words, n_slots + 1))  # the global count, then one count per slot
-        raw = block("u1", n_bytes).data
-        pos = 0  # where the next word starts in raw
         try:
-            words = [str(raw[pos : (pos := pos + n)], "utf-8") for n in lengths.tolist()]
-        except UnicodeDecodeError as exc:  # pos is already the end of the failing word
-            i = int(np.searchsorted(np.cumsum(lengths), pos))
-            raise ModelFormatError(f"word {i} in {path} is not valid UTF-8") from exc
-        mats = block("<f4", (n_slots + 2, n_words, d))  # base, the per-slot deltas, then context
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+        except (OSError, ValueError) as exc:
+            raise ModelFormatError(f"cannot map model file {path}: {exc}") from exc
+    if len(buf) != size:
+        raise ModelFormatError(f"model file {path} changed while it was opened")
+    offset = 4  # where the next block starts, past the magic
+
+    def block(dtype: str, shape: tuple) -> np.ndarray:
+        nonlocal offset
+        count = math.prod(shape)
+        end = offset + count * np.dtype(dtype).itemsize
+        if end > size:
+            raise ModelFormatError(f"truncated model file {path}")
+        out = np.frombuffer(buf, dtype=dtype, count=count, offset=offset).reshape(shape)
+        offset = end
+        return out
+
+    if buf[:4] != MODEL_MAGIC:
+        raise ModelFormatError(f"{path} is not a model file (bad magic)")
+    version, d, n_words, n_slots = block("<u4", (4,)).tolist()
+    if version != MODEL_VERSION:
+        raise ModelFormatError(f"unsupported model version {version} in {path}")
+    if n_words == 0 or n_slots == 0 or d == 0:
+        raise ModelFormatError(f"empty dimensions in model header of {path}")
+    payload = 4 * d * n_words * (n_slots + 2)
+    # slot years, word lengths, counts, the f32 matrices; the words themselves may be empty
+    fixed = 20 + 8 * n_slots + n_words * (12 + 8 * n_slots)
+    if size < fixed + payload:
+        raise ModelFormatError(f"truncated model file {path}: header sizes exceed its length")
+    years = block("<i4", (n_slots, 2)).tolist()
+    lengths = block("<u4", (n_words,))
+    n_bytes = int(lengths.sum(dtype=np.uint64))
+    if size != fixed + n_bytes + payload:
+        raise ModelFormatError(f"{path} is {size} bytes, its word lengths say {fixed + n_bytes + payload}")
+    counts = block("<u8", (n_words, n_slots + 1))  # the global count, then one count per slot
+    raw = block("u1", (n_bytes,)).data
+    pos = 0  # where the next word starts in raw
+    try:
+        words = [str(raw[pos : (pos := pos + n)], "utf-8") for n in lengths.tolist()]
+    except UnicodeDecodeError as exc:  # pos is already the end of the failing word
+        i = int(np.searchsorted(np.cumsum(lengths), pos))
+        raise ModelFormatError(f"word {i} in {path} is not valid UTF-8") from exc
+    head = offset - offset % mmap.PAGESIZE  # the whole pages before the matrices
+    mats = block("<f4", (n_slots + 2, n_words, d))  # base, the per-slot deltas, then context
 
     try:
-        table = TimeSlotTable(tuple(TimeSlot(start, end, f"{start}-{end}") for start, end in years))
+        table = TimeSlotTable(tuple(TimeSlot(start, end) for start, end in years))
     except ValueError as exc:
         raise ModelFormatError(f"invalid slot years in {path}: {exc}") from exc
     if (counts >= np.uint64(1 << 63)).any():
@@ -580,6 +624,8 @@ def load_model(path) -> JointEmbeddingModel:
     counts = counts.astype(np.int64).T.copy()  # (S+1, V): the global counts, then one row per slot
     index = {w: i for i, w in enumerate(words)}
     vocab = Vocabulary(words, index, counts[0], counts[1:], slot_total_tokens=counts[1:].sum(axis=1))
+    if head:  # the header blocks are copied out by now; their mapped pages need not stay resident
+        buf.madvise(mmap.MADV_DONTNEED, 0, head)
     for i, mat in enumerate(mats):  # slab by slab, so no full-size temporary
         if not np.isfinite(mat).all():
             name = "base" if i == 0 else "context" if i == n_slots + 1 else f"slot {i - 1} delta"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import PcaResult, pca, rowwise_cosine
+from .linalg import PcaResult, pca, row_norms, rowwise_cosine
 from .trainer import JointEmbeddingModel
 
 log = logging.getLogger(__name__)
@@ -43,7 +43,8 @@ def build_trajectories(
     neighboring measured slots (edges copy the nearest measured value).
     The returned list is ordered by vocabulary index. All trajectories
     share one ``(C, S)`` value matrix and one imputed mask: each ``values``
-    and ``imputed`` is a row view.
+    and ``imputed`` is a row view. The matrix is filled ROW_BLOCK candidates
+    at a time (see :meth:`JointEmbeddingModel.slot_blocks`).
     """
     vocab = model.vocab
     ti = model._word_index(target)
@@ -51,7 +52,7 @@ def build_trajectories(
         missing = [model.slot_table[s].label for s in np.flatnonzero(vocab.slot_counts[:, ti] < 1)]
         raise ValueError(f"target {target!r} is absent from slot(s): {', '.join(missing)}")
 
-    missing_slots = (vocab.slot_counts < min_per_slot).astype(np.int64)
+    missing_slots = vocab.slot_counts < min_per_slot
     cand_mask = (
         (vocab.global_counts >= min_global)
         & (missing_slots.sum(axis=0) <= MAX_MISSING)
@@ -63,11 +64,14 @@ def build_trajectories(
 
     n_slots = model.n_slots
     values = np.empty((cand.size, n_slots))
-    base = model.base[cand].astype(np.float64)  # the float64 sum slot_vectors forms, gathered once
-    for t in range(n_slots):
-        values[:, t] = rowwise_cosine(base + model.deltas[t][cand].astype(np.float64), model.embedding_of(target, t))
+    targets = [model.embedding_of(target, t) for t in range(n_slots)]
+    target_norms = [row_norms(v) for v in targets]
+    for lo, vecs in model.slot_blocks(cand):
+        block = values[lo : lo + len(vecs[0])]
+        for t, v in enumerate(vecs):
+            block[:, t] = rowwise_cosine(v, targets[t], norm_b=target_norms[t])
 
-    imputed = np.ascontiguousarray(missing_slots[:, cand].T, dtype=bool)
+    imputed = np.ascontiguousarray(missing_slots[:, cand].T)
     slot_axis = np.arange(n_slots, dtype=np.float64)
     for row in np.flatnonzero(imputed.any(axis=1)):
         mask = imputed[row]

@@ -11,6 +11,9 @@ replaced. The step oracle is the training step with fancy-index gathers, a
 padded copy of every group and the ``logaddexp`` loss. The training oracle
 is the single-worker loop that drew every epoch's subsampling masks up
 front and shuffled concatenated per-slot pair arrays by permuted copies.
+The analysis oracles build every float64 slot vector of the measured words
+at once, as the analyses did before they worked in row blocks, with the
+cosine written out in the kernel's own operations.
 """
 
 from __future__ import annotations
@@ -290,3 +293,46 @@ def train_reference(docs, vocab, slot_table, config):
         pairs_done += epoch_pair_counts[epoch]
         model.epoch_losses.append(epoch_loss / max(1, epoch_pair_counts[epoch]))
     return model
+
+
+def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The row cosine in the operations of linalg.rowwise_cosine, for bit-equal comparisons."""
+    na = np.sqrt(np.einsum("...d,...d->...", a, a))
+    nb = np.sqrt(np.einsum("...d,...d->...", b, b))
+    return np.einsum("...d,...d->...", a, b) / (na * nb)
+
+
+def _slot_vectors(model, slot: int, rows: np.ndarray) -> np.ndarray:
+    return model.base[rows].astype(np.float64) + model.deltas[slot][rows].astype(np.float64)
+
+
+def total_word_means_unblocked(model, word_indices: np.ndarray) -> np.ndarray:
+    """(n, distances) mean cosine per word and slot distance from all n * S slot vectors at once."""
+    starts = [slot.start for slot in model.slot_table]
+    n_slots = len(starts)
+    pairs = [(i, j) for i in range(n_slots) for j in range(i + 1, n_slots)]
+    distances = sorted({starts[j] - starts[i] for i, j in pairs})
+    sums = np.zeros((word_indices.size, len(distances)))
+    counts = np.zeros(len(distances), dtype=np.int64)
+    slot_mats = [_slot_vectors(model, t, word_indices) for t in range(n_slots)]
+    for i, j in pairs:
+        k = distances.index(starts[j] - starts[i])
+        sums[:, k] += _cosine(slot_mats[i], slot_mats[j])
+        counts[k] += 1
+    return sums / counts[None, :]
+
+
+def trajectory_values_unblocked(model, target: int, cand: np.ndarray, imputed: np.ndarray) -> np.ndarray:
+    """(C, S) cosines of the candidates against the target, each slot over all candidates at once.
+
+    Rows marked in ``imputed`` are interpolated between their measured slots.
+    """
+    n_slots = len(model.slot_table)
+    values = np.empty((cand.size, n_slots))
+    for t in range(n_slots):
+        values[:, t] = _cosine(_slot_vectors(model, t, cand), _slot_vectors(model, t, np.array([target]))[0])
+    slot_axis = np.arange(n_slots, dtype=np.float64)
+    for row in np.flatnonzero(imputed.any(axis=1)):
+        mask = imputed[row]
+        values[row, mask] = np.interp(slot_axis[mask], slot_axis[~mask], values[row, ~mask])
+    return values

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ def make_vocab(words, slot_counts, global_counts=None):
 
 
 def make_table(starts, width=50):
-    return corpus.TimeSlotTable(tuple(corpus.TimeSlot(s, s + width, f"{s}-{s + width}") for s in starts))
+    return corpus.TimeSlotTable(tuple(corpus.TimeSlot(s, s + width) for s in starts))
 
 
 def make_model(words, slot_starts, base, deltas, context=None, slot_counts=None, global_counts=None):
@@ -62,6 +64,31 @@ def make_model(words, slot_starts, base, deltas, context=None, slot_counts=None,
     if context is None:
         context = np.zeros_like(base)
     return trainer.JointEmbeddingModel(vocab, table, base, deltas, np.asarray(context, np.float32))
+
+
+def working_bytes(fn):
+    """Run ``fn``; returns its result and its traced peak above what that result keeps.
+
+    ``fn`` runs once untraced first, so one-time imports and caches do not count.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
+
+
+def stack_model(n_words=6000, n_slots=13, dim=32, seed=0):
+    """A model at the analysis-memory test shape; every word is in every slot 60 times."""
+    rng = np.random.default_rng(seed)
+    return make_model(
+        [f"w{i}" for i in range(n_words)], [1575 + 25 * t for t in range(n_slots)],
+        rng.normal(size=(n_words, dim)), rng.normal(scale=0.3, size=(n_slots, n_words, dim)),
+        slot_counts=np.full((n_slots, n_words), 60), global_counts=np.full(n_words, 800),
+    )
 
 
 # Byte offsets in the file write_tiny_model saves: 20-byte header (magic,

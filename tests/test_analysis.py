@@ -5,10 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from verseshift import analysis
+from verseshift import analysis, trainer
 from verseshift.analysis import DistributionSummary, SelfSimSeries
 
-from conftest import make_model, make_table
+from _oracles import total_word_means_unblocked
+from conftest import make_model, make_table, stack_model, working_bytes
+
+BLOCK = trainer.ROW_BLOCK
 
 
 def summary_list(medians):
@@ -212,6 +215,34 @@ class TestTotalSelfSim:
         total = analysis.total_self_similarity(model, min_per_slot=1)
         assert total.distances == [50, 100, 150]
         assert total.word_means.shape == (6, 3)
+
+
+class TestTotalSelfSimBlocks:
+    """The row-blocked word means equal the all-at-once ones bit for bit, in bounded memory."""
+
+    @pytest.mark.parametrize("n_eligible", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_word_means_bit_equal_to_unblocked(self, n_eligible):
+        rng = np.random.default_rng(n_eligible)
+        n_words, n_slots = n_eligible + 5, 6
+        counts = np.full((n_slots, n_words), 60)
+        ineligible = rng.choice(n_words, size=5, replace=False)
+        counts[rng.integers(0, n_slots, 5), ineligible] = 49  # each misses the threshold in one slot
+        starts = [1575 + 25 * t for t in range(n_slots)]  # sliding: several pairs share a distance
+        model = make_model(
+            [f"w{i}" for i in range(n_words)], starts,
+            rng.normal(size=(n_words, 8)), rng.normal(scale=0.3, size=(n_slots, n_words, 8)), slot_counts=counts,
+        )
+        total = analysis.total_self_similarity(model, min_per_slot=50)
+        assert total.word_indices.tolist() == sorted(set(range(n_words)) - set(ineligible.tolist()))
+        assert np.array_equal(total.word_means, total_word_means_unblocked(model, total.word_indices))
+
+    def test_working_memory_is_one_block(self):
+        model = stack_model()
+        stack = model.deltas.size * 8  # every word's float64 vector in every slot
+        total, extra = working_bytes(lambda: analysis.total_self_similarity(model, min_per_slot=50))
+        assert len(total.words) == len(model.vocab)
+        # one block of S * ROW_BLOCK vectors and the (words, distances) sums: about 0.09 of the stack
+        assert extra < 0.2 * stack
 
 
 class TestFrequencyBands:

@@ -362,8 +362,8 @@ class TestVocabulary:
         table = corpus.build_slots(1600, 1700, 50, 50)
         docs = [(["oft"] * 50 + ["selten"], 1610), (["oft"] * 50, 1660)]
         vocab = corpus.build_vocab(_documents(docs), table, min_count=1)
-        assert vocab.all_slot_words(min_per_slot=50) == ["oft"]
-        assert vocab.all_slot_words(min_per_slot=51) == []
+        assert vocab.words == ["oft", "selten"]
+        assert vocab.slot_counts.min(axis=0).tolist() == [50, 0]  # oft reaches 50 in every slot, selten in none
 
     def test_fixed_mode_counts_sum_to_global(self):
         table = corpus.build_slots(1600, 1700, 50, 50)

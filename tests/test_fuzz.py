@@ -12,13 +12,14 @@ import json
 import shutil
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from verseshift import cli, corpus, trainer
 
-from conftest import TINY_DIM_FIELD, TINY_WORD_LENGTHS, write_tiny_model
+from conftest import TINY_DIM_FIELD, TINY_WORD_LENGTHS, make_model, write_tiny_model
 
 # the whole module runs in a few seconds: each CLI ingest example costs about 50 ms
 MODEL_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -141,6 +142,46 @@ def test_arbitrary_selfsim_config(fuzz_dir, config):
         assert cli.main(["selfsim", "--config", str(path)]) in (0, 1, 2)
 
 
+REPORTS_TARGET = "r0300"
+
+
+@pytest.fixture(scope="module")
+def reports_model(fuzz_dir):
+    """A 600-word model on which every analysis succeeds at its default settings.
+
+    Built like the benchmark's reports model at a smaller size: Zipf counts
+    over 7 sliding slots, random base vectors with small per-slot deltas, and
+    two thirds of the 200 most frequent words turning from slot 3 on. At
+    the defaults, 421 words reach totalsim's 50 per slot and the 599 besides
+    the target are tropes candidates, so both fill more than one row block.
+    """
+    root, _ = fuzz_dir
+    rng = np.random.default_rng(11)
+    n_words, n_slots, dim = 600, 7, 16
+    expected = 1.0e5 / np.arange(1, n_words + 1)
+    halves = rng.poisson(expected / (n_slots + 1), size=(n_slots + 1, n_words))
+    slot_counts = halves[:-1] + halves[1:]  # a 50-year slot holds two 25-year halves
+    deltas = rng.normal(scale=0.1, size=(n_slots, n_words, dim))
+    turners = rng.permutation(200)[:133]
+    deltas[3:, turners] += rng.normal(scale=0.9, size=(turners.size, dim))
+    model = make_model(
+        [f"r{i:04d}" for i in range(n_words)], [1600 + 25 * t for t in range(n_slots)],
+        rng.normal(size=(n_words, dim)), deltas, slot_counts=slot_counts, global_counts=halves.sum(axis=0),
+    )
+    path = root / "reports.bin"
+    trainer.save_model(model, path)
+    return path
+
+
+def test_reports_model_analyses_succeed(fuzz_dir, reports_model):
+    """The fuzz fixture reaches past the failure paths: every analysis runs at its defaults."""
+    root, _ = fuzz_dir
+    for command, extra in (("changepoints", []), ("totalsim", []), ("tropes", ["--target", REPORTS_TARGET])):
+        out = root / f"defaults-{command}"
+        assert cli.main([command, "--out", str(out), "--model", str(reports_model), *extra]) == 0
+        assert any(out.iterdir())
+
+
 INTEGER_SETTINGS = {
     command: [s for s in cli.COMMANDS[command][1] if s.type is int] for command in ("changepoints", "totalsim", "tropes")
 }
@@ -148,17 +189,26 @@ integer_values = st.integers(-3, 6) | st.integers(-(2**70), 2**70)
 
 
 @CORPUS_FUZZ
-@given(data=st.data(), command=st.sampled_from(sorted(INTEGER_SETTINGS)), via_config=st.booleans())
-def test_integer_settings(fuzz_dir, data, command, via_config):
-    """Any integer for every integer setting, as flag or config; a failing command leaves no --out."""
+@given(
+    data=st.data(),
+    command=st.sampled_from(sorted(INTEGER_SETTINGS)),
+    via_config=st.booleans(),
+    on_reports=st.booleans(),
+)
+def test_integer_settings(fuzz_dir, reports_model, data, command, via_config, on_reports):
+    """Any integer for every integer setting, as flag or config; a failing command leaves no --out.
+
+    The tiny model reaches each command's failure paths; the reports-style
+    model lets the same settings run the analyses through.
+    """
     root, _ = fuzz_dir
     settings_ = INTEGER_SETTINGS[command]
     values = data.draw(st.fixed_dictionaries({}, optional={s.name: integer_values for s in settings_}))
     out = root / "integer-out"
     shutil.rmtree(out, ignore_errors=True)
-    argv = [command, "--out", str(out), "--model", str(root / "valid.bin")]
+    argv = [command, "--out", str(out), "--model", str(reports_model if on_reports else root / "valid.bin")]
     if command == "tropes":
-        argv += ["--target", "a"]  # a word of the tiny model
+        argv += ["--target", REPORTS_TARGET if on_reports else "a"]  # a word of the model
     if via_config:
         config: dict = {}
         for s in settings_:

@@ -17,20 +17,20 @@ def vectors(min_size=2, max_size=8):
 class TestCosineSimilarity:
     def test_identity_is_one(self):
         v = np.array([0.3, -2.0, 5.0])
-        assert linalg.cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert linalg.rowwise_cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_is_zero(self):
-        assert linalg.cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert linalg.rowwise_cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_three_four_example(self):
         # dot = 24, norms 5 * 5 -> 24/25
-        assert linalg.cosine_similarity([3.0, 4.0], [4.0, 3.0]) == pytest.approx(0.96, abs=1e-15)
+        assert linalg.rowwise_cosine([3.0, 4.0], [4.0, 3.0]) == pytest.approx(0.96, abs=1e-15)
 
     def test_zero_norm_raises(self):
         with pytest.raises(ValueError):
-            linalg.cosine_similarity([0.0, 0.0], [1.0, 0.0])
+            linalg.rowwise_cosine([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ValueError):
-            linalg.cosine_similarity([1.0, 0.0], [0.0, 0.0])
+            linalg.rowwise_cosine([1.0, 0.0], [0.0, 0.0])
 
     @given(vectors(), vectors())
     def test_bounded(self, a, b):
@@ -38,7 +38,7 @@ class TestCosineSimilarity:
         a, b = np.array(a[:n]), np.array(b[:n])
         if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
             return
-        c = linalg.cosine_similarity(a, b)
+        c = linalg.rowwise_cosine(a, b)
         assert -1.0 - 1e-6 <= c <= 1.0 + 1e-6
 
     @given(vectors())
@@ -46,7 +46,23 @@ class TestCosineSimilarity:
         a = np.array(a)
         if np.linalg.norm(a) == 0:
             return
-        assert linalg.cosine_similarity(a, a) == pytest.approx(1.0, abs=1e-9)
+        assert linalg.rowwise_cosine(a, a) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestRowwiseCosine:
+    def test_precomputed_norms_give_the_same_bits(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(50, 7)), rng.normal(size=(50, 7))
+        want = linalg.rowwise_cosine(a, b)
+        got = linalg.rowwise_cosine(a, b, linalg.row_norms(a), linalg.row_norms(b))
+        assert np.array_equal(got, want)
+        v = b[0]
+        assert np.array_equal(linalg.rowwise_cosine(a, v, norm_b=linalg.row_norms(v)), linalg.rowwise_cosine(a, v))
+
+    def test_zero_precomputed_norm_raises(self):
+        a = np.ones((2, 3))
+        with pytest.raises(ValueError, match="zero-norm"):
+            linalg.rowwise_cosine(a, a, np.array([1.0, 0.0]), linalg.row_norms(a))
 
 
 class TestPca:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from verseshift import corpus, trainer
+from verseshift.linalg import rowwise_cosine
 
 from _oracles import log_sigmoid_logaddexp, scatter_add_rows_reduceat, sgd_step_reference, train_reference
 from conftest import (
@@ -407,7 +408,7 @@ class TestTraining:
             assert np.isfinite(mat).all()
 
     def test_needs_two_slots(self):
-        table = corpus.TimeSlotTable((corpus.TimeSlot(1700, 1750, "1700-1750"),))
+        table = corpus.TimeSlotTable((corpus.TimeSlot(1700, 1750),))
         docs = slot_documents([[["a", "b"]]], table)
         vocab = corpus.build_vocab(docs, table, min_count=1)
         with pytest.raises(ValueError):
@@ -490,12 +491,10 @@ class TestTrainMatchesReference:
 
 class TestTrainedSemantics:
     def test_synonym_clusters(self, synonym_model):
-        from verseshift.linalg import cosine_similarity
-
         model = synonym_model
 
         def sim(a, b):
-            return cosine_similarity(model.embedding_of(a, 0), model.embedding_of(b, 0))
+            return rowwise_cosine(model.embedding_of(a, 0), model.embedding_of(b, 0))
 
         assert sim("koenig", "fuerst") > sim("koenig", "apfel")
         assert sim("koenig", "fuerst") > sim("koenig", "birne")
@@ -507,11 +506,9 @@ class TestTrainedSemantics:
         assert neighbors[0][0] == "fuerst"
 
     def test_shifted_word_less_self_similar_than_stable(self, synonym_model):
-        from verseshift.linalg import cosine_similarity
-
         model = synonym_model
-        moved = cosine_similarity(model.embedding_of("wandel", 0), model.embedding_of("wandel", 1))
-        stable = cosine_similarity(model.embedding_of("fels", 0), model.embedding_of("fels", 1))
+        moved = rowwise_cosine(model.embedding_of("wandel", 0), model.embedding_of("wandel", 1))
+        stable = rowwise_cosine(model.embedding_of("fels", 0), model.embedding_of("fels", 1))
         assert moved < stable
 
 
@@ -563,6 +560,47 @@ class TestModelFile:
         assert [(s.start, s.end) for s in loaded.slot_table] == [(s.start, s.end) for s in synonym_model.slot_table]
         trainer.save_model(loaded, path2)
         assert path1.read_bytes() == path2.read_bytes()
+
+    def test_loaded_matrices_are_read_only(self, tmp_path):
+        path = tmp_path / "m.bin"
+        write_tiny_model(path)
+        model = trainer.load_model(path)
+        for mat in (model.base, model.deltas, model.context):
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 1.0
+
+    def test_loaded_model_keeps_values_when_path_is_saved_over(self, tmp_path, synonym_model):
+        path = tmp_path / "m.bin"
+        trainer.save_model(synonym_model, path)
+        loaded = trainer.load_model(path)
+        starts = [s.start for s in synonym_model.slot_table]
+        vocab = synonym_model.vocab
+        other = make_model(
+            vocab.words, starts, synonym_model.base + 1.0, synonym_model.deltas * 2.0,
+            synonym_model.context - 1.0, vocab.slot_counts, vocab.global_counts,
+        )
+        trainer.save_model(other, path)
+        for got, want in ((loaded.base, synonym_model.base), (loaded.deltas, synonym_model.deltas),
+                          (loaded.context, synonym_model.context)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(trainer.load_model(path).base, other.base)
+
+    def test_failed_save_leaves_old_file(self, tmp_path, synonym_model):
+        class Unwritable:
+            def __array__(self, *args, **kwargs):
+                raise OSError("no space left on device")
+
+        path = tmp_path / "m.bin"
+        trainer.save_model(synonym_model, path)
+        before = path.read_bytes()
+        broken = trainer.JointEmbeddingModel(
+            synonym_model.vocab, synonym_model.slot_table, synonym_model.base, synonym_model.deltas, Unwritable()
+        )
+        with pytest.raises(OSError, match="no space"):
+            trainer.save_model(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]  # no temporary file left behind
 
     def test_truncated_file_errors(self, tmp_path, synonym_model):
         path = tmp_path / "m.bin"

@@ -3,11 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from verseshift import tropes
+from verseshift import trainer, tropes
 from verseshift.linalg import rowwise_cosine
 from verseshift.tropes import SimilarityTrajectory
 
-from conftest import make_model
+from _oracles import trajectory_values_unblocked
+from conftest import make_model, stack_model, working_bytes
+
+BLOCK = trainer.ROW_BLOCK
 
 
 def angle_model(target_angle_by_slot, candidate_angles, counts=None):
@@ -131,6 +134,39 @@ class TestBuildTrajectories:
             assert t.values.dtype == np.float64 and t.imputed.dtype == bool
             assert np.array_equal(t.values, want)
             assert np.array_equal(t.imputed, mask)
+
+
+class TestTrajectoryBlocks:
+    """The row-blocked trajectory values equal the all-at-once ones bit for bit, in bounded memory."""
+
+    @pytest.mark.parametrize("n_candidates", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_values_bit_equal_to_unblocked(self, n_candidates):
+        rng = np.random.default_rng(n_candidates)
+        n_words, n_slots = n_candidates + 4, 6
+        counts = np.full((n_slots, n_words), 5)
+        rare = rng.choice(np.arange(1, n_words), size=3, replace=False)
+        counts[1:3, rare] = 0  # missing from two slots: no candidates
+        gaps = rng.choice(np.arange(1, n_words), size=n_words // 3, replace=False)
+        counts[rng.integers(0, n_slots, gaps.size), gaps] = 1  # one short slot each: imputed
+        model = make_model(
+            [f"w{i}" for i in range(n_words)], [1600 + 50 * t for t in range(n_slots)],
+            rng.normal(size=(n_words, 8)), rng.normal(size=(n_slots, n_words, 8)),
+            slot_counts=counts, global_counts=[100] * n_words,
+        )
+        trajectories = tropes.build_trajectories(model, "w0", min_global=1, min_per_slot=2)
+        cand = np.array([model.vocab.index[t.candidate] for t in trajectories])
+        assert cand.size == n_candidates
+        imputed = np.vstack([t.imputed for t in trajectories])
+        want = trajectory_values_unblocked(model, 0, cand, imputed)
+        assert np.array_equal(np.vstack([t.values for t in trajectories]), want)
+
+    def test_working_memory_is_one_block(self):
+        model = stack_model()
+        stack = model.deltas.size * 8  # every word's float64 vector in every slot
+        trajectories, extra = working_bytes(lambda: tropes.build_trajectories(model, "w0"))
+        assert len(trajectories) == len(model.vocab) - 1
+        # one block of S * ROW_BLOCK vectors and a (slots, words) mask: about 0.04 of the stack
+        assert extra < 0.08 * stack
 
 
 def class_fixture(per_class=30, n_slots=6, noise=0.02, seed=99):
