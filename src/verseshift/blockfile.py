@@ -1,0 +1,92 @@
+"""Little-endian binary files of consecutive fixed-dtype blocks: the model file and the corpus cache.
+
+A file starts with a magic and is then read block by block, each block a
+read-only numpy view of one mapping of the whole file, so reading copies
+nothing. Writers go through :func:`replacing`, so a reader that has a file
+mapped never sees it truncated.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import math
+import mmap
+import os
+
+import numpy as np
+
+
+class BlockReader:
+    """A file mapped read-only and read front to back as fixed-dtype blocks.
+
+    Every failure raises ``error(message)``; the message names the file and
+    ``what`` it should be.
+    """
+
+    def __init__(self, path, what: str, magic: bytes, error) -> None:
+        self.path, self.what, self.error = path, what, error
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise error(f"cannot read {what} {path}: {exc}") from exc
+        with fh:
+            self.size = os.fstat(fh.fileno()).st_size
+            try:
+                self.buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if self.size else b""
+            except (OSError, ValueError) as exc:
+                raise error(f"cannot map {what} {path}: {exc}") from exc
+        if len(self.buf) != self.size:
+            raise error(f"{what} {path} changed while it was opened")
+        if self.buf[: len(magic)] != magic:
+            raise error(f"{path} is not a {what} (bad magic)")
+        self.offset = len(magic)  # where the next block starts
+
+    def expect(self, n_bytes: int, exact: bool = False) -> None:
+        """Require ``n_bytes`` after the blocks read so far (exactly that many with ``exact``).
+
+        Called with the sizes a header declares before any block of them is
+        read, so a damaged count fails here instead of allocating.
+        """
+        left = self.size - self.offset
+        if left < n_bytes:
+            raise self.error(f"truncated {self.what} {self.path}: its header sizes exceed its length")
+        if exact and left != n_bytes:
+            raise self.error(f"{self.path} is {self.size} bytes, its header says {self.offset + n_bytes}")
+
+    def block(self, dtype: str, shape: tuple) -> np.ndarray:
+        count = math.prod(shape)
+        end = self.offset + count * np.dtype(dtype).itemsize
+        if end > self.size:
+            raise self.error(f"truncated {self.what} {self.path}")
+        out = np.frombuffer(self.buf, dtype=dtype, count=count, offset=self.offset).reshape(shape)
+        self.offset = end
+        return out
+
+    def strings(self, lengths: np.ndarray, noun: str) -> list[str]:
+        """The next block as UTF-8 strings of the given byte ``lengths``."""
+        raw = self.block("u1", (int(lengths.sum(dtype=np.uint64)),)).data
+        pos = 0  # where the next string starts in raw
+        try:
+            return [str(raw[pos : (pos := pos + n)], "utf-8") for n in lengths.tolist()]
+        except UnicodeDecodeError as exc:  # pos is already the end of the failing string
+            i = int(np.searchsorted(np.cumsum(lengths), pos))
+            raise self.error(f"{noun} {i} in {self.path} is not valid UTF-8") from exc
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Write to a temporary file next to ``path``, then rename it over ``path``.
+
+    A process that has the old file mapped keeps reading the old bytes, and
+    a failed write leaves the old file as it was and no temporary behind.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

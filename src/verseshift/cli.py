@@ -52,7 +52,7 @@ class Setting:
 CONFIG = Setting("config", None, str, None, "JSON config file; flags override its values")
 COMMON = (CONFIG, Setting("out", "out", str, "out", "output directory"))
 MODEL = Setting("model", "model", str, None, "model file path (default <out>/model.bin)")
-CACHE = Setting("cache", "cache", str, None, "normalized cache path (default <out>/normalized.jsonl)")
+CACHE = Setting("cache", "cache", str, None, "normalized cache path (default <out>/normalized.bin)")
 SLOTS = (
     Setting("slots", "slots.mode", str, "fixed", "slotting mode", choices=("fixed", "sliding")),
     Setting("start", "slots.start", int, 1575, "first slot start year"),
@@ -276,7 +276,7 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
         ],
     }
     out = _out_dir(ns)
-    cache = Path(ns.cache or out / "normalized.jsonl")
+    cache = Path(ns.cache or out / "normalized.bin")
     corpus.save_normalized(deduped, cache)
     (out / "ingest_stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
 
@@ -303,7 +303,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     except ValueError as exc:  # out-of-range training settings are usage errors
         raise UsageError(str(exc)) from exc
     table = _slot_table(ns)
-    docs = corpus.load_normalized(ns.cache or Path(ns.out) / "normalized.jsonl")
+    docs = corpus.load_normalized(ns.cache or Path(ns.out) / "normalized.bin")
     vocab = corpus.build_vocab(docs, table, min_count=ns.min_count)
     model = trainer.train(docs, vocab, table, config)
     model_path = _model_path(ns)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .blockfile import BlockReader, replacing
+
 log = logging.getLogger(__name__)
 
 YEAR_MIN = 1000
@@ -421,40 +423,62 @@ def build_vocab(docs: Documents, table: TimeSlotTable, min_count: int = 5) -> Vo
     )
 
 
+CACHE_MAGIC = b"DLKC"
+CACHE_VERSION = 1
+
+
+def _cache_error(message: str) -> CorpusError:
+    return CorpusError(f"{message}; run the ingest command to write the cache")
+
+
 def save_normalized(stanzas: list[Stanza], path: str | Path) -> None:
-    """Write the normalized corpus cache (JSON Lines with tokens filled)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in stanzas:
-            rec = {
-                "id": s.id,
-                "poem_id": s.poem_id,
-                "author": s.author,
-                "year": s.year,
-                "lines": s.lines,
-                "tokens": s.tokens,
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    """Write the tokens and years of normalized stanzas as the binary corpus cache.
+
+    The little-endian file holds :class:`Documents` in blocks: the magic and
+    a ``<u4`` version, ``<u8`` counts of types, tokens and documents, the
+    ``<u4`` byte length of each type, the UTF-8 types, then ``<i4`` ids,
+    ``<i8`` offsets and ``<i8`` years. It replaces ``path`` whole
+    (:func:`blockfile.replacing`).
+    """
+    docs = Documents.from_tokens([s.tokens for s in stanzas], [s.year for s in stanzas])
+    raw = [t.encode("utf-8") for t in docs.types]
+    with replacing(path) as fh:
+        fh.write(CACHE_MAGIC)
+        fh.write(np.array([CACHE_VERSION], dtype="<u4"))
+        fh.write(np.array([len(raw), docs.ids.size, len(docs)], dtype="<u8"))
+        fh.write(np.array([len(r) for r in raw], dtype="<u4"))
+        fh.write(b"".join(raw))
+        for column, dtype in ((docs.ids, "<i4"), (docs.offsets, "<i8"), (docs.years, "<i8")):
+            fh.write(np.ascontiguousarray(column, dtype=dtype))
 
 
 def load_normalized(path: str | Path) -> Documents:
-    """Read the tokens and years of a normalized corpus cache written by :func:`save_normalized`."""
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(
-            f"normalized corpus cache {path} does not exist; run the ingest command first"
-        )
-    token_lists, years = [], []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: malformed JSON in normalized cache: {exc}") from exc
-        if _parse_record(obj) is None or not _is_year(obj.get("year")) or not _is_str_list(obj.get("tokens")):
-            raise CorpusError(
-                f"{path}:{lineno}: not a normalized cache record (stanza fields, a year and string tokens)"
-            )
-        token_lists.append(obj["tokens"])
-        years.append(obj["year"])
-    return Documents.from_tokens(token_lists, years)
+    """Read the corpus cache written by :func:`save_normalized`, viewing its columns in place.
+
+    The header's counts are checked against the file length before any
+    array is allocated, and with the type lengths the length must match
+    exactly. The types must be distinct UTF-8, the ids index them, the
+    offsets rise from 0 to the token count, and every year lies in
+    YEAR_MIN..YEAR_MAX. Any other file raises CorpusError.
+    """
+    reader = BlockReader(path, "normalized corpus cache", CACHE_MAGIC, _cache_error)
+    (version,) = reader.block("<u4", (1,)).tolist()
+    if version != CACHE_VERSION:
+        raise _cache_error(f"unsupported normalized cache version {version} in {path}")
+    n_types, n_tokens, n_docs = reader.block("<u8", (3,)).tolist()
+    reader.expect(4 * n_types + 4 * n_tokens + 8 * (n_docs + 1) + 8 * n_docs)
+    lengths = reader.block("<u4", (n_types,))
+    reader.expect(int(lengths.sum(dtype=np.uint64)) + 4 * n_tokens + 16 * n_docs + 8, exact=True)
+    types = reader.strings(lengths, "type")
+    ids = reader.block("<i4", (n_tokens,))
+    offsets = reader.block("<i8", (n_docs + 1,))
+    years = reader.block("<i8", (n_docs,))
+    if len(set(types)) != n_types:
+        raise _cache_error(f"repeated type in {path}")
+    if n_tokens and not (0 <= ids.min() and ids.max() < n_types):
+        raise _cache_error(f"token id outside the {n_types} types in {path}")
+    if offsets[0] != 0 or offsets[-1] != n_tokens or (np.diff(offsets) < 0).any():
+        raise _cache_error(f"document offsets of {path} do not rise from 0 to its {n_tokens} tokens")
+    if n_docs and not (YEAR_MIN <= years.min() and years.max() <= YEAR_MAX):
+        raise _cache_error(f"year outside {YEAR_MIN}..{YEAR_MAX} in {path}")
+    return Documents(types=types, ids=ids, offsets=offsets, years=years)

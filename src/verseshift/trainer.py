@@ -16,9 +16,7 @@ context rows to update by the group size.
 
 from __future__ import annotations
 
-import contextlib
 import logging
-import math
 import mmap
 import os
 import struct
@@ -28,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import corpus
+from .blockfile import BlockReader, replacing
 from .corpus import Documents, TimeSlot, TimeSlotTable, Vocabulary
 from .linalg import rowwise_cosine
 
@@ -41,6 +40,7 @@ PAIR_GROUP = 32  # consecutive pairs of a minibatch that share one negative set
 # reduceat's order is the first row plus a left-to-right sum of the rest.
 SCATTER_CUTOFF = 8
 ROW_BLOCK = 256  # words whose float64 slot vectors an analysis holds at once
+MAX_EPOCH_PAIRS = 2**31 - 1  # the epoch shuffle holds int32 pair indices
 
 
 class ModelFormatError(Exception):
@@ -154,37 +154,6 @@ def _batch_terms(u: np.ndarray, c_pos: np.ndarray, c_neg: np.ndarray):
     grad_c_pos = g_pos[:, None] * u
     grad_c_neg = g_neg.transpose(0, 2, 1) @ u_grouped  # (G, k, d)
     return float(loss), grad_u, grad_c_pos, grad_c_neg
-
-
-def _gather_u(base: np.ndarray, deltas: np.ndarray, batch: TrainingBatch) -> np.ndarray:
-    return base[batch.words].astype(np.float64) + deltas[batch.slots, batch.words].astype(np.float64)
-
-
-def batch_loss(base: np.ndarray, deltas: np.ndarray, context: np.ndarray, batch: TrainingBatch) -> float:
-    """Summed negative-sampling loss of a pair batch at fixed parameters."""
-    u = _gather_u(base, deltas, batch)
-    c_pos = context[batch.contexts].astype(np.float64)
-    c_neg = context[batch.negatives].astype(np.float64)
-    return _batch_terms(u, c_pos, c_neg)[0]
-
-
-def batch_gradients(
-    base: np.ndarray, deltas: np.ndarray, context: np.ndarray, batch: TrainingBatch
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Dense parameter gradients of :func:`batch_loss`; intended for small shapes."""
-    u = _gather_u(base, deltas, batch)
-    c_pos = context[batch.contexts].astype(np.float64)
-    c_neg = context[batch.negatives].astype(np.float64)
-    loss, grad_u, grad_c_pos, grad_c_neg = _batch_terms(u, c_pos, c_neg)
-    g_base = np.zeros(base.shape, dtype=np.float64)
-    g_deltas = np.zeros(deltas.shape, dtype=np.float64)
-    g_context = np.zeros(context.shape, dtype=np.float64)
-    np.add.at(g_base, batch.words, grad_u)
-    np.add.at(g_deltas, (batch.slots, batch.words), grad_u)
-    np.add.at(g_context, batch.contexts, grad_c_pos)
-    d = context.shape[1]
-    np.add.at(g_context, batch.negatives.ravel(), grad_c_neg.reshape(-1, d))
-    return loss, g_base, g_deltas, g_context
 
 
 def _scatter_add_rows(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray, scale: float) -> None:
@@ -433,8 +402,9 @@ def train(
     consecutive pairs shares k negatives drawn from the corpus-wide unigram
     distribution raised to 0.75. The learning rate decays linearly over all
     scheduled pairs. Each epoch holds its pairs in one (N, 3) int32 block of
-    (word, slot, context) rows and a shuffling permutation; a batch gathers
-    its rows through the permutation. Single-worker runs with a fixed seed
+    (word, slot, context) rows and an int32 shuffling permutation, so an
+    epoch has at most MAX_EPOCH_PAIRS pairs; a batch gathers its rows
+    through the permutation. Single-worker runs with a fixed seed
     are fully deterministic; extra workers update the shared matrices
     without locks and trade determinism for speed.
     """
@@ -464,6 +434,11 @@ def train(
         )
         for epoch in range(config.epochs)
     ]
+    if max(epoch_pair_counts) > MAX_EPOCH_PAIRS:
+        raise ValueError(
+            f"an epoch of {max(epoch_pair_counts)} training pairs is more than the {MAX_EPOCH_PAIRS} "
+            "its int32 shuffle can index; train fewer slots or a narrower context window"
+        )
     total_pairs = sum(epoch_pair_counts)
     if total_pairs == 0:
         log.warning("no training pairs were scheduled; returning the initial model")
@@ -484,8 +459,11 @@ def train(
             block[:, 2] = c
             filled += w.size
         # pair-level shuffle keeps every slot represented across the whole
-        # learning-rate range instead of letting large slots dominate the tail
-        perm = rng_epoch.permutation(n_pairs)
+        # learning-rate range instead of letting large slots dominate the tail;
+        # an int32 arange shuffled in place takes permutation(n_pairs)'s order
+        # from the same draws, in half the memory
+        perm = np.arange(n_pairs, dtype=np.int32)
+        rng_epoch.shuffle(perm)
 
         def run_batches(starts, rng) -> float:
             loss_sum = 0.0
@@ -528,29 +506,20 @@ def save_model(model: JointEmbeddingModel, path) -> None:
     """Write the little-endian binary model file: a header, then one block per column.
 
     The file is written under a temporary name next to ``path`` and then
-    renamed over it, so a reader never sees a partial file: a process that
-    has the old file mapped keeps reading the old bytes, and a failed write
-    leaves the old file as it was.
+    renamed over it (:func:`blockfile.replacing`), so a reader never sees a
+    partial file.
     """
     vocab = model.vocab
     raw = [word.encode("utf-8") for word in vocab.words]
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MODEL_MAGIC)
-            fh.write(struct.pack("<IIII", MODEL_VERSION, model.dim, len(vocab), model.n_slots))
-            fh.write(np.array([(slot.start, slot.end) for slot in model.slot_table], dtype="<i4"))
-            fh.write(np.array([len(r) for r in raw], dtype="<u4"))
-            fh.write(np.column_stack((vocab.global_counts, vocab.slot_counts.T)).astype("<u8", order="C"))
-            fh.write(b"".join(raw))
-            for mat in (model.base, model.deltas, model.context):
-                fh.write(np.ascontiguousarray(mat, dtype="<f4"))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with replacing(path) as fh:
+        fh.write(MODEL_MAGIC)
+        fh.write(struct.pack("<IIII", MODEL_VERSION, model.dim, len(vocab), model.n_slots))
+        fh.write(np.array([(slot.start, slot.end) for slot in model.slot_table], dtype="<i4"))
+        fh.write(np.array([len(r) for r in raw], dtype="<u4"))
+        fh.write(np.column_stack((vocab.global_counts, vocab.slot_counts.T)).astype("<u8", order="C"))
+        fh.write(b"".join(raw))
+        for mat in (model.base, model.deltas, model.context):
+            fh.write(np.ascontiguousarray(mat, dtype="<f4"))
 
 
 def load_model(path) -> JointEmbeddingModel:
@@ -563,57 +532,23 @@ def load_model(path) -> JointEmbeddingModel:
     no copy; the file must not be truncated in place while they are in use
     (:func:`save_model` replaces a file instead of rewriting it).
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    with fh:
-        size = os.fstat(fh.fileno()).st_size
-        try:
-            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
-        except (OSError, ValueError) as exc:
-            raise ModelFormatError(f"cannot map model file {path}: {exc}") from exc
-    if len(buf) != size:
-        raise ModelFormatError(f"model file {path} changed while it was opened")
-    offset = 4  # where the next block starts, past the magic
-
-    def block(dtype: str, shape: tuple) -> np.ndarray:
-        nonlocal offset
-        count = math.prod(shape)
-        end = offset + count * np.dtype(dtype).itemsize
-        if end > size:
-            raise ModelFormatError(f"truncated model file {path}")
-        out = np.frombuffer(buf, dtype=dtype, count=count, offset=offset).reshape(shape)
-        offset = end
-        return out
-
-    if buf[:4] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path} is not a model file (bad magic)")
-    version, d, n_words, n_slots = block("<u4", (4,)).tolist()
+    reader = BlockReader(path, "model file", MODEL_MAGIC, ModelFormatError)
+    version, d, n_words, n_slots = reader.block("<u4", (4,)).tolist()
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {version} in {path}")
     if n_words == 0 or n_slots == 0 or d == 0:
         raise ModelFormatError(f"empty dimensions in model header of {path}")
     payload = 4 * d * n_words * (n_slots + 2)
     # slot years, word lengths, counts, the f32 matrices; the words themselves may be empty
-    fixed = 20 + 8 * n_slots + n_words * (12 + 8 * n_slots)
-    if size < fixed + payload:
-        raise ModelFormatError(f"truncated model file {path}: header sizes exceed its length")
-    years = block("<i4", (n_slots, 2)).tolist()
-    lengths = block("<u4", (n_words,))
-    n_bytes = int(lengths.sum(dtype=np.uint64))
-    if size != fixed + n_bytes + payload:
-        raise ModelFormatError(f"{path} is {size} bytes, its word lengths say {fixed + n_bytes + payload}")
-    counts = block("<u8", (n_words, n_slots + 1))  # the global count, then one count per slot
-    raw = block("u1", (n_bytes,)).data
-    pos = 0  # where the next word starts in raw
-    try:
-        words = [str(raw[pos : (pos := pos + n)], "utf-8") for n in lengths.tolist()]
-    except UnicodeDecodeError as exc:  # pos is already the end of the failing word
-        i = int(np.searchsorted(np.cumsum(lengths), pos))
-        raise ModelFormatError(f"word {i} in {path} is not valid UTF-8") from exc
-    head = offset - offset % mmap.PAGESIZE  # the whole pages before the matrices
-    mats = block("<f4", (n_slots + 2, n_words, d))  # base, the per-slot deltas, then context
+    fixed = 8 * n_slots + n_words * (12 + 8 * n_slots)
+    reader.expect(fixed + payload)
+    years = reader.block("<i4", (n_slots, 2)).tolist()
+    lengths = reader.block("<u4", (n_words,))
+    reader.expect(n_words * 8 * (n_slots + 1) + int(lengths.sum(dtype=np.uint64)) + payload, exact=True)
+    counts = reader.block("<u8", (n_words, n_slots + 1))  # the global count, then one count per slot
+    words = reader.strings(lengths, "word")
+    head = reader.offset - reader.offset % mmap.PAGESIZE  # the whole pages before the matrices
+    mats = reader.block("<f4", (n_slots + 2, n_words, d))  # base, the per-slot deltas, then context
 
     try:
         table = TimeSlotTable(tuple(TimeSlot(start, end) for start, end in years))
@@ -623,9 +558,11 @@ def load_model(path) -> JointEmbeddingModel:
         raise ModelFormatError(f"word count beyond the int64 range in {path}")
     counts = counts.astype(np.int64).T.copy()  # (S+1, V): the global counts, then one row per slot
     index = {w: i for i, w in enumerate(words)}
+    if len(index) != n_words:
+        raise ModelFormatError(f"repeated word in {path}")
     vocab = Vocabulary(words, index, counts[0], counts[1:], slot_total_tokens=counts[1:].sum(axis=1))
     if head:  # the header blocks are copied out by now; their mapped pages need not stay resident
-        buf.madvise(mmap.MADV_DONTNEED, 0, head)
+        reader.buf.madvise(mmap.MADV_DONTNEED, 0, head)
     for i, mat in enumerate(mats):  # slab by slab, so no full-size temporary
         if not np.isfinite(mat).all():
             name = "base" if i == 0 else "context" if i == n_slots + 1 else f"slot {i - 1} delta"

@@ -8,7 +8,10 @@ roots and calls no numpy.linalg routine, so it is independent of the
 routing, counting and encoding that the columnar corpus replaced, and the
 per-character tokenizer and first-line key that the ingest memo tables
 replaced. The step oracle is the training step with fancy-index gathers, a
-padded copy of every group and the ``logaddexp`` loss. The training oracle
+padded copy of every group and the ``logaddexp`` loss. The loss and
+gradient oracles gather a batch in float64 and scatter its gradients into
+dense matrices with ``np.add.at``, through the package's ``_batch_terms``,
+for the finite-difference and criterion-1 checks. The training oracle
 is the single-worker loop that drew every epoch's subsampling masks up
 front and shuffled concatenated per-slot pair arrays by permuted copies.
 The analysis oracles build every float64 slot vector of the measured words
@@ -23,6 +26,8 @@ from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
+
+from verseshift.trainer import _batch_terms
 
 
 def count_eigenvalues_below(matrix: np.ndarray, x: float) -> int:
@@ -130,6 +135,32 @@ def sgd_step_reference(base, deltas_flat, context, n_words: int, batch, lr: floa
     context_rows = np.concatenate([grad_c_pos, grad_c_neg.reshape(-1, context.shape[1])])
     scatter_add_rows_reduceat(context, context_idx, context_rows, -lr)
     return loss
+
+
+def _gather_u(base: np.ndarray, deltas: np.ndarray, batch) -> np.ndarray:
+    return base[batch.words].astype(np.float64) + deltas[batch.slots, batch.words].astype(np.float64)
+
+
+def batch_loss(base: np.ndarray, deltas: np.ndarray, context: np.ndarray, batch) -> float:
+    """Summed negative-sampling loss of a pair batch at fixed parameters, in float64."""
+    u = _gather_u(base, deltas, batch)
+    return _batch_terms(u, context[batch.contexts].astype(np.float64), context[batch.negatives].astype(np.float64))[0]
+
+
+def batch_gradients(base: np.ndarray, deltas: np.ndarray, context: np.ndarray, batch):
+    """Loss and dense float64 parameter gradients of :func:`batch_loss`; for small shapes."""
+    u = _gather_u(base, deltas, batch)
+    c_pos = context[batch.contexts].astype(np.float64)
+    c_neg = context[batch.negatives].astype(np.float64)
+    loss, grad_u, grad_c_pos, grad_c_neg = _batch_terms(u, c_pos, c_neg)
+    g_base = np.zeros(base.shape, dtype=np.float64)
+    g_deltas = np.zeros(deltas.shape, dtype=np.float64)
+    g_context = np.zeros(context.shape, dtype=np.float64)
+    np.add.at(g_base, batch.words, grad_u)
+    np.add.at(g_deltas, (batch.slots, batch.words), grad_u)
+    np.add.at(g_context, batch.contexts, grad_c_pos)
+    np.add.at(g_context, batch.negatives.ravel(), grad_c_neg.reshape(-1, context.shape[1]))
+    return loss, g_base, g_deltas, g_context
 
 
 def _is_punct(c: str) -> bool:

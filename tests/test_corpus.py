@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,18 @@ from hypothesis import strategies as st
 from verseshift import corpus, trainer
 
 from _oracles import build_vocab_counter, encode_documents, first_line_key, route_documents, tokenize_line
-from conftest import make_stanza, make_table, stanza_documents
+from conftest import (
+    TINY_CACHE_COUNTS,
+    TINY_CACHE_IDS,
+    TINY_CACHE_OFFSETS,
+    TINY_CACHE_TYPES,
+    TINY_CACHE_VERSION_FIELD,
+    TINY_CACHE_YEARS,
+    make_stanza,
+    make_table,
+    stanza_documents,
+    write_tiny_cache,
+)
 
 
 def write_jsonl(path, records):
@@ -466,16 +478,58 @@ class TestColumnarOracle:
 
 class TestNormalizedCache:
     def test_roundtrip(self, tmp_path):
-        stanzas = corpus.normalize([make_stanza(lines=["Die Liebe blüht."])])
-        path = tmp_path / "cache.jsonl"
+        stanzas = corpus.normalize([make_stanza(lines=["Die Liebe blüht."]), make_stanza("s2", 1650, ["Ja, ja."])])
+        path = tmp_path / "normalized.bin"
         corpus.save_normalized(stanzas, path)
         loaded = corpus.load_normalized(path)
-        assert [loaded.types[i] for i in loaded.ids] == stanzas[0].tokens
-        assert loaded.years.tolist() == [stanzas[0].year]
+        want = stanza_documents(stanzas)
+        assert loaded.types == want.types
+        for column in ("ids", "offsets", "years"):
+            assert np.array_equal(getattr(loaded, column), getattr(want, column))
+        assert [loaded.types[i] for i in loaded.ids[: loaded.offsets[1]]] == stanzas[0].tokens
+        assert [p.name for p in tmp_path.iterdir()] == ["normalized.bin"]  # no temporary file left behind
+
+    def test_empty_corpus_roundtrip(self, tmp_path):
+        path = tmp_path / "normalized.bin"
+        corpus.save_normalized([], path)
+        loaded = corpus.load_normalized(path)
+        assert (loaded.types, loaded.ids.size, loaded.offsets.tolist(), len(loaded)) == ([], 0, [0], 0)
 
     def test_missing_cache_actionable(self, tmp_path):
         with pytest.raises(corpus.CorpusError, match="ingest"):
             corpus.load_normalized(tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize(
+        "offset, raw, message",
+        [
+            (0, b"DLKV", "not a normalized corpus cache"),
+            (TINY_CACHE_VERSION_FIELD, struct.pack("<I", 2), "version 2 "),
+            (TINY_CACHE_TYPES + 2, b"\xff", "type 2 .* UTF-8"),
+            (TINY_CACHE_TYPES + 1, b"a", "repeated type"),
+            (TINY_CACHE_IDS + 4, struct.pack("<i", 3), "token id outside"),
+            (TINY_CACHE_IDS + 4, struct.pack("<i", -1), "token id outside"),
+            (TINY_CACHE_OFFSETS, struct.pack("<q", 1), "offsets"),
+            (TINY_CACHE_OFFSETS + 8, struct.pack("<q", 6), "offsets"),
+            (TINY_CACHE_OFFSETS + 16, struct.pack("<q", 4), "offsets"),
+            (TINY_CACHE_YEARS, struct.pack("<q", corpus.YEAR_MIN - 1), "year outside"),
+            (TINY_CACHE_YEARS + 8, struct.pack("<q", corpus.YEAR_MAX + 1), "year outside"),
+            (TINY_CACHE_COUNTS + 8, struct.pack("<Q", 2**64 - 1), "truncated"),
+        ],
+        ids=["magic", "version", "utf8", "repeated-type", "id-high", "id-negative", "first-offset",
+             "decreasing-offset", "last-offset", "year-low", "year-high", "inflated-tokens"],
+    )
+    def test_damaged_cache_names_file(self, tmp_path, offset, raw, message):
+        path = tmp_path / "normalized.bin"
+        write_tiny_cache(path, offset, raw)
+        with pytest.raises(corpus.CorpusError, match=message) as err:
+            corpus.load_normalized(path)
+        assert str(path) in str(err.value) and "run the ingest command" in str(err.value)
+
+    def test_trailing_bytes_error(self, tmp_path):
+        path = tmp_path / "normalized.bin"
+        path.write_bytes(write_tiny_cache(path) + b"\0")
+        with pytest.raises(corpus.CorpusError, match="109 bytes"):
+            corpus.load_normalized(path)
 
     @pytest.mark.parametrize(
         "record",
@@ -490,7 +544,10 @@ class TestNormalizedCache:
         ],
     )
     def test_schema_violation_names_line(self, tmp_path, record):
+        """A JSON Lines cache of the earlier format is refused whatever its records hold,
+        with a message that names the file and asks for a new ingest run."""
         path = tmp_path / "cache.jsonl"
         path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
-        with pytest.raises(corpus.CorpusError, match=":2:"):
+        with pytest.raises(corpus.CorpusError, match="not a normalized corpus cache .*run the ingest command") as err:
             corpus.load_normalized(path)
+        assert str(path) in str(err.value)

@@ -1,4 +1,4 @@
-"""Fuzzed input boundaries: damaged model files, arbitrary corpus records, configs and integer settings.
+"""Fuzzed input boundaries: damaged model files and corpus caches, arbitrary corpus records, configs and integer settings.
 
 Every damaged input must either load or fail with the library's own error
 type, and the CLI must exit 0 or 2 for it (or 1 for a bad config or
@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 
 from verseshift import cli, corpus, trainer
 
-from conftest import TINY_DIM_FIELD, TINY_WORD_LENGTHS, make_model, write_tiny_model
+from conftest import (
+    TINY_CACHE_COUNTS,
+    TINY_CACHE_TYPE_LENGTHS,
+    TINY_DIM_FIELD,
+    TINY_WORD_LENGTHS,
+    make_model,
+    write_tiny_cache,
+    write_tiny_model,
+)
 
 # the whole module runs in a few seconds: each CLI ingest example costs about 50 ms
 MODEL_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -70,6 +78,64 @@ def test_inflated_header_field(fuzz_dir, offset, value):
     data = bytearray(valid)
     data[offset : offset + 4] = struct.pack("<I", value)
     check_model_bytes(root, bytes(data))
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cache-fuzz")
+    return root, write_tiny_cache(root / "valid.bin")
+
+
+CACHE_TRAIN = ["--start", "1600", "--end", "1700", "--window", "50", "--dim", "2", "--epochs", "1",
+               "--min-count", "1", "--context-window", "1"]
+
+
+def check_cache_bytes(root, data: bytes, must_fail: bool) -> None:
+    """Load damaged cache bytes and train from them: CorpusError and exit 2, or a clean load."""
+    path = root / "normalized.bin"
+    path.write_bytes(data)
+    try:
+        corpus.load_normalized(path)
+    except corpus.CorpusError:
+        exits = (2,)
+    else:
+        assert not must_fail, "a damaged cache loaded"
+        exits = (0, 2)
+    assert cli.main(["train", "--cache", str(path), "--out", str(root / "out"), *CACHE_TRAIN]) in exits
+
+
+def test_truncated_cache(cache_dir):
+    root, valid = cache_dir
+    for length in range(len(valid)):
+        check_cache_bytes(root, valid[:length], must_fail=True)
+
+
+@MODEL_FUZZ
+@given(data=st.data())
+def test_single_bit_flip_in_cache(cache_dir, data):
+    root, valid = cache_dir
+    bit = data.draw(st.integers(0, 8 * len(valid) - 1))
+    flipped = bytearray(valid)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    check_cache_bytes(root, bytes(flipped), must_fail=False)
+
+
+# the type, token and document counts, then the first type's byte length
+CACHE_SIZE_FIELDS = [(TINY_CACHE_COUNTS, "<Q"), (TINY_CACHE_COUNTS + 8, "<Q"), (TINY_CACHE_COUNTS + 16, "<Q"),
+                     (TINY_CACHE_TYPE_LENGTHS, "<I")]
+
+
+@MODEL_FUZZ
+@given(field=st.sampled_from(CACHE_SIZE_FIELDS), data=st.data())
+def test_inflated_cache_header_field(cache_dir, field, data):
+    root, valid = cache_dir
+    offset, fmt = field
+    width = struct.calcsize(fmt)
+    (value,) = struct.unpack_from(fmt, valid, offset)
+    larger = data.draw(st.integers(value + 1, 2 ** (8 * width) - 1))
+    inflated = bytearray(valid)
+    inflated[offset : offset + width] = struct.pack(fmt, larger)
+    check_cache_bytes(root, bytes(inflated), must_fail=True)
 
 
 json_values = st.recursive(

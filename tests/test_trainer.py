@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from verseshift import corpus, trainer
 from verseshift.linalg import rowwise_cosine
 
-from _oracles import log_sigmoid_logaddexp, scatter_add_rows_reduceat, sgd_step_reference, train_reference
+from _oracles import (
+    batch_gradients,
+    batch_loss,
+    log_sigmoid_logaddexp,
+    scatter_add_rows_reduceat,
+    sgd_step_reference,
+    train_reference,
+)
 from conftest import (
     TINY_BASE,
     TINY_DELTA1,
@@ -157,7 +164,7 @@ class TestGradients:
             contexts=rng.integers(0, n_words, size),
             negatives=rng.integers(0, n_words, (size, k)),
         )
-        _, g_base, g_deltas, g_ctx = trainer.batch_gradients(base, deltas, ctx, batch)
+        _, g_base, g_deltas, g_ctx = batch_gradients(base, deltas, ctx, batch)
         h = 1e-5
         tensors = [base.astype(np.float64), deltas.astype(np.float64), ctx.astype(np.float64)]
         for which, grad in ((0, g_base), (1, g_deltas), (2, g_ctx)):
@@ -168,7 +175,7 @@ class TestGradients:
                 minus = [t.copy() for t in tensors]
                 plus[which][idx] += h
                 minus[which][idx] -= h
-                fd = (trainer.batch_loss(*plus, batch) - trainer.batch_loss(*minus, batch)) / (2 * h)
+                fd = (batch_loss(*plus, batch) - batch_loss(*minus, batch)) / (2 * h)
                 rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1.0)
                 assert rel < 1e-4
 
@@ -177,7 +184,7 @@ class TestGradients:
         # ceil(size / n_groups) pairs per group; the last group is padded, and
         # with (10, 6) the sixth negative set is scored by no real pair at all
         base, deltas, ctx, batch = random_problem(5, 9, 3, 2, size, n_groups, 3)
-        _, g_base, g_deltas, g_ctx = trainer.batch_gradients(base, deltas, ctx, batch)
+        _, g_base, g_deltas, g_ctx = batch_gradients(base, deltas, ctx, batch)
         tensors = [base.astype(np.float64), deltas.astype(np.float64), ctx.astype(np.float64)]
         h = 1e-5
         for which, grad in ((0, g_base), (1, g_deltas), (2, g_ctx)):
@@ -185,9 +192,9 @@ class TestGradients:
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h
-                up = trainer.batch_loss(*tensors, batch)
+                up = batch_loss(*tensors, batch)
                 flat[j] = orig - h
-                down = trainer.batch_loss(*tensors, batch)
+                down = batch_loss(*tensors, batch)
                 flat[j] = orig
                 fd = (up - down) / (2 * h)
                 got = grad.reshape(-1)[j]
@@ -195,7 +202,7 @@ class TestGradients:
 
     def test_one_group_per_pair_matches_per_pair_reference(self):
         base, deltas, ctx, batch = random_problem(8, 12, 5, 3, 9, 9, 4)
-        got = trainer.batch_gradients(base, deltas, ctx, batch)
+        got = batch_gradients(base, deltas, ctx, batch)
         want = per_pair_reference(base, deltas, ctx, batch)
         assert got[0] == pytest.approx(want[0], rel=1e-12)
         for g, w in zip(got[1:], want[1:]):
@@ -207,7 +214,7 @@ class TestGradients:
         per_pair = trainer.TrainingBatch(
             batch.words, batch.slots, batch.contexts, np.repeat(batch.negatives, 3, axis=0)[:10]
         )
-        got = trainer.batch_gradients(base, deltas, ctx, batch)
+        got = batch_gradients(base, deltas, ctx, batch)
         want = per_pair_reference(base, deltas, ctx, per_pair)
         assert got[0] == pytest.approx(want[0], rel=1e-12)
         for g, w in zip(got[1:], want[1:]):
@@ -215,7 +222,7 @@ class TestGradients:
 
     def test_grouped_step_matches_dense_gradients(self):
         base, deltas, ctx, batch = random_problem(34, 14, 6, 4, 70, 3, 5)
-        loss_dense, g_base, g_deltas, g_ctx = trainer.batch_gradients(base, deltas, ctx, batch)
+        loss_dense, g_base, g_deltas, g_ctx = batch_gradients(base, deltas, ctx, batch)
         lr = 0.05
         base2, deltas2, ctx2 = base.copy(), deltas.copy(), ctx.copy()
         loss_fused = trainer.sgd_step(base2, deltas2.reshape(-1, 6), ctx2, 14, batch, lr)
@@ -236,7 +243,7 @@ class TestGradients:
             contexts=rng.integers(0, n_words, size),
             negatives=rng.integers(0, n_words, (size, k)),
         )
-        loss_dense, g_base, g_deltas, g_ctx = trainer.batch_gradients(base, deltas, ctx, batch)
+        loss_dense, g_base, g_deltas, g_ctx = batch_gradients(base, deltas, ctx, batch)
         lr = 0.05
         base2, deltas2, ctx2 = base.copy(), deltas.copy(), ctx.copy()
         loss_fused = trainer.sgd_step(base2, deltas2.reshape(-1, dim), ctx2, n_words, batch, lr)
@@ -454,6 +461,29 @@ def test_pair_count_sizes_the_pair_block(lengths, window):
     assert trainer._pair_count(np.bincount(doc_ids), window) == w.size == c.size
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+def test_int32_shuffle_is_permutation(n):
+    """train's epoch shuffle: an int32 arange shuffled in place is numpy's permutation(n).
+
+    The negatives are drawn from the same generator afterwards, so the
+    generators must also leave the shuffle in the same state.
+    """
+    by_shuffle, by_permutation = np.random.default_rng([3, 2, 0]), np.random.default_rng([3, 2, 0])
+    perm = np.arange(n, dtype=np.int32)
+    by_shuffle.shuffle(perm)
+    assert np.array_equal(perm, by_permutation.permutation(n))
+    assert np.array_equal(by_shuffle.random(8), by_permutation.random(8))
+
+
+def test_epoch_beyond_int32_pairs_refused(monkeypatch):
+    monkeypatch.setattr(trainer, "_pair_count", lambda lengths, window: trainer.MAX_EPOCH_PAIRS)
+    built = []
+    monkeypatch.setattr(trainer, "_slot_pairs", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=f"more than the {trainer.MAX_EPOCH_PAIRS} .*int32"):
+        train_tiny(quick_config(epochs=1))  # two slots: twice the bound
+    assert built == []  # refused before any pair block is filled
+
+
 def reference_corpus(table):
     """Documents of 1 to 10 tokens over 30 Zipf-weighted words, years spread over the table."""
     rng = np.random.default_rng(8)
@@ -658,6 +688,12 @@ class TestModelFile:
         path = tmp_path / "m.bin"
         write_tiny_model(path, TINY_WORD0 + 1, b"\xff")
         with pytest.raises(trainer.ModelFormatError, match="word 1 .* UTF-8"):
+            trainer.load_model(path)
+
+    def test_repeated_word_errors(self, tmp_path):
+        path = tmp_path / "m.bin"
+        write_tiny_model(path, TINY_WORD0 + 1, b"a")  # the words "a" and "a"
+        with pytest.raises(trainer.ModelFormatError, match="repeated word"):
             trainer.load_model(path)
 
     def test_non_increasing_slot_years_error(self, tmp_path):
