@@ -41,7 +41,7 @@ from .trainer import (
     train,
 )
 from .tropes import (
-    SimilarityTrajectory,
+    Trajectories,
     TropeReport,
     build_trajectories,
     classify_trajectory,

@@ -46,11 +46,12 @@ class DistributionSummary:
 
 @dataclass
 class SelfSimSeries:
-    """Per adjacent slot pair: the word-level cosine sample and its summary."""
+    """Per adjacent slot pair: the measured words' vocabulary rows, their cosines and its summary."""
 
     pairs: list[tuple[TimeSlot, TimeSlot]]
     summaries: list[DistributionSummary]
-    cosines: list[dict[str, float]]
+    rows: list[np.ndarray]  # (n,) vocabulary indices
+    cosines: list[np.ndarray]  # (n,) float64, one per row
 
 
 def _top_indices(counts: np.ndarray, top_n: int) -> np.ndarray:
@@ -86,7 +87,8 @@ def pairwise_self_similarity(
 
     pairs: list[tuple[TimeSlot, TimeSlot]] = []
     summaries: list[DistributionSummary] = []
-    cosines: list[dict[str, float]] = []
+    rows: list[np.ndarray] = []
+    cosines: list[np.ndarray] = []
     for i in range(model.n_slots - 1):
         j = i + 1
         if fixed is None:
@@ -104,8 +106,9 @@ def pairwise_self_similarity(
         cos = rowwise_cosine(model.slot_vectors(i, present), model.slot_vectors(j, present))
         pairs.append((model.slot_table[i], model.slot_table[j]))
         summaries.append(DistributionSummary.from_values(cos))
-        cosines.append({vocab.words[w]: float(c) for w, c in zip(present, cos)})
-    return SelfSimSeries(pairs=pairs, summaries=summaries, cosines=cosines)
+        rows.append(present)
+        cosines.append(cos)
+    return SelfSimSeries(pairs=pairs, summaries=summaries, rows=rows, cosines=cosines)
 
 
 def detect_change_points(series: SelfSimSeries, k: int) -> list[tuple[int, float]]:

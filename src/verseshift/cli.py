@@ -186,7 +186,7 @@ class _Echo:
         return text
 
 
-def _write_trajectories(path: Path, trajectories: list[tropes.SimilarityTrajectory], starts: list[int]) -> None:
+def _write_trajectories(path: Path, trajectories: tropes.Trajectories, starts: list[int]) -> None:
     """trajectories.csv as _write_csv writes it, one row per candidate and slot, one write per block.
 
     Each candidate's ``target,candidate`` prefix is quoted once by a writer
@@ -201,11 +201,14 @@ def _write_trajectories(path: Path, trajectories: list[tropes.SimilarityTrajecto
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(quote(["target", "candidate", "slot_start", "value", "imputed"]))
         for lo in range(0, len(trajectories), trainer.ROW_BLOCK):
+            block = slice(lo, lo + trainer.ROW_BLOCK)
             chunks = []
-            for t in trajectories[lo : lo + trainer.ROW_BLOCK]:
-                prefix = quote([t.target, t.candidate])[:-2].replace("%", "%%")  # a % in a word is no format
-                cells[0::2] = t.values.tolist()
-                cells[1::2] = t.imputed.tolist()
+            for name, values, imputed in zip(
+                trajectories.candidates[block], trajectories.values[block].tolist(), trajectories.imputed[block].tolist()
+            ):
+                prefix = quote([trajectories.target, name])[:-2].replace("%", "%%")  # a % in a word is no format
+                cells[0::2] = values
+                cells[1::2] = imputed
                 chunks.append((prefix + ("\r\n" + prefix).join(slot_cells) + "\r\n") % tuple(cells))
             fh.write("".join(chunks))
 
@@ -402,23 +405,23 @@ def cmd_tropes(ns: argparse.Namespace) -> int:
     )
     starts = [slot.start for slot in model.slot_table]
 
-    report_rows = []
-    for c, (pos, neg) in enumerate(report.extremes, start=1):
-        for end, entries in (("pos", pos), ("neg", neg)):
-            for rank, entry in enumerate(entries, start=1):
-                report_rows.append([c, end, rank, entry.candidate, f"{entry.projection:.6f}"])
-
-    by_name = {t.candidate: t for t in trajectories}
-    svgs = {}
-    for (comp, end), label in tropes._LABELS.items():
-        members = report.component_members(comp, end)
-        svgs[label] = svgplot.render_line_plot(
+    names, projections = trajectories.candidates, report.pca.projections
+    report_rows = [
+        [c + 1, end, rank, names[r], f"{projections[r, c]:.6f}"]
+        for c in range(len(report.extremes))
+        for end in ("pos", "neg")
+        for rank, r in enumerate(report.rows(c, end), start=1)
+    ]
+    svgs = {
+        label: svgplot.render_line_plot(
             f"{ns.target}: {label} trajectories",
             [float(s) for s in starts],
-            [(name, list(by_name[name].values)) for name in members],
+            [(names[r], list(trajectories.values[r])) for r in report.rows(comp, end)],
             "slot start year",
             "cosine similarity",
         )
+        for (comp, end), label in tropes._LABELS.items()
+    }
 
     out = _out_dir(ns)
     _write_trajectories(out / "trajectories.csv", trajectories, starts)

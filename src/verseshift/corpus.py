@@ -115,42 +115,47 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     One object per line with fields id, author, year, lines (poem_id
     optional, unknown keys ignored). Records without a usable year are
     dropped and counted; malformed lines are skipped with a diagnostic,
-    or abort the run when ``strict`` is set. An unreadable file is fatal.
+    or abort the run when ``strict`` is set. An unreadable or non-UTF-8
+    file is fatal.
     """
     path = Path(path)
+    result = IngestResult(stanzas=[])
+    lineno = 0
     try:
-        raw = path.read_text(encoding="utf-8")
+        # universal newlines, as read_text: \r\n and a lone \r end a line too
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    if strict:
+                        raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+                    log.warning("%s:%d: skipping malformed JSON line", path, lineno)
+                    result.dropped_malformed += 1
+                    continue
+                stanza = _parse_record(obj)
+                if stanza is None:
+                    if strict:
+                        raise CorpusError(f"{path}:{lineno}: record does not match the stanza schema")
+                    log.warning("%s:%d: skipping record that does not match the stanza schema", path, lineno)
+                    result.dropped_malformed += 1
+                    continue
+                year = obj.get("year")
+                if year is None:
+                    result.dropped_missing_year += 1
+                    continue
+                if not _is_year(year):
+                    result.dropped_invalid_year += 1
+                    continue
+                stanza.year = year
+                result.stanzas.append(stanza)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
-
-    result = IngestResult(stanzas=[])
-    for lineno, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if strict:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            log.warning("%s:%d: skipping malformed JSON line", path, lineno)
-            result.dropped_malformed += 1
-            continue
-        stanza = _parse_record(obj)
-        if stanza is None:
-            if strict:
-                raise CorpusError(f"{path}:{lineno}: record does not match the stanza schema")
-            log.warning("%s:%d: skipping record that does not match the stanza schema", path, lineno)
-            result.dropped_malformed += 1
-            continue
-        year = obj.get("year")
-        if year is None:
-            result.dropped_missing_year += 1
-            continue
-        if not _is_year(year):
-            result.dropped_invalid_year += 1
-            continue
-        stanza.year = year
-        result.stanzas.append(stanza)
+    except UnicodeDecodeError as exc:  # decoded a chunk at a time, so its position is not the file's
+        raise CorpusError(f"{path}: line {lineno + 1} or a later one is not UTF-8 ({exc.reason})") from exc
     return result
 
 

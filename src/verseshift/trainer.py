@@ -284,13 +284,16 @@ class JointEmbeddingModel:
     def slot_blocks(self, rows: np.ndarray):
         """The vectors of ``rows`` in every slot, ROW_BLOCK rows at a time.
 
-        Yields the offset of each block in ``rows`` and the block's S float64
-        :meth:`slot_vectors` matrices, so a caller holds S * ROW_BLOCK * d
-        floats rather than S * len(rows) * d.
+        Yields the offset of each block in ``rows`` and a list of the block's
+        S float64 :meth:`slot_vectors` matrices. The list is emptied before
+        the next block is built, so a caller holds S * ROW_BLOCK * d floats
+        rather than S * len(rows) * d, and never two blocks at once.
         """
         for lo in range(0, rows.size, ROW_BLOCK):
             block = rows[lo : lo + ROW_BLOCK]
-            yield lo, [self.slot_vectors(t, block) for t in range(self.n_slots)]
+            vecs = [self.slot_vectors(t, block) for t in range(self.n_slots)]
+            yield lo, vecs
+            vecs.clear()
 
     def nearest_neighbors(self, word: str, slot: int, k: int) -> list[tuple[str, float]]:
         """Top-k vocabulary words by cosine against the query word in a slot.

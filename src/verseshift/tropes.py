@@ -22,11 +22,16 @@ MAX_MISSING = 1  # slots a candidate may fall short in, filled by interpolation
 
 
 @dataclass
-class SimilarityTrajectory:
+class Trajectories:
+    """Per-slot cosines of candidates against one target word, one row per candidate."""
+
     target: str
-    candidate: str
-    values: np.ndarray  # (S,) per-slot cosine, imputed where marked
-    imputed: np.ndarray  # (S,) bool
+    candidates: list[str]  # row order
+    values: np.ndarray  # (C, S) per-slot cosine, imputed where marked
+    imputed: np.ndarray  # (C, S) bool
+
+    def __len__(self) -> int:
+        return len(self.candidates)
 
 
 def build_trajectories(
@@ -34,17 +39,16 @@ def build_trajectories(
     target: str,
     min_global: int = 30,
     min_per_slot: int = 2,
-) -> list[SimilarityTrajectory]:
+) -> Trajectories:
     """Per-slot cosine trajectories of every eligible candidate against ``target``.
 
     Candidates need a global count of at least ``min_global`` and at least
     ``min_per_slot`` occurrences per slot; up to MAX_MISSING slots may
     fall short and are filled by linear interpolation between the
     neighboring measured slots (edges copy the nearest measured value).
-    The returned list is ordered by vocabulary index. All trajectories
-    share one ``(C, S)`` value matrix and one imputed mask: each ``values``
-    and ``imputed`` is a row view. The matrix is filled ROW_BLOCK candidates
-    at a time (see :meth:`JointEmbeddingModel.slot_blocks`).
+    Candidates are in vocabulary order. The ``(C, S)`` value matrix is
+    filled ROW_BLOCK candidates at a time (see
+    :meth:`JointEmbeddingModel.slot_blocks`).
     """
     vocab = model.vocab
     ti = model._word_index(target)
@@ -76,16 +80,7 @@ def build_trajectories(
     for row in np.flatnonzero(imputed.any(axis=1)):
         mask = imputed[row]
         values[row, mask] = np.interp(slot_axis[mask], slot_axis[~mask], values[row, ~mask])
-    return [
-        SimilarityTrajectory(target=target, candidate=vocab.words[c], values=vals, imputed=mask)
-        for c, vals, mask in zip(cand.tolist(), values, imputed)
-    ]
-
-
-@dataclass(frozen=True)
-class ExtremeEntry:
-    candidate: str
-    projection: float
+    return Trajectories(target, [vocab.words[c] for c in cand.tolist()], values, imputed)
 
 
 @dataclass
@@ -93,68 +88,54 @@ class TropeReport:
     """PCA over a trajectory set with the extreme candidates per component."""
 
     pca: PcaResult
-    trajectories: list[SimilarityTrajectory]
-    top_k: int
-    extremes: list[tuple[list[ExtremeEntry], list[ExtremeEntry]]]  # per component (pos, neg)
+    trajectories: Trajectories
+    extremes: list[tuple[np.ndarray, np.ndarray]]  # per component (pos, neg) rows, most extreme first
     oriented: bool = False
     undetermined: set[int] = field(default_factory=set)
 
-    def component_members(self, component: int, end: str) -> list[str]:
+    def rows(self, component: int, end: str) -> np.ndarray:
         pos, neg = self.extremes[component]
-        entries = pos if end == "pos" else neg
-        return [e.candidate for e in entries]
+        return pos if end == "pos" else neg
+
+    def component_members(self, component: int, end: str) -> list[str]:
+        return [self.trajectories.candidates[r] for r in self.rows(component, end).tolist()]
 
 
-def _extreme_lists(
-    projections: np.ndarray, trajectories: list[SimilarityTrajectory], top_k: int
-) -> list[tuple[list[ExtremeEntry], list[ExtremeEntry]]]:
-    n, q = projections.shape
-    rows = np.arange(n)
-    out = []
-    for c in range(q):
-        col = projections[:, c]
-        pos_order = np.lexsort((rows, -col))[:top_k]
-        neg_order = np.lexsort((rows, col))[:top_k]
-        pos = [ExtremeEntry(trajectories[r].candidate, float(col[r])) for r in pos_order]
-        neg = [ExtremeEntry(trajectories[r].candidate, float(col[r])) for r in neg_order]
-        out.append((pos, neg))
-    return out
+def _extreme_lists(projections: np.ndarray, top_k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    rows = np.arange(len(projections))
+    return [
+        (np.lexsort((rows, -col))[:top_k], np.lexsort((rows, col))[:top_k]) for col in projections.T
+    ]
 
 
-def trajectory_pca(
-    trajectories: list[SimilarityTrajectory], n_components: int = 4, top_k: int = 25
-) -> TropeReport:
-    """PCA of the stacked trajectory rows with top-k extreme candidates.
+def trajectory_pca(trajectories: Trajectories, n_components: int = 4, top_k: int = 25) -> TropeReport:
+    """PCA of the trajectory rows with top-k extreme candidates.
 
-    Trajectory order is the tie-break for equal projections, which matches
-    vocabulary order when the list comes from :func:`build_trajectories`.
-    Both ends of a component list top_k candidates, so there must be at
-    least 2 * top_k trajectories, or the two lists would share candidates.
+    Row order is the tie-break for equal projections, which is vocabulary
+    order for :func:`build_trajectories` output. Both ends of a component
+    list top_k candidates, so there must be at least 2 * top_k trajectories,
+    or the two lists would share candidates.
     """
     if len(trajectories) < n_components + 1:
         raise ValueError(f"need at least {n_components + 1} trajectories for {n_components} components")
     if 2 * top_k > len(trajectories):
         raise ValueError(f"need at least {2 * top_k} trajectories for top_k={top_k} at both ends of a component")
-    matrix = np.vstack([t.values for t in trajectories])
-    result = pca(matrix, n_components)
+    result = pca(trajectories.values, n_components)
     if result.degenerate:
         log.warning("trajectory matrix has zero variance; components are arbitrary")
-    extremes = _extreme_lists(result.projections, trajectories, top_k)
-    return TropeReport(pca=result, trajectories=trajectories, top_k=top_k, extremes=extremes)
+    extremes = _extreme_lists(result.projections, top_k)
+    return TropeReport(pca=result, trajectories=trajectories, extremes=extremes)
 
 
-def _mean_level(report: TropeReport, names: list[str]) -> float:
-    by_name = {t.candidate: t for t in report.trajectories}
-    return float(np.mean([by_name[n].values.mean() for n in names]))
+def _mean_level(values: np.ndarray, rows: np.ndarray) -> float:
+    return float(np.mean([row.mean() for row in values[rows]]))
 
 
-def _mean_slope(report: TropeReport, names: list[str]) -> float:
-    by_name = {t.candidate: t for t in report.trajectories}
-    xs = np.arange(report.trajectories[0].values.size, dtype=np.float64)
+def _mean_slope(values: np.ndarray, rows: np.ndarray) -> float:
+    xs = np.arange(values.shape[1], dtype=np.float64)
     xc = xs - xs.mean()
     sxx = float((xc**2).sum())
-    slopes = [float((xc * by_name[n].values).sum() / sxx) for n in names]
-    return float(np.mean(slopes))
+    return float(np.mean([float((xc * row).sum() / sxx) for row in values[rows]]))
 
 
 def orient_components(report: TropeReport) -> TropeReport:
@@ -163,19 +144,20 @@ def orient_components(report: TropeReport) -> TropeReport:
     Component 1 points toward trajectories with the higher mean level
     ("high"); component 2 points toward the higher mean least-squares slope
     ("rising"). Components whose calibration statistic ties are flagged
-    undetermined and left as-is. Orienting an already sign-flipped report
-    yields the identical result.
+    undetermined and left as-is. A flipped component swaps its extreme
+    lists, which the row tie-break keeps equal to a fresh sort. Orienting
+    an already sign-flipped report yields the identical result.
     """
     projections = report.pca.projections.copy()
     components = report.pca.components.copy()
+    extremes = list(report.extremes)
     undetermined: set[int] = set()
-    q = projections.shape[1]
+    values = report.trajectories.values
     calibrations = (_mean_level, _mean_slope)
-    for c in range(min(2, q)):
-        pos, neg = report.extremes[c]
-        stat = calibrations[c]
-        pos_stat = stat(report, [e.candidate for e in pos])
-        neg_stat = stat(report, [e.candidate for e in neg])
+    for c in range(min(2, projections.shape[1])):
+        pos, neg = extremes[c]
+        pos_stat = calibrations[c](values, pos)
+        neg_stat = calibrations[c](values, neg)
         if pos_stat == neg_stat:
             undetermined.add(c)
             log.warning("component %d orientation is undetermined (tied calibration)", c + 1)
@@ -183,16 +165,9 @@ def orient_components(report: TropeReport) -> TropeReport:
         if pos_stat < neg_stat:
             projections[:, c] *= -1.0
             components[c] *= -1.0
+            extremes[c] = (neg, pos)
     oriented_pca = replace(report.pca, projections=projections, components=components)
-    extremes = _extreme_lists(projections, report.trajectories, report.top_k)
-    return TropeReport(
-        pca=oriented_pca,
-        trajectories=report.trajectories,
-        top_k=report.top_k,
-        extremes=extremes,
-        oriented=True,
-        undetermined=undetermined,
-    )
+    return replace(report, pca=oriented_pca, extremes=extremes, oriented=True, undetermined=undetermined)
 
 
 _LABELS = {(0, "pos"): "high", (0, "neg"): "low", (1, "pos"): "rising", (1, "neg"): "falling"}
@@ -207,7 +182,7 @@ def classify_trajectory(report: TropeReport, candidate: str) -> list[str]:
     """
     if not report.oriented:
         raise ValueError("report must be oriented before classification")
-    if all(t.candidate != candidate for t in report.trajectories):
+    if candidate not in report.trajectories.candidates:
         raise ValueError(f"candidate {candidate!r} is not part of the report")
     labels = []
     for c in range(min(2, len(report.extremes))):

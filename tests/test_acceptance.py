@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from verseshift import analysis, cli, corpus, synthgen, trainer, tropes
-from verseshift.tropes import SimilarityTrajectory
 
 from _oracles import batch_gradients, batch_loss, eigenvalues_by_bisection, ols_fit
 from conftest import slot_documents, stanza_documents
@@ -263,14 +262,16 @@ def test_criterion_6_trope_classification():
         "rising": ramp,
         "falling": ramp[::-1],
     }
-    trajectories = []
+    names, rows = [], []
     labels = {}
     for label, shape in shapes.items():
         for i in range(per_class):
             name = f"{label}{i:03d}"
-            values = shape + rng.normal(scale=0.02, size=n_slots)
-            trajectories.append(SimilarityTrajectory("ziel", name, values, np.zeros(n_slots, bool)))
+            names.append(name)
+            rows.append(shape + rng.normal(scale=0.02, size=n_slots))
             labels[name] = label
+    values = np.array(rows)
+    trajectories = tropes.Trajectories("ziel", names, values, np.zeros(values.shape, bool))
     response = tropes.orient_components(
         tropes.trajectory_pca(trajectories, n_components=4, top_k=per_class)
     )

@@ -25,7 +25,19 @@ def series_from_medians(medians, start=1600, width=50):
     starts = [start + i * width for i in range(len(medians) + 1)]
     table = make_table(starts, width)
     pairs = [(table[i], table[i + 1]) for i in range(len(medians))]
-    return SelfSimSeries(pairs=pairs, summaries=summary_list(medians), cosines=[{}] * len(medians))
+    n = len(medians)
+    return SelfSimSeries(
+        pairs=pairs, summaries=summary_list(medians), rows=[np.empty(0, np.int64)] * n, cosines=[np.empty(0)] * n
+    )
+
+
+def measured(model, series):
+    """Per slot pair, each measured word and its cosine."""
+    assert all(c.dtype == np.float64 and c.shape == r.shape for r, c in zip(series.rows, series.cosines))
+    return [
+        {model.vocab.words[w]: c for w, c in zip(rows.tolist(), cosines.tolist())}
+        for rows, cosines in zip(series.rows, series.cosines)
+    ]
 
 
 def random_unit_rows(rng, n, d):
@@ -52,7 +64,7 @@ class TestPairwiseSelfSim:
         base = rng.normal(size=(6, 8))
         model = make_model([f"w{i}" for i in range(6)], [1600, 1650, 1700], base, np.zeros((3, 6, 8)))
         series = analysis.pairwise_self_similarity(model, top_n=6)
-        for cosines in series.cosines:
+        for cosines in measured(model, series):
             for value in cosines.values():
                 assert value == pytest.approx(1.0, abs=1e-6)
 
@@ -62,7 +74,7 @@ class TestPairwiseSelfSim:
         counts = np.array([[5, 5, 5], [5, 0, 5]])  # w1 absent from slot 1
         model = make_model(["w0", "w1", "w2"], [1600, 1650], base, np.zeros((2, 3, 4)), slot_counts=counts)
         series = analysis.pairwise_self_similarity(model, top_n=3)
-        assert set(series.cosines[0]) == {"w0", "w2"}
+        assert set(measured(model, series)[0]) == {"w0", "w2"}
         assert series.summaries[0].n == 2
 
     def test_subvocabulary_restriction_matches_filtering(self):
@@ -73,7 +85,7 @@ class TestPairwiseSelfSim:
         model = make_model(words, [1600, 1650, 1700], base, deltas)
         full = analysis.pairwise_self_similarity(model, top_n=8)
         sub = analysis.pairwise_self_similarity(model, words=["w2", "w5"])
-        for pair_full, pair_sub in zip(full.cosines, sub.cosines):
+        for pair_full, pair_sub in zip(measured(model, full), measured(model, sub)):
             assert pair_sub == {w: pair_full[w] for w in ("w2", "w5")}
 
     def test_top_n_selects_most_frequent(self):
@@ -82,7 +94,7 @@ class TestPairwiseSelfSim:
         counts = np.array([[10, 1, 7, 2], [10, 1, 7, 2]])
         model = make_model(["a", "b", "c", "d"], [1600, 1650], base, np.zeros((2, 4, 4)), slot_counts=counts)
         series = analysis.pairwise_self_similarity(model, top_n=2)
-        assert set(series.cosines[0]) == {"a", "c"}
+        assert set(measured(model, series)[0]) == {"a", "c"}
 
     def test_pair_scope_ranks_per_slot_pair(self):
         rng = np.random.default_rng(10)
@@ -91,8 +103,8 @@ class TestPairwiseSelfSim:
         counts = np.array([[90, 5, 1], [90, 90, 1], [5, 90, 1]])
         model = make_model(["a", "b", "c"], [1600, 1650, 1700], base, np.zeros((3, 3, 4)), slot_counts=counts)
         series = analysis.pairwise_self_similarity(model, top_n=1, frequency_scope="pair")
-        assert set(series.cosines[0]) == {"a"}
-        assert set(series.cosines[1]) == {"b"}
+        assert set(measured(model, series)[0]) == {"a"}
+        assert set(measured(model, series)[1]) == {"b"}
 
     def test_top_n_out_of_range(self):
         model = make_model(["a"], [1600, 1650], np.ones((1, 2)), np.zeros((2, 1, 2)))

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from verseshift import cli, corpus, synthgen, trainer, tropes
+from verseshift import cli, corpus, linalg, svgplot, synthgen, trainer, tropes
+
+from _oracles import trajectory_values_unblocked
 
 from conftest import (
     TINY_BASE,
@@ -386,16 +388,75 @@ class TestTropesCommand:
         assert cli.main(argv) == 0
 
         trajectories = tropes.build_trajectories(trainer.load_model(model_path), "ziel", min_global=1, min_per_slot=2)
-        assert [t.candidate for t in trajectories] == words[1:]
-        assert sum(t.imputed.any() for t in trajectories) == 1
+        assert trajectories.candidates == words[1:]
+        assert trajectories.imputed.any(axis=1).sum() == 1
         reference = tmp_path / "reference.csv"
         with open(reference, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["target", "candidate", "slot_start", "value", "imputed"])
-            for t in trajectories:
-                for start, v, imp in zip([1600, 1650, 1700, 1750], t.values, t.imputed):
-                    writer.writerow([t.target, t.candidate, start, f"{v:.6f}", int(imp)])
+            for name, values, imputed in zip(trajectories.candidates, trajectories.values, trajectories.imputed):
+                for start, v, imp in zip([1600, 1650, 1700, 1750], values, imputed):
+                    writer.writerow([trajectories.target, name, start, f"{v:.6f}", int(imp)])
         assert (out / "trajectories.csv").read_bytes() == reference.read_bytes()
+
+    def test_report_and_class_svgs_match_reference(self, tmp_path):
+        # 2-d vectors: the target at angle 0, each candidate at its own angle per slot,
+        # drifting from a level with a slope; k06 repeats k05, so their projections tie
+        rng = np.random.default_rng(0)
+        n, n_slots, top_k = 12, 5, 3
+        level = rng.uniform(0.2, 1.2, n)
+        slope = rng.uniform(-0.15, 0.15, n)
+        angles = level[:, None] + slope[:, None] * np.arange(n_slots) + rng.normal(scale=0.03, size=(n, n_slots))
+        angles[6] = angles[5]
+        names = [f"k{i:02d}" for i in range(n)]
+        starts = [1600 + 50 * t for t in range(n_slots)]
+        deltas = np.zeros((n_slots, n + 1, 2))
+        deltas[:, 0, 0] = 1.0
+        deltas[:, 1:] = np.stack([np.cos(angles.T), np.sin(angles.T)], axis=-1)
+        model = make_model(["ziel", *names], starts, np.zeros((n + 1, 2)), deltas, global_counts=[100] * (n + 1))
+        model_path, out = tmp_path / "model.bin", tmp_path / "out"
+        trainer.save_model(model, model_path)
+        argv = ["tropes", "--out", str(out), "--model", str(model_path), "--target", "ziel",
+                "--min-global", "1", "--min-per-slot", "1", "--top-k", str(top_k), "--components", "3"]
+        assert cli.main(argv) == 0
+
+        # reference: PCA of the stacked trajectories; components 1 and 2 point to the end whose
+        # extremes have the higher mean level and mean least-squares slope; extremes sorted afresh
+        values = trajectory_values_unblocked(
+            trainer.load_model(model_path), 0, np.arange(1, n + 1), np.zeros((n, n_slots), bool)
+        )
+        projections = linalg.pca(values, 3).projections.copy()
+        rows = np.arange(n)
+
+        def ends(c):
+            return np.lexsort((rows, -projections[:, c]))[:top_k], np.lexsort((rows, projections[:, c]))[:top_k]
+
+        xs = np.arange(n_slots, dtype=np.float64)
+        flipped = []
+        for c, stat in enumerate((lambda r: values[r].mean(), lambda r: np.polyfit(xs, values[r], 1)[0])):
+            pos, neg = ends(c)
+            flipped.append(np.mean([stat(r) for r in pos]) < np.mean([stat(r) for r in neg]))
+            projections[:, c] *= -1.0 if flipped[-1] else 1.0
+        assert flipped == [False, True]
+        rising, falling = ends(1)
+        assert projections[5, 1] == projections[6, 1]
+        assert rising.tolist()[-1] == 5 and 6 not in rising  # row order breaks the tie at the cut
+
+        expected = tmp_path / "report.csv"
+        with open(expected, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["component", "end", "rank", "candidate", "projection"])
+            for c in range(3):
+                for end, order in zip(("pos", "neg"), ends(c)):
+                    for rank, r in enumerate(order, start=1):
+                        writer.writerow([c + 1, end, rank, names[r], f"{projections[r, c]:.6f}"])
+        assert (out / "report.csv").read_bytes() == expected.read_bytes()
+        for label, order in (("rising", rising), ("falling", falling)):
+            svg = svgplot.render_line_plot(
+                f"ziel: {label} trajectories", [float(s) for s in starts],
+                [(names[r], list(values[r])) for r in order], "slot start year", "cosine similarity",
+            )
+            assert (out / f"trope_{label}.svg").read_text(encoding="utf-8") == svg
 
     @pytest.mark.parametrize("n_candidates,code", [(6, 0), (5, 2)], ids=["2k-equals-n", "2k-above-n"])
     def test_top_k_bound(self, tmp_path, n_candidates, code):

@@ -86,7 +86,8 @@ FAKE_MODEL = SimpleNamespace(vocab=range(10**6), slot_table=TABLE)  # vocab larg
 SERIES = SimpleNamespace(pairs=[], summaries=[])
 TOTAL = SimpleNamespace(distances=[], summaries=[], words=[])
 BANDS = SimpleNamespace(distances=[], summaries={"low": [], "high": []})
-REPORT = SimpleNamespace(extremes=[], component_members=lambda component, end: [])
+TRAJECTORIES = SimpleNamespace(candidates=[])
+REPORT = SimpleNamespace(pca=SimpleNamespace(projections=None), extremes=[], rows=lambda component, end: [])
 
 
 class Reached(Exception):
@@ -191,7 +192,7 @@ PROBES = {
         },
     ),
     "tropes": (
-        {(trainer, "load_model"): FAKE_MODEL, (tropes, "build_trajectories"): [],
+        {(trainer, "load_model"): FAKE_MODEL, (tropes, "build_trajectories"): TRAJECTORIES,
          (tropes, "trajectory_pca"): None, (tropes, "orient_components"): REPORT,
          (svgplot, "render_line_plot"): "", (cli, "_write_trajectories"): None},
         "_write_trajectories",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -89,6 +90,56 @@ class TestIngest:
     def test_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(corpus.CorpusError):
             corpus.ingest(tmp_path / "missing.jsonl")
+
+    def test_line_ends_and_line_numbers(self, tmp_path, caplog):
+        # \r\n and lone \r end lines as \n does, so the \r inside the record
+        # on line 4 splits it into two malformed lines; the file has no final newline
+        no_year = record(4)
+        del no_year["year"]
+        text = (
+            json.dumps(record(1)) + "\r\n"  # line 1
+            + "\r\n"  # 2: blank
+            + " \t \r\n"  # 3: whitespace only
+            + '{"id": "s9",\r "author": "X", "year": 1700, "lines": ["a"]}\n'  # 4 and 5
+            + json.dumps(no_year) + "\r"  # 6
+            + json.dumps(record(5, year=3000)) + "\n"  # 7
+            + '{"id": "s6", "year": 1700}\r\n'  # 8: no lines
+            + "\n"  # 9: blank
+            + json.dumps(record(2)) + "\n"  # 10
+            + "   " + json.dumps(record(3))  # 11
+        )
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with caplog.at_level("WARNING"):
+            result = corpus.ingest(path)
+        assert [(s.id, s.year, s.lines) for s in result.stanzas] == [
+            (f"s{i}", 1700, ["Ich liebe dich", "noch eine Zeile"]) for i in (1, 2, 3)
+        ]
+        assert (result.dropped_missing_year, result.dropped_invalid_year, result.dropped_malformed) == (1, 1, 3)
+        assert caplog.messages == [
+            f"{path}:4: skipping malformed JSON line",
+            f"{path}:5: skipping malformed JSON line",
+            f"{path}:8: skipping record that does not match the stanza schema",
+        ]
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads('{"id": "s9",')
+        with pytest.raises(corpus.CorpusError) as got:
+            corpus.ingest(path, strict=True)
+        assert str(got.value) == f"{path}:4: malformed JSON: {want.value}"
+        path.write_bytes(text.replace('"s9",\r', '"s9",').encode("utf-8"))  # line 4 parses, 8 is now 7
+        with pytest.raises(corpus.CorpusError) as got:
+            corpus.ingest(path, strict=True)
+        assert str(got.value) == f"{path}:7: record does not match the stanza schema"
+
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"".join(json.dumps(record(i)).encode() + b"\n" for i in range(3000)) + b'{"id": "\xff"}\n')
+        with pytest.raises(corpus.CorpusError) as got:
+            corpus.ingest(path)
+        # the file is decoded a chunk at a time, ahead of the lines parsed
+        pattern = re.escape(f"{path}: line ") + r"(\d+) or a later one is not UTF-8 \(invalid start byte\)"
+        message = re.fullmatch(pattern, str(got.value))
+        assert message and 1 <= int(message[1]) <= 3001
 
     def test_unknown_keys_ignored_and_poem_default(self, tmp_path):
         path = tmp_path / "c.jsonl"

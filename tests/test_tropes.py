@@ -5,7 +5,6 @@ import pytest
 
 from verseshift import trainer, tropes
 from verseshift.linalg import rowwise_cosine
-from verseshift.tropes import SimilarityTrajectory
 
 from _oracles import trajectory_values_unblocked
 from conftest import make_model, stack_model, working_bytes
@@ -37,8 +36,8 @@ class TestBuildTrajectories:
     def test_identical_candidate_has_unit_trajectory(self):
         model = angle_model([0.0] * 4, {"gleich": [0.0] * 4, "anders": [1.0] * 4})
         trajectories = tropes.build_trajectories(model, "ziel", min_global=1, min_per_slot=1)
-        by_name = {t.candidate: t for t in trajectories}
-        assert np.allclose(by_name["gleich"].values, 1.0, atol=1e-6)
+        assert trajectories.candidates == ["anders", "gleich"]
+        assert np.allclose(trajectories.values[1], 1.0, atol=1e-6)
 
     def test_missing_slot_imputed_as_neighbor_mean(self):
         angles = [0.0, 0.2, 0.9, 0.4, 0.5, 0.6]
@@ -46,26 +45,26 @@ class TestBuildTrajectories:
         counts[2, 1] = 0  # candidate missing from slot 2
         model = angle_model([0.0] * 6, {"kandidat": angles}, counts=counts)
         trajectories = tropes.build_trajectories(model, "ziel", min_global=1, min_per_slot=2)
-        t = trajectories[0]
-        assert t.imputed.tolist() == [False, False, True, False, False, False]
+        values, imputed = trajectories.values[0], trajectories.imputed[0]
+        assert imputed.tolist() == [False, False, True, False, False, False]
         expected = (np.cos(0.2) + np.cos(0.4)) / 2
-        assert t.values[2] == pytest.approx(expected, abs=1e-6)
+        assert values[2] == pytest.approx(expected, abs=1e-6)
         # measured slots keep their computed values bit for bit
-        assert t.values[1] == pytest.approx(np.cos(0.2), abs=1e-6)
+        assert values[1] == pytest.approx(np.cos(0.2), abs=1e-6)
 
     def test_boundary_missing_copies_nearest(self):
         counts = np.full((4, 2), 5)
         counts[0, 1] = 0
         model = angle_model([0.0] * 4, {"rand": [0.3, 0.5, 0.6, 0.7]}, counts=counts)
-        t = tropes.build_trajectories(model, "ziel", min_global=1, min_per_slot=2)[0]
-        assert t.values[0] == pytest.approx(np.cos(0.5), abs=1e-6)
+        values = tropes.build_trajectories(model, "ziel", min_global=1, min_per_slot=2).values[0]
+        assert values[0] == pytest.approx(np.cos(0.5), abs=1e-6)
 
     def test_below_threshold_counts_as_missing(self):
         counts = np.full((4, 2), 5)
         counts[1, 1] = 1  # below min_per_slot=2 but not zero
         model = angle_model([0.0] * 4, {"knapp": [0.1, 0.2, 0.3, 0.4]}, counts=counts)
-        t = tropes.build_trajectories(model, "ziel", min_global=1, min_per_slot=2)[0]
-        assert t.imputed.tolist() == [False, True, False, False]
+        imputed = tropes.build_trajectories(model, "ziel", min_global=1, min_per_slot=2).imputed[0]
+        assert imputed.tolist() == [False, True, False, False]
 
     def test_two_missing_slots_rejected(self):
         counts = np.full((5, 3), 5)
@@ -76,20 +75,20 @@ class TestBuildTrajectories:
         )
         assert model.vocab.index["wegfall"] == 2
         trajectories = tropes.build_trajectories(model, "ziel", min_global=1, min_per_slot=2)
-        assert [t.candidate for t in trajectories] == ["bleibt"]
+        assert trajectories.candidates == ["bleibt"]
 
     def test_min_global_filters(self):
         model = angle_model([0.0] * 3, {"selten": [0.1] * 3, "oft": [0.2] * 3})
         model.vocab.global_counts[model.vocab.index["selten"]] = 3
         trajectories = tropes.build_trajectories(model, "ziel", min_global=10, min_per_slot=1)
-        assert [t.candidate for t in trajectories] == ["oft"]
+        assert trajectories.candidates == ["oft"]
 
     def test_raising_min_global_never_adds(self):
         model = angle_model([0.0] * 3, {f"k{i}": [0.1 * i] * 3 for i in range(5)})
         for i, w in enumerate(model.vocab.words):
             model.vocab.global_counts[i] = 10 * (model.vocab.index[w] + 1)
-        lo = {t.candidate for t in tropes.build_trajectories(model, "ziel", min_global=10, min_per_slot=1)}
-        hi = {t.candidate for t in tropes.build_trajectories(model, "ziel", min_global=30, min_per_slot=1)}
+        lo = set(tropes.build_trajectories(model, "ziel", min_global=10, min_per_slot=1).candidates)
+        hi = set(tropes.build_trajectories(model, "ziel", min_global=30, min_per_slot=1).candidates)
         assert hi <= lo
 
     def test_target_absent_from_slot_errors(self):
@@ -119,7 +118,8 @@ class TestBuildTrajectories:
         )
         trajectories = tropes.build_trajectories(model, "ziel", min_global=1, min_per_slot=2)
         cand = np.array([1, 2, 4])
-        assert [t.candidate for t in trajectories] == [words[c] for c in cand]
+        assert trajectories.target == "ziel"
+        assert trajectories.candidates == [words[c] for c in cand]
 
         expected = np.column_stack([
             rowwise_cosine(model.slot_vectors(t, cand), model.embedding_of("ziel", t)) for t in range(n_slots)
@@ -130,10 +130,9 @@ class TestBuildTrajectories:
             if mask.any():
                 expected[row, mask] = np.interp(slots[mask], slots[~mask], expected[row, ~mask])
         assert imputed.any(axis=1).tolist() == [False, True, True]
-        for t, want, mask in zip(trajectories, expected, imputed):
-            assert t.values.dtype == np.float64 and t.imputed.dtype == bool
-            assert np.array_equal(t.values, want)
-            assert np.array_equal(t.imputed, mask)
+        assert trajectories.values.dtype == np.float64 and trajectories.imputed.dtype == bool
+        assert np.array_equal(trajectories.values, expected)
+        assert np.array_equal(trajectories.imputed, imputed)
 
 
 class TestTrajectoryBlocks:
@@ -154,11 +153,10 @@ class TestTrajectoryBlocks:
             slot_counts=counts, global_counts=[100] * n_words,
         )
         trajectories = tropes.build_trajectories(model, "w0", min_global=1, min_per_slot=2)
-        cand = np.array([model.vocab.index[t.candidate] for t in trajectories])
+        cand = np.array([model.vocab.index[w] for w in trajectories.candidates])
         assert cand.size == n_candidates
-        imputed = np.vstack([t.imputed for t in trajectories])
-        want = trajectory_values_unblocked(model, 0, cand, imputed)
-        assert np.array_equal(np.vstack([t.values for t in trajectories]), want)
+        want = trajectory_values_unblocked(model, 0, cand, trajectories.imputed)
+        assert np.array_equal(trajectories.values, want)
 
     def test_working_memory_is_one_block(self):
         model = stack_model()
@@ -169,8 +167,20 @@ class TestTrajectoryBlocks:
         assert extra < 0.08 * stack
 
 
-def class_fixture(per_class=30, n_slots=6, noise=0.02, seed=99):
-    """Planted high/low/rising/falling trajectories plus labels."""
+def make_trajectories(names, rows):
+    """Trajectories of ``names`` against "ziel" with the given value rows and nothing imputed."""
+    values = np.array(rows, dtype=np.float64)
+    return tropes.Trajectories("ziel", list(names), values, np.zeros(values.shape, dtype=bool))
+
+
+def first(trajectories, n):
+    """The first ``n`` rows of ``trajectories``."""
+    t = trajectories
+    return tropes.Trajectories(t.target, t.candidates[:n], t.values[:n], t.imputed[:n])
+
+
+def class_fixture(per_class=30, n_slots=6, noise=0.02, seed=99, extra=()):
+    """Planted high/low/rising/falling trajectories, then the ``(name, values)`` rows of ``extra``, plus labels."""
     rng = np.random.default_rng(seed)
     ramp = np.linspace(0.2, 0.8, n_slots)
     shapes = {
@@ -179,17 +189,18 @@ def class_fixture(per_class=30, n_slots=6, noise=0.02, seed=99):
         "rising": ramp,
         "falling": ramp[::-1],
     }
-    trajectories = []
+    names, rows = [], []
     labels = {}
     for label, shape in shapes.items():
         for i in range(per_class):
             name = f"{label}{i:03d}"
-            values = shape + rng.normal(scale=noise, size=n_slots)
-            trajectories.append(
-                SimilarityTrajectory("ziel", name, values, np.zeros(n_slots, dtype=bool))
-            )
+            names.append(name)
+            rows.append(shape + rng.normal(scale=noise, size=n_slots))
             labels[name] = label
-    return trajectories, labels
+    for name, values in extra:
+        names.append(name)
+        rows.append(values)
+    return make_trajectories(names, rows), labels
 
 
 class TestTrajectoryPca:
@@ -211,10 +222,9 @@ class TestTrajectoryPca:
         assert report.pca.explained_variance_ratio[:2].sum() > 0.9
 
     def test_classification_labels(self):
-        trajectories, _ = class_fixture()
-        flat = SimilarityTrajectory("ziel", "mittig", np.full(6, 0.5), np.zeros(6, dtype=bool))
+        trajectories, _ = class_fixture(extra=[("mittig", np.full(6, 0.5))])
         report = tropes.orient_components(
-            tropes.trajectory_pca(trajectories + [flat], n_components=4, top_k=30)
+            tropes.trajectory_pca(trajectories, n_components=4, top_k=30)
         )
         assert tropes.classify_trajectory(report, "rising000") == ["rising"]
         assert tropes.classify_trajectory(report, "high000") == ["high"]
@@ -245,8 +255,7 @@ class TestTrajectoryPca:
         flipped = tropes.TropeReport(
             pca=flipped_pca,
             trajectories=report.trajectories,
-            top_k=report.top_k,
-            extremes=tropes._extreme_lists(flipped_pca.projections, report.trajectories, report.top_k),
+            extremes=tropes._extreme_lists(flipped_pca.projections, 20),
         )
         a = tropes.orient_components(report)
         b = tropes.orient_components(flipped)
@@ -257,13 +266,14 @@ class TestTrajectoryPca:
     def test_extreme_lists_disjoint_within_component(self):
         trajectories, _ = class_fixture(per_class=10)
         report = tropes.trajectory_pca(trajectories, n_components=3, top_k=10)
-        for pos, neg in report.extremes:
-            assert not ({e.candidate for e in pos} & {e.candidate for e in neg})
+        for c in range(3):
+            assert not (set(report.component_members(c, "pos")) & set(report.component_members(c, "neg")))
 
     def test_reordering_candidates_keeps_ratios_and_members(self):
         trajectories, _ = class_fixture(per_class=12, seed=31)
         report_a = tropes.orient_components(tropes.trajectory_pca(trajectories, 2, 12))
-        shuffled = list(reversed(trajectories))
+        t = trajectories
+        shuffled = tropes.Trajectories(t.target, t.candidates[::-1], t.values[::-1], t.imputed[::-1])
         report_b = tropes.orient_components(tropes.trajectory_pca(shuffled, 2, 12))
         assert np.allclose(
             report_a.pca.explained_variance_ratio, report_b.pca.explained_variance_ratio, atol=1e-10
@@ -275,17 +285,14 @@ class TestTrajectoryPca:
                 )
 
     def test_degenerate_zero_slope_flagged(self):
-        trajectories = [
-            SimilarityTrajectory("ziel", f"flach{i}", np.full(4, 0.5 + 0.1 * (i % 3)), np.zeros(4, bool))
-            for i in range(9)
-        ]
+        trajectories = make_trajectories(
+            [f"flach{i}" for i in range(9)], [np.full(4, 0.5 + 0.1 * (i % 3)) for i in range(9)]
+        )
         report = tropes.orient_components(tropes.trajectory_pca(trajectories, 2, 3))
         assert 1 in report.undetermined
 
     def test_identical_trajectories_degenerate(self):
-        trajectories = [
-            SimilarityTrajectory("ziel", f"k{i}", np.full(5, 0.6), np.zeros(5, bool)) for i in range(6)
-        ]
+        trajectories = make_trajectories([f"k{i}" for i in range(6)], [np.full(5, 0.6)] * 6)
         report = tropes.trajectory_pca(trajectories, n_components=2, top_k=3)
         assert report.pca.degenerate
         assert np.all(report.pca.explained_variance_ratio == 0.0)
@@ -293,16 +300,17 @@ class TestTrajectoryPca:
     def test_top_k_at_most_half_the_trajectories(self):
         trajectories, _ = class_fixture(per_class=3)
         report = tropes.trajectory_pca(trajectories, n_components=2, top_k=6)  # 2 * top_k == 12 trajectories
-        for pos, neg in report.extremes:
+        for c in range(2):
+            pos, neg = report.component_members(c, "pos"), report.component_members(c, "neg")
             assert len(pos) == len(neg) == 6
-            assert not ({e.candidate for e in pos} & {e.candidate for e in neg})
+            assert not (set(pos) & set(neg))
         with pytest.raises(ValueError, match="top_k=6"):
-            tropes.trajectory_pca(trajectories[:11], n_components=2, top_k=6)
+            tropes.trajectory_pca(first(trajectories, 11), n_components=2, top_k=6)
 
     def test_too_few_trajectories(self):
         trajectories, _ = class_fixture(per_class=1)
         with pytest.raises(ValueError):
-            tropes.trajectory_pca(trajectories[:3], n_components=4)
+            tropes.trajectory_pca(first(trajectories, 3), n_components=4)
 
 
 class TestImputationIsolation:
@@ -310,10 +318,11 @@ class TestImputationIsolation:
         angles = [0.0, 0.2, 0.9, 0.4]
         counts = np.full((4, 2), 5)
         model = angle_model([0.0] * 4, {"voll": angles}, counts=counts)
-        full = tropes.build_trajectories(model, "ziel", min_global=1, min_per_slot=2)[0]
+        full = tropes.build_trajectories(model, "ziel", min_global=1, min_per_slot=2)
         counts2 = counts.copy()
         counts2[2, 1] = 0
         model2 = angle_model([0.0] * 4, {"voll": angles}, counts=counts2)
-        gappy = tropes.build_trajectories(model2, "ziel", min_global=1, min_per_slot=2)[0]
-        present = ~gappy.imputed
-        assert np.array_equal(full.values[present], gappy.values[present])
+        gappy = tropes.build_trajectories(model2, "ziel", min_global=1, min_per_slot=2)
+        present = ~gappy.imputed[0]
+        assert present.tolist() == [True, True, False, True]
+        assert np.array_equal(full.values[0][present], gappy.values[0][present])
