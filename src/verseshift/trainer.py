@@ -20,6 +20,8 @@ import logging
 import mmap
 import os
 import struct
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,7 +42,8 @@ PAIR_GROUP = 32  # consecutive pairs of a minibatch that share one negative set
 # reduceat's order is the first row plus a left-to-right sum of the rest.
 SCATTER_CUTOFF = 8
 ROW_BLOCK = 256  # words whose float64 slot vectors an analysis holds at once
-MAX_EPOCH_PAIRS = 2**31 - 1  # the epoch shuffle holds int32 pair indices
+MAX_EPOCH_TOKENS = 2**31 - 1  # pair records hold int32 positions into an epoch's slot tokens
+PROGRESS_MARKS = 20  # train logs its progress at each 5% of an epoch's pairs
 
 
 class ModelFormatError(Exception):
@@ -354,24 +357,63 @@ def _pair_count(lengths: np.ndarray, window: int) -> int:
     return total
 
 
-def _slot_pairs(tokens: np.ndarray, doc_ids: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered (center, context) pairs within the window, per document."""
-    centers = []
-    contexts = []
-    longest = int(np.bincount(doc_ids).max(initial=0))
-    for off in range(1, window + 1):
-        if off >= longest:  # no document has a pair this far apart
-            break
-        same_doc = doc_ids[off:] == doc_ids[:-off]
-        a = tokens[:-off][same_doc]
-        b = tokens[off:][same_doc]
-        centers.append(a)
-        contexts.append(b)
-        centers.append(b)
-        contexts.append(a)
-    if not centers:
-        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
-    return np.concatenate(centers), np.concatenate(contexts)
+def _epoch_records(slots, n_tokens: int, n_pairs: int, window: int):
+    """An epoch's kept slot tokens, the end of each slot in them, and its (N, 2) pair records.
+
+    ``slots`` yields each slot's kept (tokens, doc_ids); its tokens are
+    written into one int32 array one slot at a time. A record is the int32
+    (center, context) pair of positions in that array. The records are
+    filled slot by slot and offset by offset: for the positions p whose
+    token shares its document with the token at p + off, the forward half
+    (p, p + off), then the backward half (p + off, p).
+    """
+    tokens = np.empty(n_tokens, dtype=np.int32)
+    pairs = np.empty((n_pairs, 2), dtype=np.int32)
+    ends = []
+    start = filled = 0
+    for slot_tokens, doc_ids in slots:
+        tokens[start : start + slot_tokens.size] = slot_tokens
+        longest = int(np.bincount(doc_ids).max(initial=0))
+        for off in range(1, min(window + 1, longest)):  # no document has a pair `longest` apart
+            near = np.flatnonzero(doc_ids[off:] == doc_ids[:-off]).astype(np.int32)
+            near += start
+            forward, backward = pairs[filled : filled + near.size], pairs[filled + near.size : filled + 2 * near.size]
+            forward[:, 0] = backward[:, 1] = near
+            near += off
+            forward[:, 1] = backward[:, 0] = near
+            filled += 2 * near.size
+        start += slot_tokens.size
+        ends.append(start)
+    return tokens, np.array(ends, dtype=np.int32), pairs
+
+
+class _EpochProgress:
+    """An epoch's pairs done and loss sum, logged at INFO at each of its PROGRESS_MARKS marks.
+
+    Batches report under a lock, so with several workers the thread whose
+    batch crosses a mark logs it; with one, the loss is summed in batch order.
+    """
+
+    def __init__(self, epoch: int, n_epochs: int, n_pairs: int) -> None:
+        self.epoch, self.n_epochs, self.n_pairs = epoch, n_epochs, n_pairs
+        self.done = 0
+        self.loss_sum = 0.0
+        self.marks = 0
+        self.started = time.perf_counter()
+        self.lock = threading.Lock()
+
+    def add(self, n_pairs: int, loss: float, lr: float) -> None:
+        with self.lock:
+            self.done += n_pairs
+            self.loss_sum += loss
+            marks = self.done * PROGRESS_MARKS // self.n_pairs
+            if marks > self.marks:
+                self.marks = marks
+                rate = self.done / max(time.perf_counter() - self.started, 1e-9)
+                log.info(
+                    "epoch %d/%d: %d/%d pairs, %.0f pairs/s, lr %.6g, mean loss %.5f",
+                    self.epoch + 1, self.n_epochs, self.done, self.n_pairs, rate, lr, self.loss_sum / self.done,
+                )
 
 
 def _subsampled(encoded, keep_prob: np.ndarray | None, seed: int, epoch: int):
@@ -404,11 +446,16 @@ def train(
     contributes a negative-sampling step; each group of PAIR_GROUP
     consecutive pairs shares k negatives drawn from the corpus-wide unigram
     distribution raised to 0.75. The learning rate decays linearly over all
-    scheduled pairs. Each epoch holds its pairs in one (N, 3) int32 block of
-    (word, slot, context) rows and an int32 shuffling permutation, so an
-    epoch has at most MAX_EPOCH_PAIRS pairs; a batch gathers its rows
-    through the permutation. Single-worker runs with a fixed seed
-    are fully deterministic; extra workers update the shared matrices
+    scheduled pairs. Each epoch writes its kept slot tokens into one int32
+    array, so it may keep at most MAX_EPOCH_TOKENS of them, and holds its
+    pairs as (N, 2) int32 records of (center, context) positions in that
+    array, 8 bytes per pair (:func:`_epoch_records`). The records are
+    shuffled in place through their int64 view, which gives
+    ``permutation(N)``'s order from the same draws. A batch is a slice of
+    the records; its words and contexts are the tokens at their positions,
+    its slots the slots whose token range holds each center. Progress is
+    logged at each 5% of an epoch's pairs. Single-worker runs with a fixed
+    seed are fully deterministic; extra workers update the shared matrices
     without locks and trade determinism for speed.
     """
     if len(slot_table) < 2:
@@ -430,18 +477,19 @@ def train(
 
     # Every epoch's pairs are counted first, so the exact linear
     # learning-rate schedule is known before the first step.
-    epoch_pair_counts = [
-        sum(
-            _pair_count(np.bincount(doc_ids), config.context_window)
-            for _, doc_ids in _subsampled(encoded, keep_prob, config.seed, epoch)
-        )
-        for epoch in range(config.epochs)
-    ]
-    if max(epoch_pair_counts) > MAX_EPOCH_PAIRS:
-        raise ValueError(
-            f"an epoch of {max(epoch_pair_counts)} training pairs is more than the {MAX_EPOCH_PAIRS} "
-            "its int32 shuffle can index; train fewer slots or a narrower context window"
-        )
+    epoch_pair_counts, epoch_token_counts = [], []
+    for epoch in range(config.epochs):
+        n_pairs = n_tokens = 0
+        for _, doc_ids in _subsampled(encoded, keep_prob, config.seed, epoch):
+            n_pairs += _pair_count(np.bincount(doc_ids), config.context_window)
+            n_tokens += doc_ids.size
+        if n_tokens > MAX_EPOCH_TOKENS:
+            raise ValueError(
+                f"an epoch of {n_tokens} slot tokens is more than the {MAX_EPOCH_TOKENS} "
+                "its int32 pair positions can address; train fewer or narrower slots"
+            )
+        epoch_pair_counts.append(n_pairs)
+        epoch_token_counts.append(n_tokens)
     total_pairs = sum(epoch_pair_counts)
     if total_pairs == 0:
         log.warning("no training pairs were scheduled; returning the initial model")
@@ -452,51 +500,47 @@ def train(
     pairs_done = 0
     for epoch, n_pairs in enumerate(epoch_pair_counts):
         rng_epoch = np.random.default_rng([config.seed, 2, epoch])
-        pairs = np.empty((n_pairs, 3), dtype=np.int32)  # word, slot, context
-        filled = 0
-        for slot, (tokens, doc_ids) in enumerate(_subsampled(encoded, keep_prob, config.seed, epoch)):
-            w, c = _slot_pairs(tokens, doc_ids, config.context_window)
-            block = pairs[filled : filled + w.size]
-            block[:, 0] = w
-            block[:, 1] = slot
-            block[:, 2] = c
-            filled += w.size
+        tokens, slot_ends, pairs = _epoch_records(
+            _subsampled(encoded, keep_prob, config.seed, epoch),
+            epoch_token_counts[epoch], n_pairs, config.context_window,
+        )
         # pair-level shuffle keeps every slot represented across the whole
         # learning-rate range instead of letting large slots dominate the tail;
-        # an int32 arange shuffled in place takes permutation(n_pairs)'s order
-        # from the same draws, in half the memory
-        perm = np.arange(n_pairs, dtype=np.int32)
-        rng_epoch.shuffle(perm)
+        # numpy's 1-D shuffle makes the same swaps from the same draws for any
+        # item size, so the int64 view of the records takes permutation(n_pairs)'s
+        # order (shuffling the 2-D array gives it too, but swaps rows in a Python loop)
+        rng_epoch.shuffle(pairs.view(np.int64).ravel())
+        progress = _EpochProgress(epoch, config.epochs, n_pairs)
 
-        def run_batches(starts, rng) -> float:
-            loss_sum = 0.0
+        def run_batches(starts, rng) -> None:
             for lo in starts:
-                words, slots, contexts = np.take(pairs, perm[lo : lo + config.batch_size], axis=0).T
-                n_groups = -(-words.size // PAIR_GROUP)
+                block = pairs[lo : lo + config.batch_size]
+                centers = block[:, 0]
+                n_groups = -(-centers.size // PAIR_GROUP)
                 negs = np.searchsorted(
                     neg_cdf, rng.random((n_groups, config.negatives)), side="right"
                 ).astype(np.int32)
                 np.clip(negs, 0, n_words - 1, out=negs)
                 lr = config.initial_lr + lr_span * ((pairs_done + lo) / total_pairs)
-                batch = TrainingBatch(words, slots, contexts, negs)
+                words, contexts = np.take(tokens, block).T
+                batch = TrainingBatch(words, np.searchsorted(slot_ends, centers, side="right"), contexts, negs)
                 loss = sgd_step(base, deltas_flat, context, n_words, batch, lr)
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss in epoch {epoch}")
-                loss_sum += loss
-            return loss_sum
+                progress.add(centers.size, loss, lr)
 
         starts = range(0, n_pairs, config.batch_size)
         if config.workers == 1:
-            epoch_loss = run_batches(starts, rng_epoch)
+            run_batches(starts, rng_epoch)
         else:
             chunks = [starts[i :: config.workers] for i in range(config.workers)]
             rngs = rng_epoch.spawn(config.workers)
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                epoch_loss = sum(pool.map(run_batches, chunks, rngs))
-        del pairs, perm  # before the next epoch builds its own
+                list(pool.map(run_batches, chunks, rngs))  # raises a worker's error
+        del tokens, pairs  # before the next epoch builds its own
 
         pairs_done += n_pairs
-        mean_loss = epoch_loss / max(1, n_pairs)
+        mean_loss = progress.loss_sum / max(1, n_pairs)
         model.epoch_losses.append(mean_loss)
         log.info("epoch %d/%d: %d pairs, mean loss %.5f", epoch + 1, config.epochs, n_pairs, mean_loss)
         for name, mat in (("base", base), ("deltas", deltas), ("context", context)):

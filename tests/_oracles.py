@@ -13,7 +13,8 @@ gradient oracles gather a batch in float64 and scatter its gradients into
 dense matrices with ``np.add.at``, through the package's ``_batch_terms``,
 for the finite-difference and criterion-1 checks. The training oracle
 is the single-worker loop that drew every epoch's subsampling masks up
-front and shuffled concatenated per-slot pair arrays by permuted copies.
+front and shuffled concatenated per-slot (word, context) token arrays,
+built by the pair oracle, by permuted copies.
 The analysis oracles build every float64 slot vector of the measured words
 at once, as the analyses did before they worked in row blocks, with the
 cosine written out in the kernel's own operations.
@@ -258,10 +259,30 @@ def encode_documents(per_slot: list[list[list[str]]], index: dict[str, int]) -> 
     return encoded
 
 
+def slot_pairs(tokens: np.ndarray, doc_ids: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """All ordered (center, context) pairs within the window, per document."""
+    centers = []
+    contexts = []
+    longest = int(np.bincount(doc_ids).max(initial=0))
+    for off in range(1, window + 1):
+        if off >= longest:  # no document has a pair this far apart
+            break
+        same_doc = doc_ids[off:] == doc_ids[:-off]
+        a = tokens[:-off][same_doc]
+        b = tokens[off:][same_doc]
+        centers.append(a)
+        contexts.append(b)
+        centers.append(b)
+        contexts.append(a)
+    if not centers:
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+    return np.concatenate(centers), np.concatenate(contexts)
+
+
 def train_reference(docs, vocab, slot_table, config):
     """Single-worker training with masks drawn up front and permuted copies of the epoch's pairs.
 
-    Uses the package's step and pair helpers, so it pins only the order of
+    Uses the package's step and pair count, so it pins only the order of
     the random draws, the pairs, the batches and the learning rates.
     """
     from verseshift import corpus, trainer
@@ -303,7 +324,7 @@ def train_reference(docs, vocab, slot_table, config):
             mask = masks[epoch][slot]
             if mask is not None:
                 tokens, doc_ids = tokens[mask], doc_ids[mask]
-            w, c = trainer._slot_pairs(tokens, doc_ids, config.context_window)
+            w, c = slot_pairs(tokens, doc_ids, config.context_window)
             parts_w.append(w)
             parts_c.append(c)
             parts_s.append(np.full(w.size, slot, dtype=np.int32))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -16,6 +17,7 @@ from _oracles import (
     log_sigmoid_logaddexp,
     scatter_add_rows_reduceat,
     sgd_step_reference,
+    slot_pairs,
     train_reference,
 )
 from conftest import (
@@ -29,6 +31,7 @@ from conftest import (
     make_table,
     make_vocab,
     slot_documents,
+    working_bytes,
     write_tiny_model,
 )
 
@@ -446,42 +449,125 @@ class TestTraining:
         doc_ids = np.array([0, 0, 0, 1, 1, 1, 1, 1, 2], dtype=np.int32)  # longest document: 5 tokens
         lengths = np.bincount(doc_ids)
         assert trainer._pair_count(lengths, 10**18) == trainer._pair_count(lengths, 5) == 26
-        for got, want in zip(trainer._slot_pairs(tokens, doc_ids, 10**18), trainer._slot_pairs(tokens, doc_ids, 5)):
-            assert np.array_equal(got, want)
-        assert trainer._slot_pairs(tokens, doc_ids, 10**18)[0].size == 26
+        got = record_triples([(tokens, doc_ids)], 10**18)
+        assert np.array_equal(got, record_triples([(tokens, doc_ids)], 5))
+        assert np.array_equal(got, oracle_triples([(tokens, doc_ids)], 5))
+        assert len(got) == 26
+
+
+def record_triples(slots, window):
+    """train's records of per-slot (tokens, doc_ids), decoded into (word, slot, context) rows in record order."""
+    n_tokens = sum(tokens.size for tokens, _ in slots)
+    n_pairs = sum(trainer._pair_count(np.bincount(doc_ids), window) for _, doc_ids in slots)
+    tokens, slot_ends, pairs = trainer._epoch_records(iter(slots), n_tokens, n_pairs, window)
+    assert pairs.shape == (n_pairs, 2) and pairs.dtype == np.int32
+    slots_of = np.searchsorted(slot_ends, pairs[:, 0], side="right")
+    return np.column_stack((tokens[pairs[:, 0]], slots_of, tokens[pairs[:, 1]]))
+
+
+def oracle_triples(slots, window):
+    """The pair oracle's (word, slot, context) rows, slot after slot."""
+    rows = [np.empty((0, 3), dtype=np.int64)]
+    for slot, (tokens, doc_ids) in enumerate(slots):
+        w, c = slot_pairs(tokens, doc_ids, window)
+        rows.append(np.column_stack((w, np.full(w.size, slot), c)))
+    return np.concatenate(rows)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 12), max_size=20), st.integers(1, 14))
-def test_pair_count_sizes_the_pair_block(lengths, window):
-    # documents left empty by subsampling leave gaps in the document numbers
-    doc_ids = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
-    tokens = np.arange(doc_ids.size, dtype=np.int32)
-    w, c = trainer._slot_pairs(tokens, doc_ids, window)
-    assert trainer._pair_count(np.bincount(doc_ids), window) == w.size == c.size
+@given(st.lists(st.lists(st.integers(0, 12), max_size=8), min_size=1, max_size=4), st.integers(1, 14))
+def test_pair_count_sizes_the_pair_block(slot_lengths, window):
+    # documents left empty by subsampling leave gaps in the document numbers, and a slot may keep no token
+    slots, first = [], 100
+    for lengths in slot_lengths:
+        doc_ids = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+        slots.append((np.arange(first, first + doc_ids.size, dtype=np.int32), doc_ids))  # every token id distinct
+        first += doc_ids.size
+    want = oracle_triples(slots, window)
+    assert sum(trainer._pair_count(np.bincount(doc_ids), window) for _, doc_ids in slots) == len(want)
+    assert np.array_equal(record_triples(slots, window), want)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 1000])
 def test_int32_shuffle_is_permutation(n):
-    """train's epoch shuffle: an int32 arange shuffled in place is numpy's permutation(n).
+    """train's epoch shuffle: (n, 2) int32 records shuffled through their int64 view take numpy's permutation(n).
 
-    The negatives are drawn from the same generator afterwards, so the
-    generators must also leave the shuffle in the same state.
+    So does an int32 arange shuffled in place. The negatives are drawn from
+    the same generator afterwards, so the generators must also leave the
+    shuffle in the same state.
     """
-    by_shuffle, by_permutation = np.random.default_rng([3, 2, 0]), np.random.default_rng([3, 2, 0])
-    perm = np.arange(n, dtype=np.int32)
-    by_shuffle.shuffle(perm)
-    assert np.array_equal(perm, by_permutation.permutation(n))
-    assert np.array_equal(by_shuffle.random(8), by_permutation.random(8))
+    by_permutation = np.random.default_rng([3, 2, 0])
+    perm = by_permutation.permutation(n)
+    after = by_permutation.random(8)
+
+    by_shuffle = np.random.default_rng([3, 2, 0])
+    arange = np.arange(n, dtype=np.int32)
+    by_shuffle.shuffle(arange)
+    assert np.array_equal(arange, perm)
+    assert np.array_equal(by_shuffle.random(8), after)
+
+    by_shuffle = np.random.default_rng([3, 2, 0])
+    columns = np.arange(n, dtype=np.int32), np.arange(n, dtype=np.int32) * -7 + 5
+    records = np.column_stack(columns)
+    by_shuffle.shuffle(records.view(np.int64).ravel())
+    assert np.array_equal(records[:, 0], columns[0][perm])
+    assert np.array_equal(records[:, 1], columns[1][perm])
+    assert np.array_equal(by_shuffle.random(8), after)
 
 
-def test_epoch_beyond_int32_pairs_refused(monkeypatch):
-    monkeypatch.setattr(trainer, "_pair_count", lambda lengths, window: trainer.MAX_EPOCH_PAIRS)
+@pytest.mark.parametrize("bound, refused", [(1799, True), (1800, False)])
+def test_epoch_beyond_int32_tokens_refused(monkeypatch, bound, refused):
+    """The tiny corpus keeps 1800 slot tokens an epoch; one past the bound is refused before any record is filled."""
+    monkeypatch.setattr(trainer, "MAX_EPOCH_TOKENS", bound)
     built = []
-    monkeypatch.setattr(trainer, "_slot_pairs", lambda *args: built.append(args))
-    with pytest.raises(ValueError, match=f"more than the {trainer.MAX_EPOCH_PAIRS} .*int32"):
-        train_tiny(quick_config(epochs=1))  # two slots: twice the bound
-    assert built == []  # refused before any pair block is filled
+    epoch_records = trainer._epoch_records
+    monkeypatch.setattr(trainer, "_epoch_records", lambda *args: built.append(args) or epoch_records(*args))
+    if refused:
+        with pytest.raises(ValueError, match="an epoch of 1800 slot tokens is more than the 1799 .*int32"):
+            train_tiny(quick_config(epochs=1))
+        assert built == []
+    else:
+        train_tiny(quick_config(epochs=1))
+        assert len(built) == 1
+
+
+class TestProgressLog:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_logs_each_twentieth_of_an_epoch(self, caplog, workers):
+        config = quick_config(epochs=1, batch_size=27, workers=workers)  # 5400 pairs: a mark every 10 batches
+        with caplog.at_level("INFO", logger="verseshift.trainer"):
+            model = train_tiny(config)
+        lines = [re.fullmatch(r"epoch 1/1: (\d+)/5400 pairs, (\d+) pairs/s, lr (\S+), mean loss (\S+)", m)
+                 for m in caplog.messages if "pairs/s" in m]
+        assert all(lines) and len(lines) == 20
+        assert [int(line[1]) for line in lines] == [270 * k for k in range(1, 21)]
+        assert all(int(line[2]) > 0 for line in lines)
+        lrs = np.array([float(line[3]) for line in lines])
+        if workers == 1:  # the batch that reaches a mark starts 27 pairs before it
+            span = config.final_lr - config.initial_lr
+            want = config.initial_lr + span * (np.arange(270, 5401, 270) - 27) / 5400
+            assert lrs == pytest.approx(want, rel=1e-5)
+        assert ((config.final_lr <= lrs) & (lrs <= config.initial_lr)).all()
+        assert float(lines[-1][4]) == pytest.approx(model.epoch_losses[0], abs=1e-5)
+
+
+def test_epoch_working_memory_is_under_twelve_bytes_per_pair():
+    """One epoch's traced peak above the model it returns, per pair, on about 400k pairs.
+
+    An epoch holds 8 bytes of records per pair and 4 bytes per kept slot
+    token; a (word, slot, context) int32 block with an int32 shuffling
+    permutation would hold 16 bytes per pair.
+    """
+    table = make_table([1700, 1750])
+    rng = np.random.default_rng(2)
+    docs_by_slot = [[[f"w{i}" for i in rng.integers(0, 40, 12)] for _ in range(2250)] for _ in range(2)]
+    docs = slot_documents(docs_by_slot, table)
+    vocab = corpus.build_vocab(docs, table, min_count=1)
+    config = quick_config(dim=2, context_window=5, negatives=1, epochs=1, batch_size=1024)
+    _, extra = working_bytes(lambda: trainer.train(docs, vocab, table, config))
+    n_pairs = 4500 * 2 * (11 + 10 + 9 + 8 + 7)  # 4500 documents of 12 tokens
+    assert n_pairs >= 200_000
+    assert extra / n_pairs < 12.0
 
 
 def reference_corpus(table):
@@ -510,13 +596,25 @@ class TestTrainMatchesReference:
         assert n_pairs % config.batch_size  # the last batch of an unsubsampled epoch is partial
         if subsample:
             assert trainer._keep_probabilities(vocab, subsample).min() < 0.5  # frequent words are dropped
+        self.assert_matches_reference(docs, vocab, table, config)
+
+    def test_window_beyond_every_document(self):
+        table = corpus.build_slots(1700, 1800, 50, 25)
+        docs = reference_corpus(table)
+        assert docs.lengths.max() == 10
+        vocab = corpus.build_vocab(docs, table, min_count=1)
+        config = quick_config(context_window=12, epochs=2, subsample_threshold=0.01, batch_size=97, seed=5)
+        self.assert_matches_reference(docs, vocab, table, config)
+
+    @staticmethod
+    def assert_matches_reference(docs, vocab, table, config):
         got = trainer.train(docs, vocab, table, config)
         want = train_reference(docs, vocab, table, config)
         assert np.array_equal(got.base, want.base)
         assert np.array_equal(got.deltas, want.deltas)
         assert np.array_equal(got.context, want.context)
         assert got.epoch_losses == want.epoch_losses
-        assert len(got.epoch_losses) == epochs
+        assert len(got.epoch_losses) == config.epochs
 
 
 class TestTrainedSemantics:
