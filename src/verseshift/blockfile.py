@@ -39,6 +39,7 @@ class BlockReader:
             raise error(f"{what} {path} changed while it was opened")
         if self.buf[: len(magic)] != magic:
             raise error(f"{path} is not a {what} (bad magic)")
+        self.bytes = np.frombuffer(self.buf, dtype="u1")  # the whole file, for offsets of views
         self.offset = len(magic)  # where the next block starts
 
     def expect(self, n_bytes: int, exact: bool = False) -> None:
@@ -61,6 +62,16 @@ class BlockReader:
         out = np.frombuffer(self.buf, dtype=dtype, count=count, offset=self.offset).reshape(shape)
         self.offset = end
         return out
+
+    def release(self, view: np.ndarray) -> None:
+        """Drop the pages under ``view``, a contiguous view of this mapping, from the process.
+
+        They stay in the page cache, and reading them again maps them again
+        from the file; so do bytes of neighbouring blocks on the same pages.
+        """
+        start = view.ctypes.data - self.bytes.ctypes.data
+        page = start - start % mmap.PAGESIZE
+        self.buf.madvise(mmap.MADV_DONTNEED, page, start + view.nbytes - page)
 
     def strings(self, lengths: np.ndarray, noun: str) -> list[str]:
         """The next block as UTF-8 strings of the given byte ``lengths``."""

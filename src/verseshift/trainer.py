@@ -17,7 +17,6 @@ context rows to update by the group size.
 from __future__ import annotations
 
 import logging
-import mmap
 import os
 import struct
 import threading
@@ -242,6 +241,7 @@ class JointEmbeddingModel:
         base: np.ndarray,
         deltas: np.ndarray,
         context: np.ndarray,
+        release=None,
     ) -> None:
         if deltas.shape[0] != len(slot_table):
             raise ValueError("need one delta matrix per time slot")
@@ -250,6 +250,8 @@ class JointEmbeddingModel:
         self.base = base  # (V, d) float32
         self.deltas = deltas  # (S, V, d) float32
         self.context = context  # (V, d) float32
+        # BlockReader.release of a mapped model; in memory a no-op, as dropping pages would zero them
+        self._release = release or (lambda view: None)
         self.epoch_losses: list[float] = []
 
     @property
@@ -273,28 +275,40 @@ class JointEmbeddingModel:
 
     def embedding_of(self, word: str, slot: int) -> np.ndarray:
         """The word's vector in a slot: shared base row plus the slot delta row."""
-        wi = self._word_index(word)
-        self._check_slot(slot)
-        return self.base[wi].astype(np.float64) + self.deltas[slot, wi].astype(np.float64)
+        return self.slot_vectors(slot, np.array([self._word_index(word)]))[0]
+
+    def _gathered(self, mat: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+        """``mat[rows]`` (all of ``mat`` without ``rows``) as float64; then releases ``mat``."""
+        out = (mat if rows is None else mat[rows]).astype(np.float64)
+        self._release(mat)
+        return out
 
     def slot_vectors(self, slot: int, rows: np.ndarray | None = None) -> np.ndarray:
-        """Float64 matrix of per-slot vectors, optionally restricted to ``rows``."""
+        """Float64 matrix of per-slot vectors, optionally restricted to ``rows``.
+
+        The analyses read the matrices only here and in :meth:`slot_blocks`.
+        A loaded model releases the base and the slot's delta matrix once
+        their rows are gathered, so only the matrix being read stays resident;
+        the next read maps its pages again from the page cache.
+        """
         self._check_slot(slot)
-        if rows is None:
-            return self.base.astype(np.float64) + self.deltas[slot].astype(np.float64)
-        return self.base[rows].astype(np.float64) + self.deltas[slot][rows].astype(np.float64)
+        return self._gathered(self.base, rows) + self._gathered(self.deltas[slot], rows)
 
     def slot_blocks(self, rows: np.ndarray):
         """The vectors of ``rows`` in every slot, ROW_BLOCK rows at a time.
 
         Yields the offset of each block in ``rows`` and a list of the block's
-        S float64 :meth:`slot_vectors` matrices. The list is emptied before
-        the next block is built, so a caller holds S * ROW_BLOCK * d floats
-        rather than S * len(rows) * d, and never two blocks at once.
+        S float64 matrices, bit-equal to :meth:`slot_vectors` of the block in
+        each slot. The base rows are gathered once per block and each slot's
+        delta rows added to them; a loaded model releases each delta matrix
+        after its gather and the base once per block. The list is emptied
+        before the next block is built, so a caller holds S * ROW_BLOCK * d
+        floats rather than S * len(rows) * d, and never two blocks at once.
         """
         for lo in range(0, rows.size, ROW_BLOCK):
             block = rows[lo : lo + ROW_BLOCK]
-            vecs = [self.slot_vectors(t, block) for t in range(self.n_slots)]
+            base = self._gathered(self.base, block)
+            vecs = [base + self._gathered(self.deltas[t], block) for t in range(self.n_slots)]
             yield lo, vecs
             vecs.clear()
 
@@ -577,7 +591,10 @@ def load_model(path) -> JointEmbeddingModel:
     A corrupt file or a non-finite matrix value raises ModelFormatError.
     The matrices are read-only views of the mapped file, so loading costs
     no copy; the file must not be truncated in place while they are in use
-    (:func:`save_model` replaces a file instead of rewriting it).
+    (:func:`save_model` replaces a file instead of rewriting it). The header
+    pages, and each ``(V, d)`` matrix after its finiteness check, are
+    released from the process (``BlockReader.release``), so a load keeps one
+    matrix resident at a time and returns with none.
     """
     reader = BlockReader(path, "model file", MODEL_MAGIC, ModelFormatError)
     version, d, n_words, n_slots = reader.block("<u4", (4,)).tolist()
@@ -594,7 +611,7 @@ def load_model(path) -> JointEmbeddingModel:
     reader.expect(n_words * 8 * (n_slots + 1) + int(lengths.sum(dtype=np.uint64)) + payload, exact=True)
     counts = reader.block("<u8", (n_words, n_slots + 1))  # the global count, then one count per slot
     words = reader.strings(lengths, "word")
-    head = reader.offset - reader.offset % mmap.PAGESIZE  # the whole pages before the matrices
+    header = reader.bytes[: reader.offset]
     mats = reader.block("<f4", (n_slots + 2, n_words, d))  # base, the per-slot deltas, then context
 
     try:
@@ -608,10 +625,10 @@ def load_model(path) -> JointEmbeddingModel:
     if len(index) != n_words:
         raise ModelFormatError(f"repeated word in {path}")
     vocab = Vocabulary(words, index, counts[0], counts[1:], slot_total_tokens=counts[1:].sum(axis=1))
-    if head:  # the header blocks are copied out by now; their mapped pages need not stay resident
-        reader.buf.madvise(mmap.MADV_DONTNEED, 0, head)
-    for i, mat in enumerate(mats):  # slab by slab, so no full-size temporary
+    reader.release(header)  # copied out by now
+    for i, mat in enumerate(mats):  # slab by slab, so no full-size temporary and one slab resident
         if not np.isfinite(mat).all():
             name = "base" if i == 0 else "context" if i == n_slots + 1 else f"slot {i - 1} delta"
             raise ModelFormatError(f"non-finite value in the {name} matrix of {path}")
-    return JointEmbeddingModel(vocab, table, mats[0], mats[1:-1], mats[-1])
+        reader.release(mat)
+    return JointEmbeddingModel(vocab, table, mats[0], mats[1:-1], mats[-1], reader.release)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from verseshift import analysis, trainer
+from verseshift import analysis, trainer, tropes
 from verseshift.analysis import DistributionSummary, SelfSimSeries
 
 from _oracles import total_word_means_unblocked
@@ -331,3 +331,58 @@ class TestLinearityFit:
     def test_needs_three_distances(self):
         with pytest.raises(ValueError):
             analysis.linearity_fit(self._total([50, 100], [0.9, 0.8]))
+
+
+def analysis_steps(model, target):
+    """The model reads of the four analyses, one callable each: selfsim and changepoints over every word, totalsim, tropes."""
+    return [
+        lambda: analysis.detect_change_points(analysis.pairwise_self_similarity(model, top_n=len(model.vocab)), 3),
+        lambda: analysis.total_self_similarity(model, min_per_slot=1),
+        lambda: tropes.build_trajectories(model, target),
+    ]
+
+
+def mapped_file_kb() -> int | None:
+    """Resident file pages of this process in kB (RssFile, plus RssShmem for a tmpfs), or None without RssFile."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            fields = dict(line.split(":", 1) for line in fh)
+    except OSError:
+        return None
+    if "RssFile" not in fields:
+        return None
+    return sum(int(fields[key].split()[0]) for key in ("RssFile", "RssShmem") if key in fields)
+
+
+class TestModelResidency:
+    def test_loaded_model_keeps_a_quarter_of_its_matrices_resident_at_most(self, tmp_path):
+        if mapped_file_kb() is None:
+            pytest.skip("/proc/self/status has no RssFile")
+        n_words, n_slots, dim = 25_000, 8, 50
+        rng = np.random.default_rng(15)
+        model = make_model(
+            [f"w{i}" for i in range(n_words)], [1600 + 50 * t for t in range(n_slots)],
+            rng.standard_normal((n_words, dim), dtype=np.float32),
+            rng.standard_normal((n_slots, n_words, dim), dtype=np.float32),
+            slot_counts=np.full((n_slots, n_words), 60), global_counts=np.full(n_words, 800),
+        )
+        matrix_bytes = model.base.nbytes + model.deltas.nbytes + model.context.nbytes
+        assert matrix_bytes >= 40_000_000
+        trainer.save_model(model, tmp_path / "model.bin")
+        del model
+        before = mapped_file_kb()
+        loaded = trainer.load_model(tmp_path / "model.bin")
+        growth = [mapped_file_kb() - before]
+        for step in analysis_steps(loaded, "w0"):  # each reads every row of every slot
+            step()
+            growth.append(mapped_file_kb() - before)
+        assert max(growth) * 1024 < matrix_bytes / 4, f"kB resident after the load and each analysis: {growth}"
+
+    def test_model_in_memory_is_unchanged_by_the_analyses(self):
+        model = stack_model()
+        before = [mat.copy() for mat in (model.base, model.deltas, model.context)]
+        for step in analysis_steps(model, "w0"):
+            step()
+        model.nearest_neighbors("w1", 0, 5)
+        for got, want in zip((model.base, model.deltas, model.context), before):
+            assert np.array_equal(got, want)

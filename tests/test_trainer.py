@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from verseshift import corpus, trainer
+from verseshift import analysis, corpus, trainer
 from verseshift.linalg import rowwise_cosine
 
 from _oracles import (
@@ -709,6 +709,10 @@ class TestModelFile:
             synonym_model.context - 1.0, vocab.slot_counts, vocab.global_counts,
         )
         trainer.save_model(other, path)
+        # the analysis releases the mapped pages it reads; reading them again gives the replaced file's bytes
+        cosines = analysis.pairwise_self_similarity(loaded, top_n=len(vocab)).cosines
+        want_cosines = analysis.pairwise_self_similarity(synonym_model, top_n=len(vocab)).cosines
+        assert all(np.array_equal(got, want) for got, want in zip(cosines, want_cosines, strict=True))
         for got, want in ((loaded.base, synonym_model.base), (loaded.deltas, synonym_model.deltas),
                           (loaded.context, synonym_model.context)):
             assert np.array_equal(got, want)
