@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of every output file of one benchmark workload, for byte-identity checks.
+"""Digests of every output file and printed report of one benchmark workload, for byte-identity checks.
 
 Usage (from the repository root):
 
@@ -11,9 +11,13 @@ under ``OUT/inputs``, and the workload's command list comes from
 ``vsbench/run.py``; each command runs once, in its own process, with its
 outputs under ``OUT/run`` (``train`` gets ``--workers 1``). The
 script prints one ``<sha256>  <path relative to OUT/run>`` line per output
-file, in path order, then the sha256 of those lines. Two checkouts whose
-final lines agree wrote the same bytes. The exit code is 1 when a command
-fails.
+file, in path order, then one ``<sha256>  stdout <NN>-<command>`` line per
+command, digesting its standard output (the counts, epoch losses, change
+points and fit it prints) with ``OUT/run`` replaced by ``<run>``; standard
+error, which carries timings, is kept apart under ``OUT/logs``. The last
+line is the sha256 of all the lines before it. Two checkouts whose final
+lines agree wrote and printed the same bytes. The exit code is 1 when a
+command fails.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import hashlib
 import importlib.util
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,12 +45,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _run(run, argv: list[str], log_path: Path) -> bool:
-    """One process of the benchmark's environment; prints its log tail when it fails."""
-    if run.run_process([sys.executable, *argv], log_path, 600.0)[0] == 0:
-        return True
+def _run(run, argv: list[str], log_path: Path) -> bytes | None:
+    """One process in the benchmark's environment: its stdout, or None (after printing its stderr tail) if it fails."""
+    with open(log_path, "wb") as log:
+        proc = subprocess.run([sys.executable, *argv], stdout=subprocess.PIPE, stderr=log,
+                              env=run.child_env(), cwd=ROOT, timeout=600.0)
+    if proc.returncode == 0:
+        return proc.stdout
     print(f"{' '.join(argv)} failed:\n{log_path.read_text(errors='replace')[-400:]}", file=sys.stderr)
-    return False
+    return None
 
 
 def main(argv: list[str]) -> int:
@@ -57,20 +65,24 @@ def main(argv: list[str]) -> int:
     shutil.rmtree(out, ignore_errors=True)
     inputs_dir, run_dir, logs = out / "inputs", out / "run", out / "logs"
     logs.mkdir(parents=True)
-    if not _run(run, [str(ROOT / "vsbench" / "gen.py"), workload, str(seed), str(inputs_dir)], logs / "gen.txt"):
+    if _run(run, [str(ROOT / "vsbench" / "gen.py"), workload, str(seed), str(inputs_dir)], logs / "gen.txt") is None:
         return 1
     info = json.loads((inputs_dir / "setup.json").read_text())
     inputs = run.Inputs({k: Path(v) for k, v in info["files"].items()}, info["truth"])
+    printed = []
     for i, cmd in enumerate(run.WORKLOADS[workload].pipeline(inputs, run_dir, seed)):
         workers = ["--workers", "1"] if cmd.kind == "train" else []
-        if not _run(run, ["-m", "verseshift.cli", *cmd.argv, *workers], logs / f"{i:02d}-{cmd.kind}.txt"):
+        stdout = _run(run, ["-m", "verseshift.cli", *cmd.argv, *workers], logs / f"{i:02d}-{cmd.kind}.txt")
+        if stdout is None:
             return 1
+        stdout = stdout.replace(str(run_dir).encode(), b"<run>")
+        printed.append(f"{hashlib.sha256(stdout).hexdigest()}  stdout {i:02d}-{cmd.kind}\n")
 
     lines = "".join(
         f"{_sha256(p)}  {p.relative_to(run_dir).as_posix()}\n"
         for p in sorted(run_dir.rglob("*"), key=lambda p: p.relative_to(run_dir).as_posix())
         if p.is_file()
-    )
+    ) + "".join(printed)
     print(lines, end="")
     print(hashlib.sha256(lines.encode()).hexdigest())
     return 0

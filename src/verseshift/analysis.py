@@ -54,11 +54,6 @@ class SelfSimSeries:
     cosines: list[np.ndarray]  # (n,) float64, one per row
 
 
-def _top_indices(counts: np.ndarray, top_n: int) -> np.ndarray:
-    order = np.lexsort((np.arange(counts.size), -counts))
-    return order[:top_n]
-
-
 def pairwise_self_similarity(
     model: JointEmbeddingModel,
     top_n: int = 3000,
@@ -83,7 +78,7 @@ def pairwise_self_similarity(
     else:
         if top_n < 1 or top_n > len(vocab):
             raise ValueError(f"top_n must be in [1, {len(vocab)}]")
-        fixed = _top_indices(vocab.global_counts, top_n) if frequency_scope == "global" else None
+        fixed = np.argsort(-vocab.global_counts, kind="stable")[:top_n] if frequency_scope == "global" else None
 
     pairs: list[tuple[TimeSlot, TimeSlot]] = []
     summaries: list[DistributionSummary] = []
@@ -92,7 +87,7 @@ def pairwise_self_similarity(
     for i in range(model.n_slots - 1):
         j = i + 1
         if fixed is None:
-            cand = _top_indices(vocab.slot_counts[i] + vocab.slot_counts[j], top_n)
+            cand = np.argsort(-(vocab.slot_counts[i] + vocab.slot_counts[j]), kind="stable")[:top_n]
         else:
             cand = fixed
         present = cand[(vocab.slot_counts[i, cand] > 0) & (vocab.slot_counts[j, cand] > 0)]
@@ -173,25 +168,20 @@ def total_self_similarity(
             f"no words occur at least {min_per_slot} times in every slot (after stopword removal)"
         )
 
-    starts = [slot.start for slot in model.slot_table]
-    dist_of_pair: dict[tuple[int, int], int] = {}
-    for i in range(model.n_slots):
-        for j in range(i + 1, model.n_slots):
-            dist_of_pair[(i, j)] = abs(starts[i] - starts[j])
-    distances = sorted(set(dist_of_pair.values()))
-    dist_pos = {dist: k for k, dist in enumerate(distances)}
+    starts = np.array([slot.start for slot in model.slot_table])
+    first, second = np.triu_indices(model.n_slots, 1)  # every unordered slot pair
+    distances, column, counts = np.unique(abs(starts[first] - starts[second]), return_inverse=True, return_counts=True)
 
     sums = np.zeros((word_indices.size, len(distances)))
-    counts = np.bincount([dist_pos[dist] for dist in dist_of_pair.values()], minlength=len(distances))
     for lo, vecs in model.slot_blocks(word_indices):
         norms = [row_norms(v) for v in vecs]
         rows = slice(lo, lo + len(vecs[0]))
-        for (i, j), dist in dist_of_pair.items():
-            sums[rows, dist_pos[dist]] += rowwise_cosine(vecs[i], vecs[j], norms[i], norms[j])
+        for i, j, k in zip(first.tolist(), second.tolist(), column.tolist()):
+            sums[rows, k] += rowwise_cosine(vecs[i], vecs[j], norms[i], norms[j])
     word_means = sums / counts[None, :]
     summaries = [DistributionSummary.from_values(word_means[:, k]) for k in range(len(distances))]
     return TotalSelfSim(
-        distances=distances,
+        distances=distances.tolist(),
         words=[vocab.words[i] for i in word_indices],
         word_indices=word_indices,
         global_counts=vocab.global_counts[word_indices],
@@ -218,21 +208,13 @@ def frequency_bands(total: TotalSelfSim) -> FrequencyBands:
     n = len(total.words)
     if n < 2:
         raise ValueError("frequency bands need at least 2 eligible words")
-    order = np.lexsort((total.word_indices, total.global_counts))
+    order = np.argsort(total.global_counts, kind="stable")  # rows are in vocabulary order
     n_low = (n + 1) // 2
-    low_rows = order[:n_low]
-    high_rows = order[n_low:]
-    band_of = {total.words[r]: "low" for r in low_rows}
-    band_of.update({total.words[r]: "high" for r in high_rows})
+    bands = {"low": order[:n_low], "high": order[n_low:]}
+    band_of = {total.words[r]: band for band, rows in bands.items() for r in rows}
     summaries = {
-        "low": [
-            DistributionSummary.from_values(total.word_means[low_rows, k])
-            for k in range(len(total.distances))
-        ],
-        "high": [
-            DistributionSummary.from_values(total.word_means[high_rows, k])
-            for k in range(len(total.distances))
-        ],
+        band: [DistributionSummary.from_values(total.word_means[rows, k]) for k in range(len(total.distances))]
+        for band, rows in bands.items()
     }
     return FrequencyBands(band_of=band_of, summaries=summaries, distances=list(total.distances))
 

@@ -67,7 +67,7 @@ PAIRWISE = (
             "rank candidate words corpus-wide or per slot pair", choices=("global", "pair")),
 )
 TRAIN = tuple(
-    Setting(f.name, f"train.{f.name}", type(f.default), f.default, f.metadata["help"], flag=f.metadata["flag"])
+    Setting(f.name, f"train.{f.name}", type(f.default), f.default, **f.metadata)  # help, flag and minimum
     for f in dataclasses.fields(trainer.TrainConfig)
 )
 
@@ -77,7 +77,7 @@ COMMANDS: dict[str, tuple[str, tuple[Setting, ...]]] = {
         CONFIG,
         Setting("spec", "spec", str, None, "generator spec JSON"),
         Setting("out", "out", str, None, "corpus file to write"),
-        Setting("seed", None, int, None, "override the spec seed"),
+        Setting("seed", None, int, None, "override the spec seed", minimum=0),
     )),
     "ingest": ("read, deduplicate and normalize a stanza corpus", (
         *COMMON, *SLOTS,
@@ -116,7 +116,7 @@ _JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean"}
 
 
 def _config_value(cfg: dict, s: Setting):
-    """The setting's value in the config, None when absent; UsageError for a wrong type, choice or range."""
+    """The setting's value in the config as JSON holds it, None when absent; UsageError for a wrong type or choice."""
     value = cfg
     for part in s.key.split("."):
         if not isinstance(value, dict) or part not in value:
@@ -129,30 +129,35 @@ def _config_value(cfg: dict, s: Setting):
         raise UsageError(f"config key {s.key} must be a JSON {_JSON_TYPES[s.type]}")
     if s.choices and value not in s.choices:
         raise UsageError(f"config key {s.key} must be one of {', '.join(s.choices)}")
-    if s.type in (int, float) and not abs(value) < 2**63:  # also NaN and Infinity
-        raise UsageError(f"config key {s.key} is out of range")
-    return s.type(value)
+    return value
 
 
 def _resolve(args: argparse.Namespace, settings: tuple[Setting, ...]) -> argparse.Namespace:
     """Each setting from its flag, else from the --config file, else its default.
 
-    A flag or config value below the setting's minimum is a UsageError naming it.
+    A number flag or config value that is not finite, 2**63 or more in
+    magnitude, or below the setting's minimum is a UsageError naming it, as
+    is a config file that is not UTF-8 JSON holding an object.
     """
     cfg = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise UsageError(f"config file {args.config} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(cfg, dict):
-            raise UsageError("config file must hold a JSON object")
+            raise UsageError(f"config file {args.config} must hold a JSON object")
     resolved = argparse.Namespace()
     for s in settings:
         value, source = getattr(args, s.name), s.option
         if value is None and s.key is not None:
             value, source = _config_value(cfg, s), f"config key {s.key}"
+        if s.type in (int, float) and value is not None and not abs(value) < 2**63:  # also NaN and Infinity
+            raise UsageError(f"{source} is out of range")
         if s.minimum is not None and value is not None and value < s.minimum:
             raise UsageError(f"{source} must be at least {s.minimum}")
-        setattr(resolved, s.name, s.default if value is None else value)
+        setattr(resolved, s.name, s.default if value is None else s.type(value))
     return resolved
 
 

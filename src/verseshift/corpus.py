@@ -249,6 +249,16 @@ def normalize(stanzas: list[Stanza], lemma_map: dict[str, str] | None = None) ->
     return kept
 
 
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 text file with universal newlines, as read_text; CorpusError naming the first line that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise CorpusError(f"{path}: line {line} is not UTF-8 ({exc.reason})") from exc
+
+
 def load_lemma_map(path: str | Path) -> dict[str, str]:
     """Read a two-column token<TAB>lemma table; later duplicates override.
 
@@ -257,7 +267,7 @@ def load_lemma_map(path: str | Path) -> dict[str, str]:
     skipped with a warning.
     """
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         parts = [part.strip().lower() for part in line.split("\t")]
@@ -271,7 +281,7 @@ def load_lemma_map(path: str | Path) -> dict[str, str]:
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One word per line; '#' starts a comment line."""
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").split("\n"):
+    for line in _read_text(path).split("\n"):
         word = line.strip()
         if word and not word.startswith("#"):
             words.add(word.lower())

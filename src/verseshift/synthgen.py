@@ -47,6 +47,8 @@ class SynthSpec:
     def validate(self) -> None:
         if self.slot_count < 2:
             raise ValueError("slot_count must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         if self.slot_width < 1 or self.filler_words < 1 or self.stanza_tokens < 2:
             raise ValueError("slot_width, filler_words and stanza_tokens must be positive")
         names = [p.word for p in self.planted]

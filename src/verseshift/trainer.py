@@ -22,7 +22,7 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,43 +73,36 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -(np.maximum(-x, 0.0) + np.log1p(np.exp(-np.abs(x))))
 
 
-def _setting(default, text: str, flag: str | None = None):
-    """A TrainConfig field carrying its ``train`` help text and, if not its name, its flag."""
-    return field(default=default, metadata={"help": text, "flag": flag})
+def _setting(default, text: str, flag: str | None = None, minimum: int | None = None):
+    """A TrainConfig field carrying its ``train`` help text, its flag if not its name, and its least value."""
+    return field(default=default, metadata={"help": text, "flag": flag, "minimum": minimum})
 
 
 @dataclass
 class TrainConfig:
-    """Training settings; the single source of the ``train`` flags and defaults."""
+    """Training settings; the single source of the ``train`` flags, defaults and minima."""
 
-    dim: int = _setting(100, "embedding dimension")
-    context_window: int = _setting(5, "tokens each side, never crossing stanza bounds")
-    negatives: int = _setting(5, f"negatives per pair, shared by groups of {PAIR_GROUP} pairs")
-    epochs: int = _setting(5, "training epochs")
+    dim: int = _setting(100, "embedding dimension", minimum=2)
+    context_window: int = _setting(5, "tokens each side, never crossing stanza bounds", minimum=1)
+    negatives: int = _setting(5, f"negatives per pair, shared by groups of {PAIR_GROUP} pairs", minimum=1)
+    epochs: int = _setting(5, "training epochs", minimum=1)
     initial_lr: float = _setting(0.025, "learning rate at the first pair")
     final_lr: float = _setting(1e-4, "learning rate at the last pair")
     subsample_threshold: float = _setting(1e-4, "frequent-word threshold, 0 disables", flag="subsample")
-    seed: int = _setting(1, "training seed")
-    workers: int = _setting(1, "parallel workers, 1 to the CPU count; >1 is nondeterministic")
-    batch_size: int = _setting(1024, "pairs per SGD step")
+    seed: int = _setting(1, "training seed", minimum=0)
+    workers: int = _setting(1, "parallel workers, up to the CPU count; >1 is nondeterministic", minimum=1)
+    batch_size: int = _setting(1024, "pairs per SGD step", minimum=1)
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError("dim must be at least 2")
-        if self.context_window < 1:
-            raise ValueError("context_window must be at least 1")
-        if self.negatives < 1:
-            raise ValueError("negatives must be at least 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if not (self.initial_lr > self.final_lr > 0.0):
-            raise ValueError("need initial_lr > final_lr > 0")
+        for f in fields(self):
+            if f.metadata["minimum"] is not None and getattr(self, f.name) < f.metadata["minimum"]:
+                raise ValueError(f"{f.name} must be at least {f.metadata['minimum']}")
+        if not (np.inf > self.initial_lr > self.final_lr > 0.0):
+            raise ValueError("need finite initial_lr > final_lr > 0")
         if not self.subsample_threshold >= 0.0:  # NaN as well
             raise ValueError("subsample_threshold must be >= 0")
-        if not (1 <= self.workers <= max_workers()):
-            raise ValueError(f"workers must be between 1 and the CPU count ({max_workers()})")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        if self.workers > max_workers():
+            raise ValueError(f"workers must be at most the CPU count ({max_workers()})")
 
 
 @dataclass
@@ -328,7 +321,7 @@ class JointEmbeddingModel:
         ok = vectors.any(axis=1)  # zero rows have no direction to compare
         sims[ok] = rowwise_cosine(vectors[ok], vectors[wi])
         sims[wi] = -np.inf
-        order = np.lexsort((np.arange(sims.size), -sims))
+        order = np.argsort(-sims, kind="stable")
         out = []
         for i in order[:k]:
             if not np.isfinite(sims[i]):

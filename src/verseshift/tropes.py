@@ -102,9 +102,8 @@ class TropeReport:
 
 
 def _extreme_lists(projections: np.ndarray, top_k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    rows = np.arange(len(projections))
     return [
-        (np.lexsort((rows, -col))[:top_k], np.lexsort((rows, col))[:top_k]) for col in projections.T
+        (np.argsort(-col, kind="stable")[:top_k], np.argsort(col, kind="stable")[:top_k]) for col in projections.T
     ]
 
 
@@ -128,14 +127,13 @@ def trajectory_pca(trajectories: Trajectories, n_components: int = 4, top_k: int
 
 
 def _mean_level(values: np.ndarray, rows: np.ndarray) -> float:
-    return float(np.mean([row.mean() for row in values[rows]]))
+    return float(values[rows].mean(axis=1).mean())
 
 
 def _mean_slope(values: np.ndarray, rows: np.ndarray) -> float:
     xs = np.arange(values.shape[1], dtype=np.float64)
     xc = xs - xs.mean()
-    sxx = float((xc**2).sum())
-    return float(np.mean([float((xc * row).sum() / sxx) for row in values[rows]]))
+    return float(((values[rows] * xc).sum(axis=1) / (xc**2).sum()).mean())
 
 
 def orient_components(report: TropeReport) -> TropeReport:

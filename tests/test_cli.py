@@ -122,8 +122,10 @@ class TestSynthCommand:
             {"slot_count": "six"},
             {"planted": [{"word": "rose", "context_words": "abc"}]},
             {"planted": [{"kind": "stable"}]},
+            {"seed": -3},
         ],
-        ids=["unknown-key", "planted-not-object", "not-object", "wrong-type", "string-for-list", "missing-word"],
+        ids=["unknown-key", "planted-not-object", "not-object", "wrong-type", "string-for-list", "missing-word",
+             "negative-seed"],
     )
     def test_malformed_spec_exits_two(self, tmp_path, capsys, spec):
         spec_path = tmp_path / "spec.json"
@@ -131,6 +133,12 @@ class TestSynthCommand:
         out = tmp_path / "corpus.jsonl"
         assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "corpus.jsonl"
+        assert cli.main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(out), "--seed", "-5"]) == 1
+        assert "--seed must be at least 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -654,6 +662,23 @@ class TestUsageErrors:
         write_tiny_model(model)
         argv = [a.format(dir=tmp_path, model=model) for a in argv]
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["totalsim", "--model", "{model}", "--stopwords", "{file}"],
+            ["ingest", "--corpus", "{dir}/corpus.jsonl", "--lemma-map", "{file}"],
+        ],
+        ids=["stopwords", "lemma-map"],
+    )
+    def test_non_utf8_word_list_exits_two_naming_file_and_line(self, tmp_path, capsys, argv):
+        model, words = tmp_path / "model.bin", tmp_path / "words.txt"
+        write_tiny_model(model)
+        words.write_bytes(b"# words\r\nrose\trose\nlied\xff\tlied\n")
+        argv = [a.format(dir=tmp_path, model=model, file=words) for a in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert f"{words}: line 3 is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_flags_override_config(self, workspace, tmp_path, capsys):
         out = workspace["out"]

@@ -344,6 +344,13 @@ MINIMUMS = [
     ("changepoints", "--k", "analysis.k", 1),
     ("changepoints", "--top-n", "analysis.top_n", 1),
     ("selfsim", "--top-n", "analysis.top_n", 1),
+    ("train", "--dim", "train.dim", 2),
+    ("train", "--context-window", "train.context_window", 1),
+    ("train", "--negatives", "train.negatives", 1),
+    ("train", "--epochs", "train.epochs", 1),
+    ("train", "--workers", "train.workers", 1),
+    ("train", "--batch-size", "train.batch_size", 1),
+    ("train", "--seed", "train.seed", 0),
 ]
 MINIMUM_IDS = [f"{command}{flag}" for command, flag, _, _ in MINIMUMS]
 
@@ -365,8 +372,34 @@ def test_value_below_minimum_is_usage_error(command, flag, key, minimum, via, tm
 
 
 @pytest.mark.parametrize("command, flag, key, minimum", MINIMUMS, ids=MINIMUM_IDS)
+def test_minimum_is_in_help(command, flag, key, minimum):
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+    assert action.help.endswith(f"at least {minimum})")
+
+
+@pytest.mark.parametrize("command, flag, key, minimum", MINIMUMS, ids=MINIMUM_IDS)
 def test_value_at_minimum_is_accepted(command, flag, key, minimum, tmp_path, monkeypatch):
     assert probe(monkeypatch, tmp_path / "run", command, [flag, str(minimum)])[flag] == minimum
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+def test_non_finite_learning_rate_flag_is_usage_error(value, tmp_path, monkeypatch, capsys):
+    """Refused before the (absent) cache is read, which would exit 2."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--out", "run", "--initial-lr", value]) == 1
+    assert "--initial-lr is out of range" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("content", [b'{"out": "run",', b'{"out": "\xff"}'], ids=["not-json", "not-utf8"])
+def test_undecodable_config_is_usage_error_naming_it(content, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert cli.main(["selfsim", "--config", str(path)]) == 1
+    assert f"config file {path} " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_integer_config_value_for_float_setting(tmp_path, monkeypatch):

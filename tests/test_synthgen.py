@@ -104,6 +104,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             small_spec(planted=[synthgen.PlantedWord("x", "sprunghaft")]).validate()
 
+    def test_negative_seed_errors_naming_it(self):
+        small_spec(seed=0).validate()
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            small_spec(seed=-3).validate()
+
 
 class TestSpecFile:
     def test_load_spec_roundtrip(self, tmp_path):

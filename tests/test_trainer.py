@@ -86,6 +86,8 @@ class TestConfigValidation:
             {"workers": 0},
             {"batch_size": 0},
             {"subsample_threshold": float("nan")},
+            {"initial_lr": float("inf")},
+            {"seed": -1},
         ],
     )
     def test_invalid_configs(self, kwargs):
