@@ -3,14 +3,16 @@
 
 Usage (from the repository root):
 
-    python3 scripts/output_digests.py WORKLOAD SEED OUT
+    python3 scripts/output_digests.py WORKLOAD SEED OUT [TRAIN_FLAG ...]
 
 WORKLOAD is ``shift6``, ``sliding13`` or ``reports``; only ``sliding13``
-trains with subsampling on. The inputs are generated with ``vsbench/gen.py``
-under ``OUT/inputs``, and the workload's command list comes from
-``vsbench/run.py``; each command runs once, in its own process, with its
-outputs under ``OUT/run`` (``train`` gets ``--workers 1``). The
-script prints one ``<sha256>  <path relative to OUT/run>`` line per output
+trains with subsampling on. Any arguments after OUT are extra ``train``
+flags, for example ``--epochs 3 --subsample 0.001``. The inputs are
+generated with ``vsbench/gen.py`` under ``OUT/inputs``, and the workload's
+command list comes from ``vsbench/run.py``; each command runs once, in its
+own process, with its outputs under ``OUT/run`` (``train`` gets
+``--workers 1``, then the extra flags, which win over the workload's own).
+The script prints one ``<sha256>  <path relative to OUT/run>`` line per output
 file, in path order, then one ``<sha256>  stdout <NN>-<command>`` line per
 command, digesting its standard output (the counts, epoch losses, change
 points and fit it prints) with ``OUT/run`` replaced by ``<run>``; standard
@@ -57,10 +59,10 @@ def _run(run, argv: list[str], log_path: Path) -> bytes | None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 3 or argv[0] not in ("shift6", "sliding13", "reports"):
+    if len(argv) < 3 or argv[0] not in ("shift6", "sliding13", "reports"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    workload, seed, out = argv[0], int(argv[1]), Path(argv[2]).resolve()
+    workload, seed, out, train_flags = argv[0], int(argv[1]), Path(argv[2]).resolve(), argv[3:]
     run = _load_run()
     shutil.rmtree(out, ignore_errors=True)
     inputs_dir, run_dir, logs = out / "inputs", out / "run", out / "logs"
@@ -71,8 +73,8 @@ def main(argv: list[str]) -> int:
     inputs = run.Inputs({k: Path(v) for k, v in info["files"].items()}, info["truth"])
     printed = []
     for i, cmd in enumerate(run.WORKLOADS[workload].pipeline(inputs, run_dir, seed)):
-        workers = ["--workers", "1"] if cmd.kind == "train" else []
-        stdout = _run(run, ["-m", "verseshift.cli", *cmd.argv, *workers], logs / f"{i:02d}-{cmd.kind}.txt")
+        extra = ["--workers", "1", *train_flags] if cmd.kind == "train" else []
+        stdout = _run(run, ["-m", "verseshift.cli", *cmd.argv, *extra], logs / f"{i:02d}-{cmd.kind}.txt")
         if stdout is None:
             return 1
         stdout = stdout.replace(str(run_dir).encode(), b"<run>")

@@ -137,11 +137,12 @@ def _resolve(args: argparse.Namespace, settings: tuple[Setting, ...]) -> argpars
 
     A number flag or config value that is not finite, 2**63 or more in
     magnitude, or below the setting's minimum is a UsageError naming it, as
-    is a config file that is not UTF-8 JSON holding an object.
+    is a config file that is not UTF-8 JSON holding an object; a leading
+    byte-order mark is skipped.
     """
     cfg = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             try:
                 cfg = json.load(fh)
             except ValueError as exc:  # not UTF-8, or not JSON

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 import unicodedata
@@ -115,15 +116,15 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     One object per line with fields id, author, year, lines (poem_id
     optional, unknown keys ignored). Records without a usable year are
     dropped and counted; malformed lines are skipped with a diagnostic,
-    or abort the run when ``strict`` is set. An unreadable or non-UTF-8
-    file is fatal.
+    or abort the run when ``strict`` is set. A leading UTF-8 byte-order
+    mark is skipped. An unreadable or non-UTF-8 file is fatal.
     """
     path = Path(path)
     result = IngestResult(stanzas=[])
     lineno = 0
     try:
         # universal newlines, as read_text: \r\n and a lone \r end a line too
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line.strip():
@@ -250,8 +251,11 @@ def normalize(stanzas: list[Stanza], lemma_map: dict[str, str] | None = None) ->
 
 
 def _read_text(path: str | Path) -> str:
-    """A UTF-8 text file with universal newlines, as read_text; CorpusError naming the first line that is not UTF-8."""
-    data = Path(path).read_bytes()
+    """A UTF-8 text file without a leading byte-order mark, with universal newlines, as read_text.
+
+    A file that is not UTF-8 raises CorpusError naming its first such line.
+    """
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
@@ -372,17 +376,12 @@ def assign_slots(years, table: TimeSlotTable) -> np.ndarray:
     """(D, S) bool membership: document d is in slot s when its year lies in it.
 
     Fixed tables partition; sliding tables put a document in up to
-    ceil(window/step) slots. Out-of-range documents are in no slot and
-    are counted in a warning.
+    ceil(window/step) slots. Out-of-range documents are in no slot.
     """
     years = np.asarray(years, dtype=np.int64).reshape(-1, 1)
     starts = np.array([s.start for s in table], dtype=np.int64)
     ends = np.array([s.end for s in table], dtype=np.int64)
-    member = (years >= starts) & (years < ends)
-    dropped = int(np.count_nonzero(~member.any(axis=1)))
-    if dropped:
-        log.warning("%d stanzas fall outside all time slots", dropped)
-    return member
+    return (years >= starts) & (years < ends)
 
 
 @dataclass
@@ -414,12 +413,16 @@ def build_vocab(docs: Documents, table: TimeSlotTable, min_count: int = 5) -> Vo
     """Count words over the slotted documents and keep those with global count >= min_count.
 
     Words are ordered by global count descending, ties by ``str`` order,
-    which keeps top-N selection stable.
+    which keeps top-N selection stable. Documents outside every slot are
+    counted in a warning.
     """
     member = assign_slots(docs.years, table)
+    in_range = member.any(axis=1)
+    if not in_range.all():
+        log.warning("%d stanzas fall outside all time slots", np.count_nonzero(~in_range))
     lengths = docs.lengths
     n_types = len(docs.types)
-    counts = np.bincount(docs.ids[np.repeat(member.any(axis=1), lengths)], minlength=n_types)
+    counts = np.bincount(docs.ids[np.repeat(in_range, lengths)], minlength=n_types)
     kept = np.flatnonzero(counts >= max(min_count, 1)).tolist()
     if not kept:
         raise CorpusError(f"no words reach min_count={min_count}; vocabulary is empty")

@@ -216,8 +216,8 @@ def _build(cls, obj, where: str):
 
 
 def load_spec(path: str | Path) -> SynthSpec:
-    """Read a generator spec from a JSON document mirroring :class:`SynthSpec`."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a generator spec from a JSON document mirroring :class:`SynthSpec`; a leading byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         spec = _build(SynthSpec, json.load(fh), "spec")
     spec.planted = [_build(PlantedWord, item, f"planted entry {i}") for i, item in enumerate(spec.planted)]
     return spec

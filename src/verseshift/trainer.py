@@ -330,20 +330,6 @@ class JointEmbeddingModel:
         return out
 
 
-def _slot_tokens(docs: Documents, vocab: Vocabulary, member: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per slot: its documents' in-vocabulary token ids, in corpus order, and their document numbers."""
-    vocab_ids = np.array([vocab.index.get(t, -1) for t in docs.types], dtype=np.int32)[docs.ids]
-    doc_ids = np.repeat(np.arange(len(docs), dtype=np.int32), docs.lengths)
-    known = vocab_ids >= 0
-    encoded = []
-    for slot, in_slot in enumerate(member.T):
-        keep = known & np.repeat(in_slot, docs.lengths)
-        if not keep.any():
-            log.warning("slot %d has no trainable documents; its deltas stay zero", slot)
-        encoded.append((vocab_ids[keep], doc_ids[keep]))
-    return encoded
-
-
 def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray | None:
     if threshold <= 0.0:
         return None
@@ -354,14 +340,30 @@ def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray | Non
     return np.minimum(1.0, np.sqrt(ratio) + ratio)
 
 
-def _pair_count(lengths: np.ndarray, window: int) -> int:
-    total = 0
-    longest = int(lengths.max(initial=0))
+def _slot_passes(ids: np.ndarray, doc_ids: np.ndarray, member: np.ndarray, keep_prob: np.ndarray | None,
+                 seed: int, epoch: int):
+    """Each slot's kept (tokens, doc_ids) in one epoch, slot by slot, taken from the corpus columns.
+
+    A slot keeps its documents' in-vocabulary tokens (``ids`` >= 0), narrowing one corpus-length
+    mask in place, then those the draws of ``default_rng([seed, 1, epoch])`` keep, made in slot
+    order, so that the pair count pass and the training pass keep the same tokens.
+    """
+    rng = np.random.default_rng([seed, 1, epoch])
+    for in_slot in member.T:
+        keep = in_slot[doc_ids]
+        np.greater_equal(ids, 0, out=keep, where=keep)
+        if keep_prob is not None:
+            keep[keep] = rng.random(np.count_nonzero(keep)) < keep_prob[ids[keep]]
+        yield ids[keep], doc_ids[keep]
+
+
+def _near_positions(doc_ids: np.ndarray, window: int):
+    """The pair rule: for off = 1 .. window, the positions p whose token shares its document with the token at p + off."""
     for off in range(1, window + 1):
-        if off >= longest:  # no document has a pair this far apart
-            break
-        total += 2 * int(np.maximum(lengths - off, 0).sum())
-    return total
+        near = np.flatnonzero(doc_ids[off:] == doc_ids[:-off])
+        if not near.size:  # a document's tokens are contiguous, so none pairs farther apart either
+            return
+        yield off, near
 
 
 def _epoch_records(slots, n_tokens: int, n_pairs: int, window: int):
@@ -370,9 +372,9 @@ def _epoch_records(slots, n_tokens: int, n_pairs: int, window: int):
     ``slots`` yields each slot's kept (tokens, doc_ids); its tokens are
     written into one int32 array one slot at a time. A record is the int32
     (center, context) pair of positions in that array. The records are
-    filled slot by slot and offset by offset: for the positions p whose
-    token shares its document with the token at p + off, the forward half
-    (p, p + off), then the backward half (p + off, p).
+    filled slot by slot and offset by offset: for the positions p of the
+    pair rule (:func:`_near_positions`), the forward half (p, p + off), then
+    the backward half (p + off, p).
     """
     tokens = np.empty(n_tokens, dtype=np.int32)
     pairs = np.empty((n_pairs, 2), dtype=np.int32)
@@ -380,9 +382,7 @@ def _epoch_records(slots, n_tokens: int, n_pairs: int, window: int):
     start = filled = 0
     for slot_tokens, doc_ids in slots:
         tokens[start : start + slot_tokens.size] = slot_tokens
-        longest = int(np.bincount(doc_ids).max(initial=0))
-        for off in range(1, min(window + 1, longest)):  # no document has a pair `longest` apart
-            near = np.flatnonzero(doc_ids[off:] == doc_ids[:-off]).astype(np.int32)
+        for off, near in _near_positions(doc_ids, window):
             near += start
             forward, backward = pairs[filled : filled + near.size], pairs[filled + near.size : filled + 2 * near.size]
             forward[:, 0] = backward[:, 1] = near
@@ -423,22 +423,6 @@ class _EpochProgress:
                 )
 
 
-def _subsampled(encoded, keep_prob: np.ndarray | None, seed: int, epoch: int):
-    """Each slot's kept (tokens, doc_ids) in one epoch, slot by slot.
-
-    The keep draws come from ``default_rng([seed, 1, epoch])`` in slot order,
-    so the same epoch always keeps the same tokens and the pair count pass
-    and the training pass can each redraw them.
-    """
-    if keep_prob is None:
-        yield from encoded
-        return
-    rng = np.random.default_rng([seed, 1, epoch])
-    for tokens, doc_ids in encoded:
-        mask = rng.random(tokens.size) < keep_prob[tokens]
-        yield tokens[mask], doc_ids[mask]
-
-
 def train(
     docs: Documents,
     vocab: Vocabulary,
@@ -448,16 +432,18 @@ def train(
     """Train the joint model over the documents of every time slot.
 
     A document trains in each slot that contains its year, with its
-    out-of-vocabulary tokens removed; context windows never cross
-    documents. Every (target-in-slot, context) pair within the window
-    contributes a negative-sampling step; each group of PAIR_GROUP
-    consecutive pairs shares k negatives drawn from the corpus-wide unigram
-    distribution raised to 0.75. The learning rate decays linearly over all
-    scheduled pairs. Each epoch writes its kept slot tokens into one int32
-    array, so it may keep at most MAX_EPOCH_TOKENS of them, and holds its
-    pairs as (N, 2) int32 records of (center, context) positions in that
-    array, 8 bytes per pair (:func:`_epoch_records`). The records are
-    shuffled in place through their int64 view, which gives
+    out-of-vocabulary tokens removed; context windows never cross documents.
+    Every (target-in-slot, context) pair within the window contributes a
+    negative-sampling step; each group of PAIR_GROUP consecutive pairs
+    shares k negatives drawn from the corpus-wide unigram distribution
+    raised to 0.75. The learning rate decays linearly over all scheduled
+    pairs. The corpus is held as two int32 columns, each token's vocabulary
+    id and document number, and each pass takes every slot's kept tokens
+    from them (:func:`_slot_passes`). Each epoch writes its kept slot tokens
+    into one int32 array, so it may keep at most MAX_EPOCH_TOKENS of them,
+    and holds its pairs as (N, 2) int32 records of (center, context)
+    positions in that array, 8 bytes per pair (:func:`_epoch_records`). The
+    records are shuffled in place through their int64 view, which gives
     ``permutation(N)``'s order from the same draws. A batch is a slice of
     the records; its words and contexts are the tokens at their positions,
     its slots the slots whose token range holds each center. Progress is
@@ -476,7 +462,11 @@ def train(
     context = np.zeros((n_words, d), dtype=np.float32)
     model = JointEmbeddingModel(vocab, slot_table, base, deltas, context)
 
-    encoded = _slot_tokens(docs, vocab, corpus.assign_slots(docs.years, slot_table))
+    for slot in np.flatnonzero(~vocab.slot_counts.any(axis=1)):
+        log.warning("slot %d has no trainable documents; its deltas stay zero", slot)
+    ids = np.array([vocab.index.get(t, -1) for t in docs.types], dtype=np.int32)[docs.ids]  # -1 out of vocabulary
+    doc_ids = np.repeat(np.arange(len(docs), dtype=np.int32), docs.lengths)
+    member = corpus.assign_slots(docs.years, slot_table)
     keep_prob = _keep_probabilities(vocab, config.subsample_threshold)
 
     weights = vocab.global_counts.astype(np.float64) ** 0.75
@@ -484,20 +474,20 @@ def train(
 
     # Every epoch's pairs are counted first, so the exact linear
     # learning-rate schedule is known before the first step.
-    epoch_pair_counts, epoch_token_counts = [], []
+    epoch_counts = []  # (pairs, kept slot tokens) of each epoch
     for epoch in range(config.epochs):
         n_pairs = n_tokens = 0
-        for _, doc_ids in _subsampled(encoded, keep_prob, config.seed, epoch):
-            n_pairs += _pair_count(np.bincount(doc_ids), config.context_window)
-            n_tokens += doc_ids.size
+        for kept_tokens, kept_doc_ids in _slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch):
+            n_pairs += sum(2 * near.size for _, near in _near_positions(kept_doc_ids, config.context_window))
+            n_tokens += kept_doc_ids.size
+        del kept_tokens, kept_doc_ids  # the last slot's, not to be held through training
         if n_tokens > MAX_EPOCH_TOKENS:
             raise ValueError(
                 f"an epoch of {n_tokens} slot tokens is more than the {MAX_EPOCH_TOKENS} "
                 "its int32 pair positions can address; train fewer or narrower slots"
             )
-        epoch_pair_counts.append(n_pairs)
-        epoch_token_counts.append(n_tokens)
-    total_pairs = sum(epoch_pair_counts)
+        epoch_counts.append((n_pairs, n_tokens))
+    total_pairs = sum(n_pairs for n_pairs, _ in epoch_counts)
     if total_pairs == 0:
         log.warning("no training pairs were scheduled; returning the initial model")
         return model
@@ -505,11 +495,11 @@ def train(
     deltas_flat = deltas.reshape(len(slot_table) * n_words, d)
     lr_span = config.final_lr - config.initial_lr
     pairs_done = 0
-    for epoch, n_pairs in enumerate(epoch_pair_counts):
+    for epoch, (n_pairs, n_tokens) in enumerate(epoch_counts):
         rng_epoch = np.random.default_rng([config.seed, 2, epoch])
         tokens, slot_ends, pairs = _epoch_records(
-            _subsampled(encoded, keep_prob, config.seed, epoch),
-            epoch_token_counts[epoch], n_pairs, config.context_window,
+            _slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch),
+            n_tokens, n_pairs, config.context_window,
         )
         # pair-level shuffle keeps every slot represented across the whole
         # learning-rate range instead of letting large slots dominate the tail;

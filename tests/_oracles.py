@@ -13,8 +13,9 @@ gradient oracles gather a batch in float64 and scatter its gradients into
 dense matrices with ``np.add.at``, through the package's ``_batch_terms``,
 for the finite-difference and criterion-1 checks. The training oracle
 is the single-worker loop that drew every epoch's subsampling masks up
-front and shuffled concatenated per-slot (word, context) token arrays,
-built by the pair oracle, by permuted copies.
+front over slot tokens from the routing and encoding oracles, and
+shuffled concatenated per-slot (word, context) token arrays, built and
+counted by the pair oracle, by permuted copies.
 The analysis oracles build every float64 slot vector of the measured words
 at once, as the analyses did before they worked in row blocks, with the
 cosine written out in the kernel's own operations.
@@ -279,13 +280,22 @@ def slot_pairs(tokens: np.ndarray, doc_ids: np.ndarray, window: int) -> tuple[np
     return np.concatenate(centers), np.concatenate(contexts)
 
 
+def slot_encoding(docs, vocab, slot_table) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per slot, the in-vocabulary token ids and document numbers of a columnar corpus, by the routing and encoding oracles."""
+    token_lists = [[docs.types[i] for i in docs.ids[a:b]] for a, b in zip(docs.offsets[:-1], docs.offsets[1:])]
+    per_slot, _ = route_documents(token_lists, docs.years.tolist(), slot_table)
+    return encode_documents(per_slot, vocab.index)
+
+
 def train_reference(docs, vocab, slot_table, config):
     """Single-worker training with masks drawn up front and permuted copies of the epoch's pairs.
 
-    Uses the package's step and pair count, so it pins only the order of
-    the random draws, the pairs, the batches and the learning rates.
+    The slot tokens come from :func:`slot_encoding` and the pairs and their
+    count from :func:`slot_pairs`; the step, the keep probabilities and the
+    model class are the package's. So it pins the slot tokens, the pairs,
+    the order of the random draws, the batches and the learning rates.
     """
-    from verseshift import corpus, trainer
+    from verseshift import trainer
 
     n_words, d = len(vocab), config.dim
     rng_init = np.random.default_rng([config.seed, 0])
@@ -293,45 +303,33 @@ def train_reference(docs, vocab, slot_table, config):
     deltas = np.zeros((len(slot_table), n_words, d), dtype=np.float32)
     context = np.zeros((n_words, d), dtype=np.float32)
     model = trainer.JointEmbeddingModel(vocab, slot_table, base, deltas, context)
-    encoded = trainer._slot_tokens(docs, vocab, corpus.assign_slots(docs.years, slot_table))
+    encoded = slot_encoding(docs, vocab, slot_table)
     keep_prob = trainer._keep_probabilities(vocab, config.subsample_threshold)
     weights = vocab.global_counts.astype(np.float64) ** 0.75
     neg_cdf = np.cumsum(weights / weights.sum())
 
-    masks, epoch_pair_counts = [], []
+    epoch_pairs = []  # per epoch: (words, contexts, slots) of every slot's pairs, slot after slot
     for epoch in range(config.epochs):
         rng_mask = np.random.default_rng([config.seed, 1, epoch])
-        slot_masks, count = [], 0
-        for tokens, doc_ids in encoded:
-            mask = None if keep_prob is None else rng_mask.random(tokens.size) < keep_prob[tokens]
-            slot_masks.append(mask)
-            kept_doc_ids = doc_ids if mask is None else doc_ids[mask]
-            if kept_doc_ids.size:
-                count += trainer._pair_count(np.bincount(kept_doc_ids), config.context_window)
-        masks.append(slot_masks)
-        epoch_pair_counts.append(count)
-    total_pairs = sum(epoch_pair_counts)
+        parts = []
+        for slot, (tokens, doc_ids) in enumerate(encoded):
+            if keep_prob is not None:
+                mask = rng_mask.random(tokens.size) < keep_prob[tokens]
+                tokens, doc_ids = tokens[mask], doc_ids[mask]
+            w, c = slot_pairs(tokens, doc_ids, config.context_window)
+            parts.append((w, c, np.full(w.size, slot, dtype=np.int32)))
+        epoch_pairs.append([np.concatenate(column) for column in zip(*parts)])
+    total_pairs = sum(w.size for w, _, _ in epoch_pairs)
     if total_pairs == 0:
         return model
 
     deltas_flat = deltas.reshape(len(slot_table) * n_words, d)
     lr_span = config.final_lr - config.initial_lr
     pairs_done = 0
-    for epoch in range(config.epochs):
+    for epoch, (all_w, all_c, all_s) in enumerate(epoch_pairs):
         rng_epoch = np.random.default_rng([config.seed, 2, epoch])
-        parts_w, parts_c, parts_s = [], [], []
-        for slot, (tokens, doc_ids) in enumerate(encoded):
-            mask = masks[epoch][slot]
-            if mask is not None:
-                tokens, doc_ids = tokens[mask], doc_ids[mask]
-            w, c = slot_pairs(tokens, doc_ids, config.context_window)
-            parts_w.append(w)
-            parts_c.append(c)
-            parts_s.append(np.full(w.size, slot, dtype=np.int32))
-        perm = rng_epoch.permutation(sum(w.size for w in parts_w))
-        all_w = np.concatenate(parts_w)[perm]
-        all_c = np.concatenate(parts_c)[perm]
-        all_s = np.concatenate(parts_s)[perm]
+        perm = rng_epoch.permutation(all_w.size)
+        all_w, all_c, all_s = all_w[perm], all_c[perm], all_s[perm]
         epoch_loss, offset = 0.0, pairs_done
         for lo in range(0, all_w.size, config.batch_size):
             hi = min(lo + config.batch_size, all_w.size)
@@ -342,8 +340,8 @@ def train_reference(docs, vocab, slot_table, config):
             np.clip(negs, 0, n_words - 1, out=negs)
             batch = trainer.TrainingBatch(all_w[lo:hi], all_s[lo:hi], all_c[lo:hi], negs)
             epoch_loss += trainer.sgd_step(base, deltas_flat, context, n_words, batch, lr)
-        pairs_done += epoch_pair_counts[epoch]
-        model.epoch_losses.append(epoch_loss / max(1, epoch_pair_counts[epoch]))
+        pairs_done += all_w.size
+        model.epoch_losses.append(epoch_loss / max(1, all_w.size))
     return model
 
 

@@ -257,6 +257,21 @@ class TestTrainCommand:
         assert not model_path.exists()
 
 
+    def test_out_of_range_stanza_warned_once(self, tmp_path, caplog):
+        corpus_path = tmp_path / "corpus.jsonl"
+        records = [{"id": f"s{i}", "author": "a", "year": year, "lines": [f"a b a b {i}"]}
+                   for i, year in enumerate([1610, 1660, 1710, 1760, 1590])]  # 1590 precedes the first slot
+        corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["ingest", "--corpus", str(corpus_path), "--out", str(out), *SLOT_FLAGS]) == 0
+        assert json.loads((out / "ingest_stats.json").read_text())["out_of_slot_range"] == 1
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert cli.main(["train", "--out", str(out), *SLOT_FLAGS, *TRAIN_FLAGS]) == 0
+        assert sum("stanzas fall outside all time slots" in m for m in caplog.messages) == 1
+        assert "1 stanzas fall outside all time slots" in caplog.messages
+
+
 class TestSelfsimCommand:
     def test_outputs(self, workspace):
         out = workspace["out"]
@@ -633,6 +648,54 @@ def test_trace_harness_spans(tmp_path):
         spans |= {span[0] for span in json.loads(result.read_text())["spans"]}
     wrapped = {"corpus.load_normalized", "corpus.build_vocab", "corpus.assign_slots", "trainer.train", "trainer.sgd_step"}
     assert wrapped <= spans
+
+
+BOM_CASES = {"config": "config.json", "corpus": "corpus.jsonl", "lemma_map": "lemmas.tsv", "spec": "spec.json",
+             "stopwords": "stopwords.txt"}  # the input file that starts with a BOM in each case
+
+
+@pytest.mark.parametrize("case", sorted(BOM_CASES))
+def test_leading_byte_order_mark_is_ignored(workspace, tmp_path, caplog, capsys, case):
+    """A text input that starts with a UTF-8 BOM gives the exit code, stdout, log lines and outputs it gives without."""
+    model = workspace["out"] / "model.bin"
+    words = trainer.load_model(model).vocab.words
+    seen = []
+    for bom in ("", "\ufeff"):
+        d = tmp_path / ("bom" if bom else "plain")
+        out = d / "out"
+        out.mkdir(parents=True)
+        texts = {  # the third line of the corpus and of the lemma map is malformed
+            "corpus.jsonl": "".join(
+                "{broken\n" if i == 2 else
+                json.dumps({"id": f"s{i}", "author": "a", "year": 1610 + 50 * i, "lines": [f"geht die nacht {i}"]}) + "\n"
+                for i in range(5)
+            ),
+            "lemmas.tsv": "geht\tgehen\nnacht\tnacht\nnur-eine-spalte\n",
+            "stopwords.txt": "\n".join(words[:3]) + "\n",  # the model's most frequent words
+            "config.json": json.dumps({"out": str(out), "model": str(model), "analysis": {"top_n": 5}}),
+            "spec.json": json.dumps({"slot_count": 2, "start_year": 1700, "slot_width": 50, "filler_words": 4,
+                                     "tokens_per_slot": 200, "seed": 3}),
+        }
+        for name, text in texts.items():
+            (d / name).write_text((bom if name == BOM_CASES[case] else "") + text, encoding="utf-8")
+        argv = {
+            "config": ["selfsim", "--config", str(d / "config.json")],
+            "corpus": ["ingest", "--corpus", str(d / "corpus.jsonl"), "--out", str(out), *SLOT_FLAGS],
+            "lemma_map": ["ingest", "--corpus", str(d / "corpus.jsonl"), "--lemma-map", str(d / "lemmas.tsv"),
+                          "--out", str(out), *SLOT_FLAGS],
+            "spec": ["synth", "--spec", str(d / "spec.json"), "--out", str(out / "corpus.jsonl")],
+            "stopwords": ["totalsim", "--model", str(model), "--stopwords", str(d / "stopwords.txt"),
+                          "--min-per-slot", "0", "--out", str(out)],
+        }[case]
+        capsys.readouterr()
+        caplog.clear()
+        rc = cli.main(argv)
+        outputs = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        printed = capsys.readouterr().out.replace(str(d), "<dir>")
+        logged = [m.replace(str(d), "<dir>") for m in caplog.messages]
+        seen.append((rc, printed, logged, outputs))
+    assert seen[0][0] == 0 and seen[0][3]
+    assert seen[1] == seen[0]
 
 
 class TestUsageErrors:

@@ -297,6 +297,17 @@ class TestTables:
         p.write_text("# kommentar\nund\n\nDie\n", encoding="utf-8")
         assert corpus.load_stopwords(p) == frozenset({"und", "die"})
 
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path):
+        """A leading BOM is no line: errors name the same line as in the file without it."""
+        for bom in (b"", b"\xef\xbb\xbf"):
+            p = tmp_path / "s.txt"
+            p.write_bytes(bom + b"und\r\nnacht\n\xff\n")
+            with pytest.raises(corpus.CorpusError, match="line 3 is not UTF-8"):
+                corpus.load_stopwords(p)
+            p.write_bytes(bom + json.dumps(record(1)).encode() + b"\n{broken\n")
+            with pytest.raises(corpus.CorpusError, match=":2: malformed JSON"):
+                corpus.ingest(p, strict=True)
+
 
 class TestBuildSlots:
     def test_fixed_with_merge_first(self):
@@ -364,7 +375,10 @@ class TestAssign:
             member = corpus.assign_slots([1950], table)
         assert np.count_nonzero(~member.any(axis=1)) == 1
         assert not member.any()
-        assert any("1 stanzas fall outside all time slots" in m for m in caplog.messages)
+        assert caplog.messages == []  # build_vocab warns, once per vocabulary
+        with caplog.at_level("WARNING"):
+            corpus.build_vocab(_documents([(["a"], 1600), (["b"], 1950)]), table, min_count=1)
+        assert caplog.messages == ["1 stanzas fall outside all time slots"]
 
     def test_boundary_year_goes_to_next_slot(self):
         table = corpus.build_slots(1600, 1800, 50, 50)
@@ -476,7 +490,7 @@ oracle_docs = st.lists(
 
 
 class TestColumnarOracle:
-    """Vocabulary and per-slot encoding against the per-token Python path they replaced."""
+    """Vocabulary and an unsubsampled epoch's slot tokens against the per-token Python path they replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(oracle_docs, st.sampled_from(sorted(ORACLE_TABLES)), st.integers(-1, 4))
@@ -497,8 +511,12 @@ class TestColumnarOracle:
         for name in ("global_counts", "slot_counts", "slot_total_tokens"):
             assert np.array_equal(getattr(vocab, name), getattr(expected, name)), name
 
+        # the corpus columns train builds, here token by token: vocabulary ids (-1 out of vocabulary), document numbers
+        id_column = np.array([vocab.index.get(docs.types[i], -1) for i in docs.ids.tolist()], dtype=np.int32)
+        doc_column = np.array([d for d, n in enumerate(docs.lengths.tolist()) for _ in range(n)], dtype=np.int32)
         member = corpus.assign_slots(docs.years, table)
-        encoded = trainer._slot_tokens(docs, vocab, member)
+        encoded = list(trainer._slot_passes(id_column, doc_column, member, None, seed=0, epoch=0))
+        assert len(encoded) == len(table)
         for (tokens, doc_ids), (want_tokens, want_doc_ids) in zip(encoded, encode_documents(per_slot, vocab.index)):
             assert np.array_equal(tokens, want_tokens)
             assert np.array_equal(np.flatnonzero(np.diff(doc_ids)), np.flatnonzero(np.diff(want_doc_ids)))

@@ -17,6 +17,7 @@ from _oracles import (
     log_sigmoid_logaddexp,
     scatter_add_rows_reduceat,
     sgd_step_reference,
+    slot_encoding,
     slot_pairs,
     train_reference,
 )
@@ -412,7 +413,7 @@ class TestTraining:
         with caplog.at_level("WARNING"):
             model = trainer.train(docs, vocab, table, quick_config())
         assert np.all(model.deltas[1] == 0.0)
-        assert any("slot 1" in m for m in caplog.messages)
+        assert sum("slot 1 has no trainable documents" in m for m in caplog.messages) == 1
 
     def test_matrices_finite(self):
         model = train_tiny()
@@ -449,8 +450,7 @@ class TestTraining:
     def test_window_beyond_longest_document_counts_and_pairs_as_that_window(self):
         tokens = np.arange(9, dtype=np.int32)
         doc_ids = np.array([0, 0, 0, 1, 1, 1, 1, 1, 2], dtype=np.int32)  # longest document: 5 tokens
-        lengths = np.bincount(doc_ids)
-        assert trainer._pair_count(lengths, 10**18) == trainer._pair_count(lengths, 5) == 26
+        assert [off for off, _ in trainer._near_positions(doc_ids, 10**18)] == [1, 2, 3, 4]
         got = record_triples([(tokens, doc_ids)], 10**18)
         assert np.array_equal(got, record_triples([(tokens, doc_ids)], 5))
         assert np.array_equal(got, oracle_triples([(tokens, doc_ids)], 5))
@@ -458,9 +458,12 @@ class TestTraining:
 
 
 def record_triples(slots, window):
-    """train's records of per-slot (tokens, doc_ids), decoded into (word, slot, context) rows in record order."""
+    """train's records of per-slot (tokens, doc_ids), decoded into (word, slot, context) rows in record order.
+
+    The records are sized by the pair oracle's count.
+    """
     n_tokens = sum(tokens.size for tokens, _ in slots)
-    n_pairs = sum(trainer._pair_count(np.bincount(doc_ids), window) for _, doc_ids in slots)
+    n_pairs = len(oracle_triples(slots, window))
     tokens, slot_ends, pairs = trainer._epoch_records(iter(slots), n_tokens, n_pairs, window)
     assert pairs.shape == (n_pairs, 2) and pairs.dtype == np.int32
     slots_of = np.searchsorted(slot_ends, pairs[:, 0], side="right")
@@ -486,7 +489,7 @@ def test_pair_count_sizes_the_pair_block(slot_lengths, window):
         slots.append((np.arange(first, first + doc_ids.size, dtype=np.int32), doc_ids))  # every token id distinct
         first += doc_ids.size
     want = oracle_triples(slots, window)
-    assert sum(trainer._pair_count(np.bincount(doc_ids), window) for _, doc_ids in slots) == len(want)
+    assert sum(2 * near.size for _, doc_ids in slots for _, near in trainer._near_positions(doc_ids, window)) == len(want)
     assert np.array_equal(record_triples(slots, window), want)
 
 
@@ -593,8 +596,8 @@ class TestTrainMatchesReference:
         docs = reference_corpus(table)
         vocab = corpus.build_vocab(docs, table, min_count=1)
         config = quick_config(epochs=epochs, subsample_threshold=subsample, batch_size=97, seed=5)
-        encoded = trainer._slot_tokens(docs, vocab, corpus.assign_slots(docs.years, table))
-        n_pairs = sum(trainer._pair_count(np.bincount(doc_ids), config.context_window) for _, doc_ids in encoded)
+        encoded = slot_encoding(docs, vocab, table)
+        n_pairs = sum(slot_pairs(tokens, doc_ids, config.context_window)[0].size for tokens, doc_ids in encoded)
         assert n_pairs % config.batch_size  # the last batch of an unsubsampled epoch is partial
         if subsample:
             assert trainer._keep_probabilities(vocab, subsample).min() < 0.5  # frequent words are dropped
