@@ -66,7 +66,8 @@ def pairwise_self_similarity(
     by default; ``frequency_scope="pair"`` ranks by the two slots of each
     pair instead), or an explicit ``words`` list. A word absent from either
     slot of a pair is skipped for that pair, never imputed. Pairs with no
-    measurable word are dropped with a warning.
+    measurable word are dropped with a warning; ValueError if all are. The
+    two slots' vectors are built ROW_BLOCK words at a time.
     """
     vocab = model.vocab
     if model.n_slots < 2:
@@ -98,11 +99,13 @@ def pairwise_self_similarity(
                 model.slot_table[j].label,
             )
             continue
-        cos = rowwise_cosine(model.slot_vectors(i, present), model.slot_vectors(j, present))
+        cos = np.concatenate([rowwise_cosine(*vecs) for _, vecs in model.slot_blocks(present, (i, j))])
         pairs.append((model.slot_table[i], model.slot_table[j]))
         summaries.append(DistributionSummary.from_values(cos))
         rows.append(present)
         cosines.append(cos)
+    if not pairs:
+        raise ValueError("no adjacent slot pair shares a measured word")
     return SelfSimSeries(pairs=pairs, summaries=summaries, rows=rows, cosines=cosines)
 
 

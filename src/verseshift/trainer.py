@@ -268,40 +268,30 @@ class JointEmbeddingModel:
 
     def embedding_of(self, word: str, slot: int) -> np.ndarray:
         """The word's vector in a slot: shared base row plus the slot delta row."""
-        return self.slot_vectors(slot, np.array([self._word_index(word)]))[0]
+        for _, vecs in self.slot_blocks(np.array([self._word_index(word)]), (slot,)):
+            return vecs[0][0]
 
-    def _gathered(self, mat: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-        """``mat[rows]`` (all of ``mat`` without ``rows``) as float64; then releases ``mat``."""
-        out = (mat if rows is None else mat[rows]).astype(np.float64)
+    def _gathered(self, mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``mat[rows]`` as float64; then releases ``mat``."""
+        out = mat[rows].astype(np.float64)
         self._release(mat)
         return out
 
-    def slot_vectors(self, slot: int, rows: np.ndarray | None = None) -> np.ndarray:
-        """Float64 matrix of per-slot vectors, optionally restricted to ``rows``.
+    def slot_blocks(self, rows: np.ndarray, slots=None):
+        """The vectors of ``rows`` in each of ``slots`` (default every slot), ROW_BLOCK rows at a time.
 
-        The analyses read the matrices only here and in :meth:`slot_blocks`.
-        A loaded model releases the base and the slot's delta matrix once
-        their rows are gathered, so only the matrix being read stays resident;
-        the next read maps its pages again from the page cache.
+        The one read of the matrices. Yields the offset of each block in
+        ``rows`` and a list of its float64 matrices, base plus delta rows, one
+        per slot in ``slots``. A loaded model releases each delta matrix after
+        its gather and the base once per block, so only the matrix being read
+        stays resident. The list is emptied before the next block is built, so
+        a caller holds len(slots) * ROW_BLOCK * d floats, never two blocks.
         """
-        self._check_slot(slot)
-        return self._gathered(self.base, rows) + self._gathered(self.deltas[slot], rows)
-
-    def slot_blocks(self, rows: np.ndarray):
-        """The vectors of ``rows`` in every slot, ROW_BLOCK rows at a time.
-
-        Yields the offset of each block in ``rows`` and a list of the block's
-        S float64 matrices, bit-equal to :meth:`slot_vectors` of the block in
-        each slot. The base rows are gathered once per block and each slot's
-        delta rows added to them; a loaded model releases each delta matrix
-        after its gather and the base once per block. The list is emptied
-        before the next block is built, so a caller holds S * ROW_BLOCK * d
-        floats rather than S * len(rows) * d, and never two blocks at once.
-        """
+        slots = range(self.n_slots) if slots is None else [self._check_slot(t) for t in slots]
         for lo in range(0, rows.size, ROW_BLOCK):
             block = rows[lo : lo + ROW_BLOCK]
             base = self._gathered(self.base, block)
-            vecs = [base + self._gathered(self.deltas[t], block) for t in range(self.n_slots)]
+            vecs = [base + self._gathered(self.deltas[t], block) for t in slots]
             yield lo, vecs
             vecs.clear()
 
@@ -316,10 +306,12 @@ class JointEmbeddingModel:
         self._check_slot(slot)
         if k <= 0:
             return []
-        vectors = self.slot_vectors(slot)
-        sims = np.full(len(vectors), -np.inf)
-        ok = vectors.any(axis=1)  # zero rows have no direction to compare
-        sims[ok] = rowwise_cosine(vectors[ok], vectors[wi])
+        query = self.embedding_of(word, slot)
+        sims = np.full(len(self.vocab), -np.inf)
+        for lo, vecs in self.slot_blocks(np.arange(len(self.vocab)), (slot,)):
+            block = sims[lo : lo + len(vecs[0])]
+            ok = vecs[0].any(axis=1)  # zero rows have no direction to compare
+            block[ok] = rowwise_cosine(vecs[0][ok], query)
         sims[wi] = -np.inf
         order = np.argsort(-sims, kind="stable")
         out = []

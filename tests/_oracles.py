@@ -356,6 +356,18 @@ def _slot_vectors(model, slot: int, rows: np.ndarray) -> np.ndarray:
     return model.base[rows].astype(np.float64) + model.deltas[slot][rows].astype(np.float64)
 
 
+def selfsim_unblocked(model, top_n: int, frequency_scope: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per adjacent slot pair, the measured rows and their cosines from both slots' vectors of every row at once."""
+    counts = model.vocab.slot_counts
+    out = []
+    for i in range(len(model.slot_table) - 1):
+        rank = model.vocab.global_counts if frequency_scope == "global" else counts[i] + counts[i + 1]
+        cand = np.argsort(-rank, kind="stable")[:top_n]
+        rows = cand[(counts[i, cand] > 0) & (counts[i + 1, cand] > 0)]
+        out.append((rows, _cosine(_slot_vectors(model, i, rows), _slot_vectors(model, i + 1, rows))))
+    return out
+
+
 def total_word_means_unblocked(model, word_indices: np.ndarray) -> np.ndarray:
     """(n, distances) mean cosine per word and slot distance from all n * S slot vectors at once."""
     starts = [slot.start for slot in model.slot_table]

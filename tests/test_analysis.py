@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from verseshift import analysis, trainer, tropes
 from verseshift.analysis import DistributionSummary, SelfSimSeries
 
-from _oracles import total_word_means_unblocked
+from _oracles import selfsim_unblocked, total_word_means_unblocked
 from conftest import make_model, make_table, stack_model, working_bytes
 
 BLOCK = trainer.ROW_BLOCK
@@ -115,6 +115,57 @@ class TestPairwiseSelfSim:
         model = make_model(["a"], [1600, 1650], np.ones((1, 2)), np.zeros((2, 1, 2)))
         with pytest.raises(ValueError):
             analysis.pairwise_self_similarity(model, top_n=1, frequency_scope="slotwise")
+
+    def test_pair_with_no_shared_word_warns_and_is_left_out(self, caplog):
+        counts = np.array([[5, 5], [5, 0], [0, 5], [5, 5]])  # slots 1 and 2 share no word
+        model = make_model(["a", "b"], [1600, 1650, 1700, 1750], np.eye(2), np.zeros((4, 2, 2)), slot_counts=counts)
+        with caplog.at_level("WARNING", logger="verseshift.analysis"):
+            series = analysis.pairwise_self_similarity(model, top_n=2)
+        assert [(a.start, b.start) for a, b in series.pairs] == [(1600, 1650), (1700, 1750)]
+        assert [r.tolist() for r in series.rows] == [[0], [1]]
+        assert caplog.messages == ["no words shared by slots 1650-1700 and 1700-1750; dropping the pair"]
+
+    @pytest.mark.parametrize("scope", ["global", "pair"])
+    def test_no_measurable_pair_names_the_cause(self, scope):
+        counts = np.array([[5, 0], [0, 5], [5, 0]])
+        model = make_model(["a", "b"], [1600, 1650, 1700], np.eye(2), np.zeros((3, 2, 2)), slot_counts=counts)
+        with pytest.raises(ValueError, match="no adjacent slot pair shares a measured word"):
+            analysis.pairwise_self_similarity(model, top_n=2, frequency_scope=scope)
+
+
+class TestPairwiseSelfSimBlocks:
+    """The row-blocked pair cosines equal the all-at-once ones bit for bit, in bounded memory."""
+
+    @pytest.mark.parametrize("scope", ["global", "pair"])
+    @pytest.mark.parametrize("n_measured", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_rows_and_cosines_bit_equal_to_unblocked(self, n_measured, scope):
+        rng = np.random.default_rng(n_measured)
+        n_words, n_slots = n_measured + 5, 5
+        counts = rng.integers(1, 100, size=(n_slots, n_words))  # a shuffled frequency order
+        unmeasured = rng.choice(n_words, size=5, replace=False)
+        counts[1::2, unmeasured] = 0  # absent from every other slot, so from one slot of every pair
+        model = make_model(
+            [f"w{i}" for i in range(n_words)], [1600 + 50 * t for t in range(n_slots)],
+            rng.normal(size=(n_words, 8)), rng.normal(scale=0.3, size=(n_slots, n_words, 8)), slot_counts=counts,
+        )
+        series = analysis.pairwise_self_similarity(model, top_n=n_words, frequency_scope=scope)
+        want = selfsim_unblocked(model, n_words, scope)
+        assert len(series.pairs) == len(want) == n_slots - 1
+        for rows, cosines, (want_rows, want_cosines) in zip(series.rows, series.cosines, want):
+            assert rows.size == n_measured
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(cosines, want_cosines)
+
+    @pytest.mark.parametrize("scope", ["global", "pair"])
+    def test_working_memory_is_one_block(self, scope):
+        model = stack_model()
+        stack = model.deltas.size * 8  # every word's float64 vector in every slot
+        series, extra = working_bytes(
+            lambda: analysis.pairwise_self_similarity(model, top_n=len(model.vocab), frequency_scope=scope)
+        )
+        assert all(rows.size == len(model.vocab) for rows in series.rows)
+        # two slots' vectors of one block and a pair's cosines: about 0.016 of the stack
+        assert extra < 0.05 * stack
 
 
 class TestChangePoints:
@@ -334,11 +385,15 @@ class TestLinearityFit:
 
 
 def analysis_steps(model, target):
-    """The model reads of the four analyses, one callable each: selfsim and changepoints over every word, totalsim, tropes."""
+    """Every caller of ``slot_blocks``, one callable each: selfsim and changepoints over every word in both
+    frequency scopes, totalsim, tropes and the nearest neighbors of ``target``."""
+    n_words = len(model.vocab)
     return [
-        lambda: analysis.detect_change_points(analysis.pairwise_self_similarity(model, top_n=len(model.vocab)), 3),
+        lambda: analysis.detect_change_points(analysis.pairwise_self_similarity(model, top_n=n_words), 3),
+        lambda: analysis.pairwise_self_similarity(model, top_n=n_words, frequency_scope="pair"),
         lambda: analysis.total_self_similarity(model, min_per_slot=1),
         lambda: tropes.build_trajectories(model, target),
+        lambda: model.nearest_neighbors(target, 0, 5),
     ]
 
 
@@ -373,7 +428,7 @@ class TestModelResidency:
         before = mapped_file_kb()
         loaded = trainer.load_model(tmp_path / "model.bin")
         growth = [mapped_file_kb() - before]
-        for step in analysis_steps(loaded, "w0"):  # each reads every row of every slot
+        for step in analysis_steps(loaded, "w0"):  # each reads every row of every slot it compares
             step()
             growth.append(mapped_file_kb() - before)
         assert max(growth) * 1024 < matrix_bytes / 4, f"kB resident after the load and each analysis: {growth}"
@@ -383,6 +438,5 @@ class TestModelResidency:
         before = [mat.copy() for mat in (model.base, model.deltas, model.context)]
         for step in analysis_steps(model, "w0"):
             step()
-        model.nearest_neighbors("w1", 0, 5)
         for got, want in zip((model.base, model.deltas, model.context), before):
             assert np.array_equal(got, want)

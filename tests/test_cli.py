@@ -332,6 +332,17 @@ class TestSelfsimCommand:
         assert not (tmp_path / "selfsim.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["selfsim", "changepoints"])
+def test_no_measurable_pair_exits_two_naming_it(tmp_path, capsys, command):
+    counts = np.array([[5, 0], [0, 5], [5, 0]])  # no two adjacent slots share a word
+    model = make_model(["a", "b"], [1600, 1650, 1700], np.eye(2), np.zeros((3, 2, 2)), slot_counts=counts)
+    model_path, out = tmp_path / "model.bin", tmp_path / "out"
+    trainer.save_model(model, model_path)
+    assert cli.main([command, "--out", str(out), "--model", str(model_path), "--top-n", "2"]) == 2
+    assert "error: no adjacent slot pair shares a measured word" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestChangepointsCommand:
     def test_outputs(self, workspace):
         out = workspace["out"]

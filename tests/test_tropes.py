@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from verseshift import trainer, tropes
-from verseshift.linalg import rowwise_cosine
 
-from _oracles import trajectory_values_unblocked
+from _oracles import _cosine, _slot_vectors, trajectory_values_unblocked
 from conftest import make_model, stack_model, working_bytes
 
 BLOCK = trainer.ROW_BLOCK
@@ -122,7 +121,7 @@ class TestBuildTrajectories:
         assert trajectories.candidates == [words[c] for c in cand]
 
         expected = np.column_stack([
-            rowwise_cosine(model.slot_vectors(t, cand), model.embedding_of("ziel", t)) for t in range(n_slots)
+            _cosine(_slot_vectors(model, t, cand), _slot_vectors(model, t, np.array([0]))[0]) for t in range(n_slots)
         ])
         imputed = counts[:, cand].T < 2
         slots = np.arange(n_slots, dtype=np.float64)
