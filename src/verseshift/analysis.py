@@ -160,6 +160,8 @@ def total_self_similarity(
     is one block, whatever the number of eligible words.
     """
     vocab = model.vocab
+    if model.n_slots < 2:
+        raise ValueError("need at least 2 slots for total self-similarity")
     eligible_mask = (vocab.slot_counts >= min_per_slot).all(axis=0)
     for w in stopwords:
         i = vocab.index.get(w)

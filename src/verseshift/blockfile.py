@@ -1,9 +1,9 @@
 """Little-endian binary files of consecutive fixed-dtype blocks: the model file and the corpus cache.
 
-A file starts with a magic and is then read block by block, each block a
-read-only numpy view of one mapping of the whole file, so reading copies
-nothing. Writers go through :func:`replacing`, so a reader that has a file
-mapped never sees it truncated.
+A file starts with a magic and a ``<u4`` version and is then read block by
+block, each block a read-only numpy view of one mapping of the whole file, so
+reading copies nothing. Writers go through :func:`replacing`, so a reader
+that has a file mapped never sees it truncated.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class BlockReader:
     ``what`` it should be.
     """
 
-    def __init__(self, path, what: str, magic: bytes, error) -> None:
+    def __init__(self, path, what: str, magic: bytes, version: int, error) -> None:
         self.path, self.what, self.error = path, what, error
         try:
             fh = open(path, "rb")
@@ -41,18 +41,14 @@ class BlockReader:
             raise error(f"{path} is not a {what} (bad magic)")
         self.bytes = np.frombuffer(self.buf, dtype="u1")  # the whole file, for offsets of views
         self.offset = len(magic)  # where the next block starts
+        (found,) = self.block("<u4", (1,)).tolist()
+        if found != version:
+            raise error(f"unsupported {what} version {found} in {path}")
 
-    def expect(self, n_bytes: int, exact: bool = False) -> None:
-        """Require ``n_bytes`` after the blocks read so far (exactly that many with ``exact``).
-
-        Called with the sizes a header declares before any block of them is
-        read, so a damaged count fails here instead of allocating.
-        """
-        left = self.size - self.offset
-        if left < n_bytes:
-            raise self.error(f"truncated {self.what} {self.path}: its header sizes exceed its length")
-        if exact and left != n_bytes:
-            raise self.error(f"{self.path} is {self.size} bytes, its header says {self.offset + n_bytes}")
+    def end(self) -> None:
+        """Require the blocks read so far to fill the file exactly."""
+        if self.offset != self.size:
+            raise self.error(f"{self.path} is {self.size} bytes, its header says {self.offset}")
 
     def block(self, dtype: str, shape: tuple) -> np.ndarray:
         count = math.prod(shape)
@@ -73,12 +69,11 @@ class BlockReader:
         page = start - start % mmap.PAGESIZE
         self.buf.madvise(mmap.MADV_DONTNEED, page, start + view.nbytes - page)
 
-    def strings(self, lengths: np.ndarray, noun: str) -> list[str]:
-        """The next block as UTF-8 strings of the given byte ``lengths``."""
-        raw = self.block("u1", (int(lengths.sum(dtype=np.uint64)),)).data
-        pos = 0  # where the next string starts in raw
+    def strings(self, raw: np.ndarray, lengths: np.ndarray, noun: str) -> list[str]:
+        """The ``u1`` block ``raw`` decoded as UTF-8 strings of the given byte ``lengths``."""
+        buf, pos = raw.data, 0  # pos: where the next string starts
         try:
-            return [str(raw[pos : (pos := pos + n)], "utf-8") for n in lengths.tolist()]
+            return [str(buf[pos : (pos := pos + n)], "utf-8") for n in lengths.tolist()]
         except UnicodeDecodeError as exc:  # pos is already the end of the failing string
             i = int(np.searchsorted(np.cumsum(lengths), pos))
             raise self.error(f"{noun} {i} in {self.path} is not valid UTF-8") from exc

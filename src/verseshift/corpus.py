@@ -473,24 +473,21 @@ def save_normalized(stanzas: list[Stanza], path: str | Path) -> None:
 def load_normalized(path: str | Path) -> Documents:
     """Read the corpus cache written by :func:`save_normalized`, viewing its columns in place.
 
-    The header's counts are checked against the file length before any
-    array is allocated, and with the type lengths the length must match
-    exactly. The types must be distinct UTF-8, the ids index them, the
-    offsets rise from 0 to the token count, and every year lies in
-    YEAR_MIN..YEAR_MAX. Any other file raises CorpusError.
+    Every block is viewed, and together they must fill the file exactly,
+    before any is decoded or checked, so a damaged count fails as a length
+    error and allocates nothing. Then the types must be distinct UTF-8, the
+    ids index them, the offsets rise from 0 to the token count, and every
+    year lies in YEAR_MIN..YEAR_MAX. Any other file raises CorpusError.
     """
-    reader = BlockReader(path, "normalized corpus cache", CACHE_MAGIC, _cache_error)
-    (version,) = reader.block("<u4", (1,)).tolist()
-    if version != CACHE_VERSION:
-        raise _cache_error(f"unsupported normalized cache version {version} in {path}")
+    reader = BlockReader(path, "normalized corpus cache", CACHE_MAGIC, CACHE_VERSION, _cache_error)
     n_types, n_tokens, n_docs = reader.block("<u8", (3,)).tolist()
-    reader.expect(4 * n_types + 4 * n_tokens + 8 * (n_docs + 1) + 8 * n_docs)
     lengths = reader.block("<u4", (n_types,))
-    reader.expect(int(lengths.sum(dtype=np.uint64)) + 4 * n_tokens + 16 * n_docs + 8, exact=True)
-    types = reader.strings(lengths, "type")
+    raw = reader.block("u1", (int(lengths.sum(dtype=np.uint64)),))
     ids = reader.block("<i4", (n_tokens,))
     offsets = reader.block("<i8", (n_docs + 1,))
     years = reader.block("<i8", (n_docs,))
+    reader.end()
+    types = reader.strings(raw, lengths, "type")
     if len(set(types)) != n_types:
         raise _cache_error(f"repeated type in {path}")
     if n_tokens and not (0 <= ids.min() and ids.max() < n_types):

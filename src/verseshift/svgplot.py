@@ -18,13 +18,16 @@ MARGIN_BOTTOM = 80
 LINE_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#17becf", "#7f7f7f"]
 
 
+# markup characters as entities; characters XML 1.0 forbids (C0 controls but
+# tab, LF and CR, and U+FFFE/U+FFFF) as U+FFFD, so any word gives well-formed SVG
+_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+    | {c: "\ufffd" for c in (*range(0x20), 0xFFFE, 0xFFFF) if c not in (0x09, 0x0A, 0x0D)}
+)
+
+
 def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+    return text.translate(_ESCAPES)
 
 
 def _header(title: str) -> list[str]:

@@ -158,22 +158,16 @@ def generate(spec: SynthSpec) -> list[dict]:
         for pos, row_idx in enumerate(order):
             row = slot_rows[row_idx]
             half = len(row) // 2
+            rec_id = f"s{len(records):07d}"
             records.append(
                 {
+                    "id": rec_id,
+                    "poem_id": rec_id,
+                    "author": "synthetic",
                     "year": int(years[pos]),
                     "lines": [" ".join(row[:half]), " ".join(row[half:])],
                 }
             )
-
-    for i, rec in enumerate(records):
-        rec_id = f"s{i:07d}"
-        records[i] = {
-            "id": rec_id,
-            "poem_id": rec_id,
-            "author": "synthetic",
-            "year": rec["year"],
-            "lines": rec["lines"],
-        }
     return records
 
 

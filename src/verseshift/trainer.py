@@ -561,9 +561,10 @@ def save_model(model: JointEmbeddingModel, path) -> None:
 def load_model(path) -> JointEmbeddingModel:
     """Map a model file written by :func:`save_model` read-only and view each block in place.
 
-    The header's sizes are checked against the file length before any array
-    is allocated, and with the word lengths the length must match exactly.
-    A corrupt file or a non-finite matrix value raises ModelFormatError.
+    Every block is viewed, and together they must fill the file exactly,
+    before any is decoded or checked, so a damaged size fails as a length
+    error and allocates nothing. A corrupt file, one of another version or
+    a non-finite matrix value raises ModelFormatError.
     The matrices are read-only views of the mapped file, so loading costs
     no copy; the file must not be truncated in place while they are in use
     (:func:`save_model` replaces a file instead of rewriting it). The header
@@ -571,26 +572,21 @@ def load_model(path) -> JointEmbeddingModel:
     released from the process (``BlockReader.release``), so a load keeps one
     matrix resident at a time and returns with none.
     """
-    reader = BlockReader(path, "model file", MODEL_MAGIC, ModelFormatError)
-    version, d, n_words, n_slots = reader.block("<u4", (4,)).tolist()
-    if version != MODEL_VERSION:
-        raise ModelFormatError(f"unsupported model version {version} in {path}")
+    reader = BlockReader(path, "model file", MODEL_MAGIC, MODEL_VERSION, ModelFormatError)
+    d, n_words, n_slots = reader.block("<u4", (3,)).tolist()
     if n_words == 0 or n_slots == 0 or d == 0:
         raise ModelFormatError(f"empty dimensions in model header of {path}")
-    payload = 4 * d * n_words * (n_slots + 2)
-    # slot years, word lengths, counts, the f32 matrices; the words themselves may be empty
-    fixed = 8 * n_slots + n_words * (12 + 8 * n_slots)
-    reader.expect(fixed + payload)
-    years = reader.block("<i4", (n_slots, 2)).tolist()
+    years = reader.block("<i4", (n_slots, 2))
     lengths = reader.block("<u4", (n_words,))
-    reader.expect(n_words * 8 * (n_slots + 1) + int(lengths.sum(dtype=np.uint64)) + payload, exact=True)
     counts = reader.block("<u8", (n_words, n_slots + 1))  # the global count, then one count per slot
-    words = reader.strings(lengths, "word")
+    raw = reader.block("u1", (int(lengths.sum(dtype=np.uint64)),))
     header = reader.bytes[: reader.offset]
     mats = reader.block("<f4", (n_slots + 2, n_words, d))  # base, the per-slot deltas, then context
+    reader.end()
 
+    words = reader.strings(raw, lengths, "word")
     try:
-        table = TimeSlotTable(tuple(TimeSlot(start, end) for start, end in years))
+        table = TimeSlotTable(tuple(TimeSlot(start, end) for start, end in years.tolist()))
     except ValueError as exc:
         raise ModelFormatError(f"invalid slot years in {path}: {exc}") from exc
     if (counts >= np.uint64(1 << 63)).any():

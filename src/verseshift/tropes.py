@@ -115,6 +115,9 @@ def trajectory_pca(trajectories: Trajectories, n_components: int = 4, top_k: int
     list top_k candidates, so there must be at least 2 * top_k trajectories,
     or the two lists would share candidates.
     """
+    n_slots = trajectories.values.shape[1]
+    if n_components > n_slots:
+        raise ValueError(f"{n_components} components need at least {n_components} slots; the model has {n_slots}")
     if len(trajectories) < n_components + 1:
         raise ValueError(f"need at least {n_components + 1} trajectories for {n_components} components")
     if 2 * top_k > len(trajectories):

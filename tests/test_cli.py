@@ -343,6 +343,46 @@ def test_no_measurable_pair_exits_two_naming_it(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_one_slot_totalsim_exits_two_naming_it(tmp_path, capsys):
+    model = make_model(["a", "b"], [1600], np.eye(2), np.zeros((1, 2, 2)))
+    model_path, out = tmp_path / "model.bin", tmp_path / "out"
+    trainer.save_model(model, model_path)
+    assert cli.main(["totalsim", "--out", str(out), "--model", str(model_path), "--min-per-slot", "1"]) == 2
+    assert "error: need at least 2 slots for total self-similarity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_more_components_than_slots_exits_two_naming_both(tmp_path, capsys):
+    words = ["ziel", *(f"kandidat{i}" for i in range(8))]
+    rng = np.random.default_rng(5)
+    model = make_model(words, [1600, 1650], rng.normal(size=(len(words), 3)), rng.normal(size=(2, len(words), 3)),
+                       global_counts=[100] * len(words))
+    model_path, out = tmp_path / "model.bin", tmp_path / "out"
+    trainer.save_model(model, model_path)
+    argv = ["tropes", "--out", str(out), "--model", str(model_path), "--target", "ziel",
+            "--min-global", "1", "--min-per-slot", "2", "--top-k", "3", "--components", "3"]
+    assert cli.main(argv) == 2
+    assert "error: 3 components need at least 3 slots; the model has 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_control_characters_in_words_give_well_formed_svg(tmp_path):
+    """Tokenizing keeps C0 controls in words; every figure still parses as XML."""
+    words = ["t\x01", "k\x02", "k\x1f\ufffe", *(f"kandidat{i}" for i in range(5))]
+    rng = np.random.default_rng(5)
+    model = make_model(words, [1600, 1650, 1700, 1750], rng.normal(size=(len(words), 3)),
+                       rng.normal(size=(4, len(words), 3)), global_counts=[100] * len(words))
+    model_path, out = tmp_path / "model.bin", tmp_path / "out"
+    trainer.save_model(model, model_path)
+    argv = ["tropes", "--out", str(out), "--model", str(model_path), "--target", "t\x01",
+            "--min-global", "1", "--min-per-slot", "2", "--top-k", "3", "--components", "2"]
+    assert cli.main(argv) == 0
+    svgs = sorted(out.glob("trope_*.svg"))
+    assert len(svgs) == 4
+    for path in svgs:
+        assert_single_titled_svg(path)
+
+
 class TestChangepointsCommand:
     def test_outputs(self, workspace):
         out = workspace["out"]
@@ -659,6 +699,47 @@ def test_trace_harness_spans(tmp_path):
         spans |= {span[0] for span in json.loads(result.read_text())["spans"]}
     wrapped = {"corpus.load_normalized", "corpus.build_vocab", "corpus.assign_slots", "trainer.train", "trainer.sgd_step"}
     assert wrapped <= spans
+
+
+def test_trace_harness_reads_every_command(tmp_path):
+    """Each command the benchmark runs exits 0 under --trace 1, records its spans, and the
+    result fields the trace wrappers read (stanzas, tokens, batch words, slot tokens) exist."""
+    root = Path(__file__).resolve().parent.parent
+    corpus_path = tmp_path / "corpus.jsonl"
+    synthgen.generate_jsonl(pipeline_spec(), corpus_path)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    spans, counts = set(), {}
+    for argv in (
+        ["ingest", "--corpus", str(corpus_path), "--out", str(out), *SLOT_FLAGS],
+        ["train", "--out", str(out), *SLOT_FLAGS, *TRAIN_FLAGS, "--epochs", "1"],
+        ["selfsim", "--out", str(out), "--top-n", "20"],
+        ["changepoints", "--out", str(out), "--top-n", "20"],
+        ["totalsim", "--out", str(out), "--min-per-slot", "5"],
+        ["tropes", "--out", str(out), "--target", "stab0", "--min-global", "10", "--min-per-slot", "2",
+         "--top-k", "5", "--components", "2"],
+    ):
+        result = tmp_path / f"{argv[0]}.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "vsbench" / "child.py"), str(result), "1", *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr[-2000:])
+        traced = json.loads(result.read_text())
+        spans |= {span[0] for span in traced["spans"]}
+        counts |= traced["counts"]
+    assert {f"cli.{name}" for name in ("ingest", "train", "selfsim", "changepoints", "totalsim", "tropes")} <= spans
+    assert {
+        "corpus.ingest", "corpus.normalize", "corpus.dedup_first_line", "corpus.assign_slots", "corpus.build_vocab",
+        "corpus.save_normalized", "corpus.load_normalized", "trainer.train", "trainer.sgd_step",
+        "trainer.save_model", "trainer.load_model", "analysis.pairwise_self_similarity",
+        "analysis.detect_change_points", "analysis.total_self_similarity", "analysis.frequency_bands",
+        "analysis.linearity_fit", "linalg.rowwise_cosine", "tropes.build_trajectories", "tropes.trajectory_pca",
+        "tropes.orient_components", "linalg.pca", "svgplot.render",
+    } <= spans
+    for name in ("corpus.stanzas", "corpus.tokens", "corpus.slot_tokens", "corpus.vocab_words", "corpus.cache_bytes",
+                 "trainer.pairs", "trainer.model_bytes", "tropes.trajectories"):
+        assert counts.get(name, 0) > 0, name
 
 
 BOM_CASES = {"config": "config.json", "corpus": "corpus.jsonl", "lemma_map": "lemmas.tsv", "spec": "spec.json",

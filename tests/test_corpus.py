@@ -600,6 +600,16 @@ class TestNormalizedCache:
         with pytest.raises(corpus.CorpusError, match="109 bytes"):
             corpus.load_normalized(path)
 
+    @pytest.mark.parametrize("step", [1, -1], ids=["plus-one", "minus-one"])
+    @pytest.mark.parametrize("field", [0, 8, 16], ids=["types", "tokens", "docs"])
+    def test_header_count_off_by_one_is_a_length_error(self, tmp_path, field, step):
+        """Every block is viewed and the length checked before any type is decoded or column checked."""
+        path = tmp_path / "normalized.bin"
+        (count,) = struct.unpack_from("<Q", write_tiny_cache(path), TINY_CACHE_COUNTS + field)
+        write_tiny_cache(path, TINY_CACHE_COUNTS + field, struct.pack("<Q", count + step))
+        with pytest.raises(corpus.CorpusError, match="truncated|its header says"):
+            corpus.load_normalized(path)
+
     @pytest.mark.parametrize(
         "record",
         [

@@ -24,6 +24,7 @@ from _oracles import (
 from conftest import (
     TINY_BASE,
     TINY_DELTA1,
+    TINY_DIM_FIELD,
     TINY_GLOBAL_COUNT0,
     TINY_SLOT_COUNT0,
     TINY_SLOT_YEARS,
@@ -777,6 +778,16 @@ class TestModelFile:
         trainer.save_model(synonym_model, path)
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(trainer.ModelFormatError):
+            trainer.load_model(path)
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["plus-one", "minus-one"])
+    @pytest.mark.parametrize("field", [0, 4, 8], ids=["dim", "words", "slots"])
+    def test_header_size_off_by_one_is_a_length_error(self, tmp_path, field, step):
+        """Every block is viewed and the length checked before any word is decoded or count checked."""
+        path = tmp_path / "m.bin"
+        (size,) = struct.unpack_from("<I", write_tiny_model(path), TINY_DIM_FIELD + field)
+        write_tiny_model(path, TINY_DIM_FIELD + field, struct.pack("<I", size + step))
+        with pytest.raises(trainer.ModelFormatError, match="truncated|its header says"):
             trainer.load_model(path)
 
     @pytest.mark.parametrize("offset", [TINY_GLOBAL_COUNT0, TINY_SLOT_COUNT0], ids=["global", "slot"])
