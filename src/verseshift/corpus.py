@@ -5,6 +5,7 @@ from __future__ import annotations
 import codecs
 import json
 import logging
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -207,10 +208,18 @@ def _strip_edge_punct(token: str) -> str:
     return token[start:end]
 
 
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")  # C0 controls and DEL separate tokens as whitespace does
+
+
+def _pieces(text: str) -> list[str]:
+    """``text`` split on whitespace and on C0 control characters and DEL."""
+    return _CONTROL.sub(" ", text).split()
+
+
 def tokenize_line(line: str) -> list[str]:
-    """Split on whitespace, strip edge punctuation, lowercase."""
+    """Split on whitespace and control characters, strip edge punctuation, lowercase."""
     out = []
-    for piece in line.split():
+    for piece in _pieces(line):
         tok = _strip_edge_punct(piece).lower()
         if tok:
             out.append(tok)
@@ -221,11 +230,11 @@ def normalize(stanzas: list[Stanza], lemma_map: dict[str, str] | None = None) ->
     """Fill stanza tokens: :func:`tokenize_line`, then each token through the lemma table.
 
     Tokens missing from the table pass through unchanged; a lemma is taken
-    as it stands, even an empty one. Each distinct whitespace piece goes
-    through :func:`tokenize_line` and the table once per call, so repeated
-    tokens share one ``str``. Stopword removal is deliberately not applied
-    here; it is an analysis-time filter. Stanzas that end up with no tokens
-    are dropped with a logged reason.
+    as it stands, even an empty one. Each distinct piece between whitespace
+    and control characters goes through :func:`tokenize_line` and the table
+    once per call, so repeated tokens share one ``str``. Stopword removal is
+    deliberately not applied here; it is an analysis-time filter. Stanzas
+    that end up with no tokens are dropped with a logged reason.
     """
     lemma_map = lemma_map or {}
 
@@ -238,7 +247,7 @@ def normalize(stanzas: list[Stanza], lemma_map: dict[str, str] | None = None) ->
     dropped = 0
     for stanza in stanzas:
         # joined with a space, the lines split into the same pieces as one by one
-        tokens = [tok for tok in map(memo.__getitem__, " ".join(stanza.lines).split()) if tok is not None]
+        tokens = [tok for tok in map(memo.__getitem__, _pieces(" ".join(stanza.lines))) if tok is not None]
         if tokens:
             stanza.tokens = tokens
             kept.append(stanza)

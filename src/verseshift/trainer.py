@@ -12,6 +12,10 @@ scores k independent draws, so the expected per-pair objective is
 unchanged; only pairs within a group are correlated. Sharing turns the
 scores and gradients into small matrix products and cuts the sampled
 context rows to update by the group size.
+
+An epoch holds each of its pairs as one 4-byte uint32 code, the position of
+its center among the epoch's kept slot tokens and its context's step from
+it, and shuffles the codes in place (:func:`train`).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ PAIR_GROUP = 32  # consecutive pairs of a minibatch that share one negative set
 # reduceat's order is the first row plus a left-to-right sum of the rest.
 SCATTER_CUTOFF = 8
 ROW_BLOCK = 256  # words whose float64 slot vectors an analysis holds at once
-MAX_EPOCH_TOKENS = 2**31 - 1  # pair records hold int32 positions into an epoch's slot tokens
+MAX_EPOCH_CODES = 2**32  # uint32 pair codes: an epoch's kept slot tokens times its pair steps
 PROGRESS_MARKS = 20  # train logs its progress at each 5% of an epoch's pairs
 
 
@@ -145,7 +149,8 @@ def _batch_terms(u: np.ndarray, c_pos: np.ndarray, c_neg: np.ndarray):
         _log_sigmoid(s_pos.astype(np.float64)).sum()
         + _log_sigmoid(-s_neg.reshape(-1, k)[:n_pairs].astype(np.float64)).sum()
     )
-    grad_u = g_pos[:, None] * c_pos + (g_neg @ c_neg).reshape(-1, d)[:n_pairs]
+    grad_u = g_pos[:, None] * c_pos
+    grad_u += (g_neg @ c_neg).reshape(-1, d)[:n_pairs]
     grad_c_pos = g_pos[:, None] * u
     grad_c_neg = g_neg.transpose(0, 2, 1) @ u_grouped  # (G, k, d)
     return float(loss), grad_u, grad_c_pos, grad_c_neg
@@ -170,7 +175,9 @@ def _scatter_add_rows(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray, scale:
     boundary[0] = True
     np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
-    lengths = np.diff(starts, append=idx.size)
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = idx.size - starts[-1]
     # longest first; runs past the cutoff tie, and int8 keys take numpy's radix sort
     by_length = np.argsort(-np.minimum(lengths, SCATTER_CUTOFF + 1).astype(np.int8), kind="stable")
     starts, lengths = starts[by_length], lengths[by_length]
@@ -188,8 +195,10 @@ def _scatter_add_rows(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray, scale:
         rest[: longer[p]] += np.take(rows, order[first[: longer[p]] + p], axis=0)
     sums[n_long:] = np.take(rows, order[first], axis=0)
     sums[n_long : n_long + longer[1]] += rest
+    del rest
     sums *= scale
-    mat[sorted_idx[starts]] += sums.astype(mat.dtype)
+    sums = sums.astype(mat.dtype)  # the float64 sums are freed before the write-back gathers its rows
+    mat[sorted_idx[starts]] += sums
 
 
 def sgd_step(
@@ -208,19 +217,26 @@ def sgd_step(
     terms use the stored float32 precision while the per-row sums over the
     batch accumulate in float64, in ``argsort`` order, before the single
     write-back (:func:`_scatter_add_rows`; runs longer than SCATTER_CUTOFF
-    rows take the ``np.add.reduceat`` path).
+    rows take the ``np.add.reduceat`` path). Each (B, d) temporary is
+    dropped once its last use is past, and the context matrix is updated
+    first, so the context rows are gone before grad_u's two scatters; the
+    three matrices are disjoint, so the order leaves every value as it is.
     """
     words = batch.words.astype(np.int64)
     flat_delta_idx = batch.slots.astype(np.int64) * n_words + words
-    u = np.take(base, words, axis=0) + np.take(deltas_flat, flat_delta_idx, axis=0)
+    u = np.take(base, words, axis=0)
+    u += np.take(deltas_flat, flat_delta_idx, axis=0)
     loss, grad_u, grad_c_pos, grad_c_neg = _batch_terms(
         u, np.take(context, batch.contexts, axis=0), np.take(context, batch.negatives, axis=0)
     )
-    _scatter_add_rows(base, words, grad_u, -lr)
-    _scatter_add_rows(deltas_flat, flat_delta_idx, grad_u, -lr)
+    del u
     context_idx = np.concatenate([batch.contexts, batch.negatives.ravel()]).astype(np.int64)
     context_rows = np.concatenate([grad_c_pos, grad_c_neg.reshape(-1, context.shape[1])])
+    del grad_c_pos, grad_c_neg
     _scatter_add_rows(context, context_idx, context_rows, -lr)
+    del context_rows
+    _scatter_add_rows(base, words, grad_u, -lr)
+    _scatter_add_rows(deltas_flat, flat_delta_idx, grad_u, -lr)
     return loss
 
 
@@ -358,32 +374,47 @@ def _near_positions(doc_ids: np.ndarray, window: int):
         yield off, near
 
 
-def _epoch_records(slots, n_tokens: int, n_pairs: int, window: int):
-    """An epoch's kept slot tokens, the end of each slot in them, and its (N, 2) pair records.
+def _epoch_count(slots, window: int) -> tuple[int, int, int]:
+    """An epoch's (pairs, kept slot tokens, farthest pair offset) from each slot's kept (tokens, doc_ids)."""
+    n_pairs = n_tokens = max_off = 0
+    for _, doc_ids in slots:
+        for off, near in _near_positions(doc_ids, window):
+            n_pairs += 2 * near.size
+            max_off = max(max_off, off)
+        n_tokens += doc_ids.size
+    return n_pairs, n_tokens, max_off
+
+
+def _epoch_records(slots, n_tokens: int, n_pairs: int, max_off: int):
+    """An epoch's kept slot tokens, the end of each slot in them, and its N uint32 pair codes.
 
     ``slots`` yields each slot's kept (tokens, doc_ids); its tokens are
-    written into one int32 array one slot at a time. A record is the int32
-    (center, context) pair of positions in that array. The records are
-    filled slot by slot and offset by offset: for the positions p of the
-    pair rule (:func:`_near_positions`), the forward half (p, p + off), then
-    the backward half (p + off, p).
+    written into one int32 array one slot at a time. A pair is the code
+    ``center * span + j`` of its center's position in that array, with
+    ``span = 2 * max_off`` and ``j`` its context's step: ``center + j + 1``
+    below ``max_off``, else ``center - (j - max_off + 1)``. The codes are filled slot by slot and
+    offset by offset: for the positions p of the pair rule
+    (:func:`_near_positions`), the forward half (p, p + off), then the
+    backward half (p + off, p).
     """
+    span = 2 * max_off
     tokens = np.empty(n_tokens, dtype=np.int32)
-    pairs = np.empty((n_pairs, 2), dtype=np.int32)
+    codes = np.empty(n_pairs, dtype=np.uint32)
     ends = []
     start = filled = 0
     for slot_tokens, doc_ids in slots:
         tokens[start : start + slot_tokens.size] = slot_tokens
-        for off, near in _near_positions(doc_ids, window):
+        for off, near in _near_positions(doc_ids, max_off):
             near += start
-            forward, backward = pairs[filled : filled + near.size], pairs[filled + near.size : filled + 2 * near.size]
-            forward[:, 0] = backward[:, 1] = near
-            near += off
-            forward[:, 1] = backward[:, 0] = near
+            near *= span
+            near += off - 1
+            codes[filled : filled + near.size] = near
+            near += off * span + max_off  # the center moves to p + off, j by max_off
+            codes[filled + near.size : filled + 2 * near.size] = near
             filled += 2 * near.size
         start += slot_tokens.size
         ends.append(start)
-    return tokens, np.array(ends, dtype=np.int32), pairs
+    return tokens, np.array(ends, dtype=np.int32), codes
 
 
 class _EpochProgress:
@@ -432,16 +463,17 @@ def train(
     pairs. The corpus is held as two int32 columns, each token's vocabulary
     id and document number, and each pass takes every slot's kept tokens
     from them (:func:`_slot_passes`). Each epoch writes its kept slot tokens
-    into one int32 array, so it may keep at most MAX_EPOCH_TOKENS of them,
-    and holds its pairs as (N, 2) int32 records of (center, context)
-    positions in that array, 8 bytes per pair (:func:`_epoch_records`). The
-    records are shuffled in place through their int64 view, which gives
-    ``permutation(N)``'s order from the same draws. A batch is a slice of
-    the records; its words and contexts are the tokens at their positions,
-    its slots the slots whose token range holds each center. Progress is
-    logged at each 5% of an epoch's pairs. Single-worker runs with a fixed
-    seed are fully deterministic; extra workers update the shared matrices
-    without locks and trade determinism for speed.
+    into one int32 array and holds each pair as one uint32 code of its
+    center's position in that array and its context's step from it, 4 bytes
+    per pair (:func:`_epoch_records`); so an epoch's kept slot tokens times
+    twice its farthest pair offset may not pass MAX_EPOCH_CODES. The codes
+    are shuffled in place, which gives ``permutation(N)``'s order from the
+    same draws. A batch is a slice of the codes; its words and contexts are
+    the tokens at the positions they decode to, its slots the slots whose
+    token range holds each center. Progress is logged at each 5% of an
+    epoch's pairs. Single-worker runs with a fixed seed are fully
+    deterministic; extra workers update the shared matrices without locks
+    and trade determinism for speed.
     """
     if len(slot_table) < 2:
         raise ValueError("training needs at least 2 time slots")
@@ -466,20 +498,17 @@ def train(
 
     # Every epoch's pairs are counted first, so the exact linear
     # learning-rate schedule is known before the first step.
-    epoch_counts = []  # (pairs, kept slot tokens) of each epoch
+    epoch_counts = []  # (pairs, kept slot tokens, farthest pair offset) of each epoch
     for epoch in range(config.epochs):
-        n_pairs = n_tokens = 0
-        for kept_tokens, kept_doc_ids in _slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch):
-            n_pairs += sum(2 * near.size for _, near in _near_positions(kept_doc_ids, config.context_window))
-            n_tokens += kept_doc_ids.size
-        del kept_tokens, kept_doc_ids  # the last slot's, not to be held through training
-        if n_tokens > MAX_EPOCH_TOKENS:
+        counts = _epoch_count(_slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch), config.context_window)
+        _, n_tokens, max_off = counts
+        if n_tokens * 2 * max_off > MAX_EPOCH_CODES:
             raise ValueError(
-                f"an epoch of {n_tokens} slot tokens is more than the {MAX_EPOCH_TOKENS} "
-                "its int32 pair positions can address; train fewer or narrower slots"
+                f"an epoch of {n_tokens} slot tokens times {2 * max_off} pair steps is more than the "
+                f"{MAX_EPOCH_CODES} codes its uint32 pairs can hold; train fewer or narrower slots"
             )
-        epoch_counts.append((n_pairs, n_tokens))
-    total_pairs = sum(n_pairs for n_pairs, _ in epoch_counts)
+        epoch_counts.append(counts)
+    total_pairs = sum(n_pairs for n_pairs, _, _ in epoch_counts)
     if total_pairs == 0:
         log.warning("no training pairs were scheduled; returning the initial model")
         return model
@@ -487,31 +516,30 @@ def train(
     deltas_flat = deltas.reshape(len(slot_table) * n_words, d)
     lr_span = config.final_lr - config.initial_lr
     pairs_done = 0
-    for epoch, (n_pairs, n_tokens) in enumerate(epoch_counts):
+    for epoch, (n_pairs, n_tokens, max_off) in enumerate(epoch_counts):
         rng_epoch = np.random.default_rng([config.seed, 2, epoch])
-        tokens, slot_ends, pairs = _epoch_records(
-            _slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch),
-            n_tokens, n_pairs, config.context_window,
+        tokens, slot_ends, codes = _epoch_records(
+            _slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch), n_tokens, n_pairs, max_off
         )
+        forward = np.arange(1, max_off + 1)
+        steps = np.concatenate((forward, -forward))  # the context's step from its center for each j of a code
         # pair-level shuffle keeps every slot represented across the whole
         # learning-rate range instead of letting large slots dominate the tail;
         # numpy's 1-D shuffle makes the same swaps from the same draws for any
-        # item size, so the int64 view of the records takes permutation(n_pairs)'s
-        # order (shuffling the 2-D array gives it too, but swaps rows in a Python loop)
-        rng_epoch.shuffle(pairs.view(np.int64).ravel())
+        # item size, so the codes take permutation(n_pairs)'s order
+        rng_epoch.shuffle(codes)
         progress = _EpochProgress(epoch, config.epochs, n_pairs)
 
         def run_batches(starts, rng) -> None:
             for lo in starts:
-                block = pairs[lo : lo + config.batch_size]
-                centers = block[:, 0]
+                centers, j = np.divmod(codes[lo : lo + config.batch_size], steps.size)
                 n_groups = -(-centers.size // PAIR_GROUP)
                 negs = np.searchsorted(
                     neg_cdf, rng.random((n_groups, config.negatives)), side="right"
                 ).astype(np.int32)
-                np.clip(negs, 0, n_words - 1, out=negs)
+                np.minimum(negs, n_words - 1, out=negs)  # searchsorted is never below 0
                 lr = config.initial_lr + lr_span * ((pairs_done + lo) / total_pairs)
-                words, contexts = np.take(tokens, block).T
+                words, contexts = np.take(tokens, centers), np.take(tokens, centers + steps[j])
                 batch = TrainingBatch(words, np.searchsorted(slot_ends, centers, side="right"), contexts, negs)
                 loss = sgd_step(base, deltas_flat, context, n_words, batch, lr)
                 if not np.isfinite(loss):
@@ -526,7 +554,7 @@ def train(
             rngs = rng_epoch.spawn(config.workers)
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 list(pool.map(run_batches, chunks, rngs))  # raises a worker's error
-        del tokens, pairs  # before the next epoch builds its own
+        del tokens, codes  # before the next epoch builds its own
 
         pairs_done += n_pairs
         mean_loss = progress.loss_sum / max(1, n_pairs)

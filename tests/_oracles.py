@@ -170,9 +170,10 @@ def _is_punct(c: str) -> bool:
 
 
 def tokenize_line(line: str) -> list[str]:
-    """Whitespace pieces with edge punctuation stripped character by character, lowercased; empty ones dropped."""
+    """Pieces between whitespace and C0 or DEL controls, edge punctuation stripped character by character,
+    lowercased; empty ones dropped."""
     out = []
-    for piece in line.split():
+    for piece in "".join(" " if c < " " or c == "\x7f" else c for c in line).split():
         start, end = 0, len(piece)
         while start < end and _is_punct(piece[start]):
             start += 1

@@ -217,6 +217,11 @@ class TestNormalize:
     def test_unicode_punctuation_stripped(self):
         assert corpus.tokenize_line("»Herz«, sagt’s") == ["herz", "sagt’s"]
 
+    def test_control_characters_separate_tokens(self):
+        assert corpus.tokenize_line("ab t\x01 \x02x \x7fz\x00\x1b") == ["ab", "t", "x", "z"]
+        out = corpus.normalize([make_stanza(lines=["Ab\x01cd\x7f", "\x00"])])
+        assert out[0].tokens == ["ab", "cd"]
+
     def test_stopwords_not_removed_here(self):
         stanza = make_stanza(lines=["die und der"])
         out = corpus.normalize([stanza])
@@ -224,8 +229,8 @@ class TestNormalize:
 
 
 # letters whose lower() and casefold() differ (ß, İ), ASCII and Unicode
-# punctuation, and whitespace that str.split() splits on besides the space
-LINE_CHARS = "aAbBäÖßİ .,;!?'\"-»«’—\t\u2028"
+# punctuation, whitespace that str.split() splits on besides the space, and controls it keeps
+LINE_CHARS = "aAbBäÖßİ .,;!?'\"-»«’—\t\u2028\x01\x7f"
 # short first lines from few characters, so stanzas often share a key (ß casefolds to ss)
 FIRST_LINE_CHARS = "sSß .»’"
 # a lemma that is only punctuation and an empty lemma are appended as they stand

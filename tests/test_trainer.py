@@ -452,6 +452,7 @@ class TestTraining:
         tokens = np.arange(9, dtype=np.int32)
         doc_ids = np.array([0, 0, 0, 1, 1, 1, 1, 1, 2], dtype=np.int32)  # longest document: 5 tokens
         assert [off for off, _ in trainer._near_positions(doc_ids, 10**18)] == [1, 2, 3, 4]
+        assert trainer._epoch_count(iter([(tokens, doc_ids)]), 10**18) == (26, 9, 4)  # codes span 8 steps
         got = record_triples([(tokens, doc_ids)], 10**18)
         assert np.array_equal(got, record_triples([(tokens, doc_ids)], 5))
         assert np.array_equal(got, oracle_triples([(tokens, doc_ids)], 5))
@@ -459,16 +460,21 @@ class TestTraining:
 
 
 def record_triples(slots, window):
-    """train's records of per-slot (tokens, doc_ids), decoded into (word, slot, context) rows in record order.
+    """train's pair codes of per-slot (tokens, doc_ids), decoded into (word, slot, context) rows in code order.
 
-    The records are sized by the pair oracle's count.
+    The codes are sized by train's count pass, which must give the pair
+    oracle's count. A code is center * 2 * max_off + j; j below max_off
+    steps forward by j + 1, else back by j - max_off + 1.
     """
-    n_tokens = sum(tokens.size for tokens, _ in slots)
-    n_pairs = len(oracle_triples(slots, window))
-    tokens, slot_ends, pairs = trainer._epoch_records(iter(slots), n_tokens, n_pairs, window)
-    assert pairs.shape == (n_pairs, 2) and pairs.dtype == np.int32
-    slots_of = np.searchsorted(slot_ends, pairs[:, 0], side="right")
-    return np.column_stack((tokens[pairs[:, 0]], slots_of, tokens[pairs[:, 1]]))
+    n_pairs, n_tokens, max_off = trainer._epoch_count(iter(slots), window)
+    assert n_pairs == len(oracle_triples(slots, window))
+    assert n_tokens == sum(tokens.size for tokens, _ in slots)
+    tokens, slot_ends, codes = trainer._epoch_records(iter(slots), n_tokens, n_pairs, max_off)
+    assert codes.shape == (n_pairs,) and codes.dtype == np.uint32
+    centers, j = np.divmod(codes.astype(np.int64), max(2 * max_off, 1))
+    contexts = np.where(j < max_off, centers + j + 1, centers - (j - max_off + 1))
+    slots_of = np.searchsorted(slot_ends, centers, side="right")
+    return np.column_stack((tokens[centers], slots_of, tokens[contexts]))
 
 
 def oracle_triples(slots, window):
@@ -496,7 +502,7 @@ def test_pair_count_sizes_the_pair_block(slot_lengths, window):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 1000])
 def test_int32_shuffle_is_permutation(n):
-    """train's epoch shuffle: (n, 2) int32 records shuffled through their int64 view take numpy's permutation(n).
+    """train's epoch shuffle: n uint32 pair codes shuffled in place take numpy's permutation(n).
 
     So does an int32 arange shuffled in place. The negatives are drawn from
     the same generator afterwards, so the generators must also leave the
@@ -513,23 +519,26 @@ def test_int32_shuffle_is_permutation(n):
     assert np.array_equal(by_shuffle.random(8), after)
 
     by_shuffle = np.random.default_rng([3, 2, 0])
-    columns = np.arange(n, dtype=np.int32), np.arange(n, dtype=np.int32) * -7 + 5
-    records = np.column_stack(columns)
-    by_shuffle.shuffle(records.view(np.int64).ravel())
-    assert np.array_equal(records[:, 0], columns[0][perm])
-    assert np.array_equal(records[:, 1], columns[1][perm])
+    codes = np.arange(n, dtype=np.uint32) * np.uint32(2**22) + np.uint32(7)  # codes above 2**31 among them
+    want = codes[perm]
+    by_shuffle.shuffle(codes)
+    assert np.array_equal(codes, want)
     assert np.array_equal(by_shuffle.random(8), after)
 
 
 @pytest.mark.parametrize("bound, refused", [(1799, True), (1800, False)])
-def test_epoch_beyond_int32_tokens_refused(monkeypatch, bound, refused):
-    """The tiny corpus keeps 1800 slot tokens an epoch; one past the bound is refused before any record is filled."""
-    monkeypatch.setattr(trainer, "MAX_EPOCH_TOKENS", bound)
+def test_epoch_beyond_uint32_codes_refused(monkeypatch, bound, refused):
+    """The tiny corpus keeps 1800 slot tokens an epoch, paired up to offset 2, so 4 steps per code.
+
+    A code bound for ``bound`` such tokens refuses one token more before any
+    record is filled.
+    """
+    monkeypatch.setattr(trainer, "MAX_EPOCH_CODES", 4 * bound)
     built = []
     epoch_records = trainer._epoch_records
     monkeypatch.setattr(trainer, "_epoch_records", lambda *args: built.append(args) or epoch_records(*args))
     if refused:
-        with pytest.raises(ValueError, match="an epoch of 1800 slot tokens is more than the 1799 .*int32"):
+        with pytest.raises(ValueError, match="an epoch of 1800 slot tokens times 4 pair steps is more than the 7196 .*uint32"):
             train_tiny(quick_config(epochs=1))
         assert built == []
     else:
@@ -557,12 +566,13 @@ class TestProgressLog:
         assert float(lines[-1][4]) == pytest.approx(model.epoch_losses[0], abs=1e-5)
 
 
-def test_epoch_working_memory_is_under_twelve_bytes_per_pair():
+def test_epoch_working_memory_is_under_eight_bytes_per_pair():
     """One epoch's traced peak above the model it returns, per pair, on about 400k pairs.
 
-    An epoch holds 8 bytes of records per pair and 4 bytes per kept slot
-    token; a (word, slot, context) int32 block with an int32 shuffling
-    permutation would hold 16 bytes per pair.
+    An epoch holds a 4-byte code per pair and 4 bytes per kept slot token
+    (7.3 bytes per pair in all here); (center, context) int32 records held 8
+    bytes per pair (11.3 in all), and a (word, slot, context) int32 block with
+    an int32 shuffling permutation would hold 16.
     """
     table = make_table([1700, 1750])
     rng = np.random.default_rng(2)
@@ -573,7 +583,7 @@ def test_epoch_working_memory_is_under_twelve_bytes_per_pair():
     _, extra = working_bytes(lambda: trainer.train(docs, vocab, table, config))
     n_pairs = 4500 * 2 * (11 + 10 + 9 + 8 + 7)  # 4500 documents of 12 tokens
     assert n_pairs >= 200_000
-    assert extra / n_pairs < 12.0
+    assert extra / n_pairs < 8.0
 
 
 def reference_corpus(table):
