@@ -17,7 +17,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class DistributionSummary:
-    """Box-plot statistics of a sample; whiskers sit at the 5th/95th percentiles."""
+    """Box-plot statistics of a sample, its whiskers by matplotlib's ``whis=1.5`` rule.
+
+    A whisker reaches the farthest datum within 1.5 IQR of its quartile, or
+    stays at the quartile when no datum lies between them, as matplotlib's
+    ``boxplot_stats`` does; ``outliers_lo`` and ``outliers_hi`` count the
+    data beyond each whisker. ``p5`` and ``p95`` are the 5th and 95th
+    percentiles.
+    """
 
     median: float
     q1: float
@@ -26,6 +33,10 @@ class DistributionSummary:
     whisker_hi: float
     mean: float
     n: int
+    p5: float
+    p95: float
+    outliers_lo: int
+    outliers_hi: int
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "DistributionSummary":
@@ -33,14 +44,21 @@ class DistributionSummary:
         if values.size == 0:
             raise ValueError("cannot summarize an empty sample")
         p5, q1, med, q3, p95 = np.percentile(values, [5, 25, 50, 75, 95])
+        reach = 1.5 * (q3 - q1)
+        lo = values[values >= q1 - reach].min(initial=q1)
+        hi = values[values <= q3 + reach].max(initial=q3)
         return cls(
             median=float(med),
             q1=float(q1),
             q3=float(q3),
-            whisker_lo=float(p5),
-            whisker_hi=float(p95),
+            whisker_lo=float(lo),
+            whisker_hi=float(hi),
             mean=float(values.mean()),
             n=int(values.size),
+            p5=float(p5),
+            p95=float(p95),
+            outliers_lo=int(np.count_nonzero(values < lo)),
+            outliers_hi=int(np.count_nonzero(values > hi)),
         )
 
 

@@ -225,8 +225,8 @@ def _summary_row(prefix: list, s: analysis.DistributionSummary) -> list:
         f"{s.median:.6f}",
         f"{s.q1:.6f}",
         f"{s.q3:.6f}",
-        f"{s.whisker_lo:.6f}",
-        f"{s.whisker_hi:.6f}",
+        f"{s.p5:.6f}",
+        f"{s.p95:.6f}",
         f"{s.mean:.6f}",
     ]
 

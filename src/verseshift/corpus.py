@@ -122,7 +122,6 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     """
     path = Path(path)
     result = IngestResult(stanzas=[])
-    lineno = 0
     try:
         # universal newlines, as read_text: \r\n and a lone \r end a line too
         with open(path, encoding="utf-8-sig") as fh:
@@ -156,8 +155,9 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
                 result.stanzas.append(stanza)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:  # decoded a chunk at a time, so its position is not the file's
-        raise CorpusError(f"{path}: line {lineno + 1} or a later one is not UTF-8 ({exc.reason})") from exc
+    except UnicodeDecodeError:  # decoded a chunk at a time, so its position is not the file's
+        _read_text(path)  # decodes the whole file at once, so it raises naming the line
+        raise
     return result
 
 
@@ -230,17 +230,17 @@ def normalize(stanzas: list[Stanza], lemma_map: dict[str, str] | None = None) ->
     """Fill stanza tokens: :func:`tokenize_line`, then each token through the lemma table.
 
     Tokens missing from the table pass through unchanged; a lemma is taken
-    as it stands, even an empty one. Each distinct piece between whitespace
-    and control characters goes through :func:`tokenize_line` and the table
-    once per call, so repeated tokens share one ``str``. Stopword removal is
-    deliberately not applied here; it is an analysis-time filter. Stanzas
-    that end up with no tokens are dropped with a logged reason.
+    as it stands, even an empty one. Each stanza is split once, and each
+    distinct piece is stripped, lowercased and looked up once per call, so
+    repeated tokens share one ``str``. Stopword removal is deliberately not
+    applied here; it is an analysis-time filter. Stanzas that end up with
+    no tokens are dropped with a logged reason.
     """
     lemma_map = lemma_map or {}
 
     def token_of(piece: str) -> str | None:
-        toks = tokenize_line(piece)
-        return lemma_map.get(toks[0], toks[0]) if toks else None
+        tok = _strip_edge_punct(piece).lower()  # tokenize_line(piece) without its split: nothing to split
+        return lemma_map.get(tok, tok) if tok else None
 
     memo = _Memo(token_of)
     kept: list[Stanza] = []

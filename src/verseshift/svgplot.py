@@ -96,12 +96,16 @@ def render_box_plot(
     x_axis_label: str,
     y_axis_label: str,
 ) -> str:
-    """Box plot with whiskers at the summary's 5th/95th percentiles and a mean dot."""
+    """Box plot with whiskers by the 1.5 IQR rule and a mean dot.
+
+    Each box is labelled past a whisker's cap with the number of data beyond
+    that whisker, when there are any. The y axis spans the whiskers and the means.
+    """
     if len(x_labels) != len(summaries) or not summaries:
         raise ValueError("need one x label per summary")
     parts = _header(title)
-    lo = min(s.whisker_lo for s in summaries)
-    hi = max(s.whisker_hi for s in summaries)
+    lo = min(min(s.whisker_lo, s.mean) for s in summaries)
+    hi = max(max(s.whisker_hi, s.mean) for s in summaries)
     to_px, lo, hi = _y_scale(lo, hi)
     _y_ticks(parts, to_px, lo, hi)
     _axes(parts, x_axis_label, y_axis_label)
@@ -134,6 +138,12 @@ def render_box_plot(
             'stroke="#08306b" stroke-width="2"/>'
         )
         parts.append(f'<circle cx="{cx:.2f}" cy="{y_mean:.2f}" r="2.5" fill="#d62728"/>')
+        for count, y in ((s.outliers_hi, y_hi - 5), (s.outliers_lo, y_lo + 13)):
+            if count:
+                parts.append(
+                    f'<text x="{cx:.2f}" y="{y:.2f}" text-anchor="middle" font-size="10" '
+                    f'font-family="sans-serif" fill="#555">{count} out</text>'
+                )
         parts.append(
             f'<text x="{cx:.2f}" y="{bottom + 20}" text-anchor="middle" font-size="11" '
             f'font-family="sans-serif">{_escape(label)}</text>'

@@ -45,7 +45,7 @@ PAIR_GROUP = 32  # consecutive pairs of a minibatch that share one negative set
 # reduceat's order is the first row plus a left-to-right sum of the rest.
 SCATTER_CUTOFF = 8
 ROW_BLOCK = 256  # words whose float64 slot vectors an analysis holds at once
-MAX_EPOCH_CODES = 2**32  # uint32 pair codes: an epoch's kept slot tokens times its pair steps
+MAX_EPOCH_CODES = 2**32  # uint32 pair codes: a run's slot tokens times its 2 * reach pair steps
 PROGRESS_MARKS = 20  # train logs its progress at each 5% of an epoch's pairs
 
 
@@ -374,42 +374,40 @@ def _near_positions(doc_ids: np.ndarray, window: int):
         yield off, near
 
 
-def _epoch_count(slots, window: int) -> tuple[int, int, int]:
-    """An epoch's (pairs, kept slot tokens, farthest pair offset) from each slot's kept (tokens, doc_ids)."""
-    n_pairs = n_tokens = max_off = 0
+def _epoch_count(slots, reach: int) -> tuple[int, int]:
+    """An epoch's (pairs, kept slot tokens) from each slot's kept (tokens, doc_ids)."""
+    n_pairs = n_tokens = 0
     for _, doc_ids in slots:
-        for off, near in _near_positions(doc_ids, window):
-            n_pairs += 2 * near.size
-            max_off = max(max_off, off)
+        n_pairs += 2 * sum(near.size for _, near in _near_positions(doc_ids, reach))
         n_tokens += doc_ids.size
-    return n_pairs, n_tokens, max_off
+    return n_pairs, n_tokens
 
 
-def _epoch_records(slots, n_tokens: int, n_pairs: int, max_off: int):
+def _epoch_records(slots, n_tokens: int, n_pairs: int, reach: int):
     """An epoch's kept slot tokens, the end of each slot in them, and its N uint32 pair codes.
 
     ``slots`` yields each slot's kept (tokens, doc_ids); its tokens are
     written into one int32 array one slot at a time. A pair is the code
-    ``center * span + j`` of its center's position in that array, with
-    ``span = 2 * max_off`` and ``j`` its context's step: ``center + j + 1``
-    below ``max_off``, else ``center - (j - max_off + 1)``. The codes are filled slot by slot and
+    ``center * 2 * reach + j`` of its center's position in that array and
+    its context's step ``j``: ``center + j + 1`` below ``reach``, else
+    ``center - (j - reach + 1)``. The codes are filled slot by slot and
     offset by offset: for the positions p of the pair rule
     (:func:`_near_positions`), the forward half (p, p + off), then the
     backward half (p + off, p).
     """
-    span = 2 * max_off
+    span = 2 * reach
     tokens = np.empty(n_tokens, dtype=np.int32)
     codes = np.empty(n_pairs, dtype=np.uint32)
     ends = []
     start = filled = 0
     for slot_tokens, doc_ids in slots:
         tokens[start : start + slot_tokens.size] = slot_tokens
-        for off, near in _near_positions(doc_ids, max_off):
+        for off, near in _near_positions(doc_ids, reach):
             near += start
             near *= span
             near += off - 1
             codes[filled : filled + near.size] = near
-            near += off * span + max_off  # the center moves to p + off, j by max_off
+            near += off * span + reach  # the center moves to p + off, j by reach
             codes[filled + near.size : filled + 2 * near.size] = near
             filled += 2 * near.size
         start += slot_tokens.size
@@ -457,26 +455,36 @@ def train(
     A document trains in each slot that contains its year, with its
     out-of-vocabulary tokens removed; context windows never cross documents.
     Every (target-in-slot, context) pair within the window contributes a
-    negative-sampling step; each group of PAIR_GROUP consecutive pairs
-    shares k negatives drawn from the corpus-wide unigram distribution
-    raised to 0.75. The learning rate decays linearly over all scheduled
-    pairs. The corpus is held as two int32 columns, each token's vocabulary
-    id and document number, and each pass takes every slot's kept tokens
-    from them (:func:`_slot_passes`). Each epoch writes its kept slot tokens
-    into one int32 array and holds each pair as one uint32 code of its
-    center's position in that array and its context's step from it, 4 bytes
-    per pair (:func:`_epoch_records`); so an epoch's kept slot tokens times
-    twice its farthest pair offset may not pass MAX_EPOCH_CODES. The codes
-    are shuffled in place, which gives ``permutation(N)``'s order from the
-    same draws. A batch is a slice of the codes; its words and contexts are
-    the tokens at the positions they decode to, its slots the slots whose
-    token range holds each center. Progress is logged at each 5% of an
-    epoch's pairs. Single-worker runs with a fixed seed are fully
-    deterministic; extra workers update the shared matrices without locks
-    and trade determinism for speed.
+    negative-sampling step; each group of PAIR_GROUP consecutive pairs shares k
+    negatives drawn from the corpus-wide unigram distribution raised to 0.75.
+    The learning rate decays linearly over all scheduled pairs. The corpus is
+    held as two int32 columns, each token's vocabulary id and document number,
+    and each pass takes every slot's kept tokens from them
+    (:func:`_slot_passes`). Each epoch writes its kept slot tokens into one
+    int32 array and holds each pair as one uint32 code of its center's position
+    in that array and its context's step from it, 4 bytes per pair
+    (:func:`_epoch_records`). Every epoch's codes span 2 * reach steps, reach
+    being the window or, if shorter, the longest slotted stanza less one token;
+    a run whose slot tokens, the most an epoch keeps, times that span pass
+    MAX_EPOCH_CODES is refused before any slot pass. The codes are shuffled in
+    place, which gives ``permutation(N)``'s order from the same draws. A batch
+    is a slice of the codes; its words and contexts are the tokens at the
+    positions they decode to, its slots the slots whose token range holds each
+    center. Progress is logged at each 5% of an epoch's pairs. Single-worker
+    runs with a fixed seed are fully deterministic; extra workers update the
+    shared matrices without locks and trade determinism for speed.
     """
     if len(slot_table) < 2:
         raise ValueError("training needs at least 2 time slots")
+    member = corpus.assign_slots(docs.years, slot_table)
+    reach = min(config.context_window, int(docs.lengths[member.any(axis=1)].max(initial=1)) - 1)
+    forward = np.arange(1, reach + 1)
+    steps = np.concatenate((forward, -forward))  # the context's step from its center for each j of a code
+    if (n_slot_tokens := int(vocab.slot_counts.sum())) * steps.size > MAX_EPOCH_CODES:  # the most an epoch keeps
+        raise ValueError(
+            f"an epoch of {n_slot_tokens} slot tokens times {steps.size} pair steps is more than the "
+            f"{MAX_EPOCH_CODES} codes its uint32 pairs can hold; train fewer or narrower slots"
+        )
     n_words = len(vocab)
     d = config.dim
 
@@ -490,25 +498,19 @@ def train(
         log.warning("slot %d has no trainable documents; its deltas stay zero", slot)
     ids = np.array([vocab.index.get(t, -1) for t in docs.types], dtype=np.int32)[docs.ids]  # -1 out of vocabulary
     doc_ids = np.repeat(np.arange(len(docs), dtype=np.int32), docs.lengths)
-    member = corpus.assign_slots(docs.years, slot_table)
     keep_prob = _keep_probabilities(vocab, config.subsample_threshold)
 
     weights = vocab.global_counts.astype(np.float64) ** 0.75
     neg_cdf = np.cumsum(weights / weights.sum())
+    neg_cdf[-1] = 1.0  # so a draw in [0, 1) always lands below n_words
 
     # Every epoch's pairs are counted first, so the exact linear
     # learning-rate schedule is known before the first step.
-    epoch_counts = []  # (pairs, kept slot tokens, farthest pair offset) of each epoch
-    for epoch in range(config.epochs):
-        counts = _epoch_count(_slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch), config.context_window)
-        _, n_tokens, max_off = counts
-        if n_tokens * 2 * max_off > MAX_EPOCH_CODES:
-            raise ValueError(
-                f"an epoch of {n_tokens} slot tokens times {2 * max_off} pair steps is more than the "
-                f"{MAX_EPOCH_CODES} codes its uint32 pairs can hold; train fewer or narrower slots"
-            )
-        epoch_counts.append(counts)
-    total_pairs = sum(n_pairs for n_pairs, _, _ in epoch_counts)
+    epoch_counts = [  # (pairs, kept slot tokens) of each epoch
+        _epoch_count(_slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch), reach)
+        for epoch in range(config.epochs)
+    ]
+    total_pairs = sum(n_pairs for n_pairs, _ in epoch_counts)
     if total_pairs == 0:
         log.warning("no training pairs were scheduled; returning the initial model")
         return model
@@ -516,13 +518,11 @@ def train(
     deltas_flat = deltas.reshape(len(slot_table) * n_words, d)
     lr_span = config.final_lr - config.initial_lr
     pairs_done = 0
-    for epoch, (n_pairs, n_tokens, max_off) in enumerate(epoch_counts):
+    for epoch, (n_pairs, n_tokens) in enumerate(epoch_counts):
         rng_epoch = np.random.default_rng([config.seed, 2, epoch])
         tokens, slot_ends, codes = _epoch_records(
-            _slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch), n_tokens, n_pairs, max_off
+            _slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch), n_tokens, n_pairs, reach
         )
-        forward = np.arange(1, max_off + 1)
-        steps = np.concatenate((forward, -forward))  # the context's step from its center for each j of a code
         # pair-level shuffle keeps every slot represented across the whole
         # learning-rate range instead of letting large slots dominate the tail;
         # numpy's 1-D shuffle makes the same swaps from the same draws for any
@@ -537,7 +537,6 @@ def train(
                 negs = np.searchsorted(
                     neg_cdf, rng.random((n_groups, config.negatives)), side="right"
                 ).astype(np.int32)
-                np.minimum(negs, n_words - 1, out=negs)  # searchsorted is never below 0
                 lr = config.initial_lr + lr_span * ((pairs_done + lo) / total_pairs)
                 words, contexts = np.take(tokens, centers), np.take(tokens, centers + steps[j])
                 batch = TrainingBatch(words, np.searchsorted(slot_ends, centers, side="right"), contexts, negs)

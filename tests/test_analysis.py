@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from verseshift import analysis, trainer, tropes
+from verseshift import analysis, svgplot, trainer, tropes
 from verseshift.analysis import DistributionSummary, SelfSimSeries
 
 from _oracles import selfsim_unblocked, total_word_means_unblocked
@@ -16,7 +19,8 @@ BLOCK = trainer.ROW_BLOCK
 
 def summary_list(medians):
     return [
-        DistributionSummary(median=m, q1=m, q3=m, whisker_lo=m, whisker_hi=m, mean=m, n=1)
+        DistributionSummary(median=m, q1=m, q3=m, whisker_lo=m, whisker_hi=m, mean=m, n=1, p5=m, p95=m,
+                            outliers_lo=0, outliers_hi=0)
         for m in medians
     ]
 
@@ -53,9 +57,51 @@ class TestDistributionSummary:
         assert s.whisker_lo <= s.q1 <= s.median <= s.q3 <= s.whisker_hi
         assert s.n == len(values)
 
+    def test_whiskers_stop_at_the_last_datum_within_one_and_a_half_iqr(self):
+        s = DistributionSummary.from_values(np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 100]))
+        assert (s.q1, s.q3) == (3.25, 7.75)
+        assert (s.whisker_lo, s.whisker_hi) == (1.0, 9.0)
+        assert (s.outliers_lo, s.outliers_hi) == (0, 1)
+        assert s.p5 == pytest.approx(1.45) and s.p95 == pytest.approx(59.05)
+
+    def test_whisker_with_no_datum_inside_its_fence_stays_at_the_quartile(self):
+        s = DistributionSummary.from_values(np.array([-5, 0, 10, 10, 10, 10, 10, 12]))
+        assert s.q1 == 7.5  # the lower fence, 3.75, has no datum between it and q1
+        assert (s.whisker_lo, s.whisker_hi) == (7.5, 12.0)
+        assert (s.outliers_lo, s.outliers_hi) == (2, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.floats(-1, 1, allow_nan=False), min_size=1, max_size=60))
+    def test_whiskers_and_outliers_match_matplotlib_rule(self, values):
+        x = np.array(values)
+        s = DistributionSummary.from_values(x)
+        q1, q3 = np.percentile(x, [25, 75])
+        inside_lo, inside_hi = x[x >= q1 - 1.5 * (q3 - q1)], x[x <= q3 + 1.5 * (q3 - q1)]
+        # boxplot_stats: the whisker is the extreme datum inside the fence, or the quartile if that is past it
+        assert s.whisker_lo == (q1 if inside_lo.size == 0 or inside_lo.min() > q1 else inside_lo.min())
+        assert s.whisker_hi == (q3 if inside_hi.size == 0 or inside_hi.max() < q3 else inside_hi.max())
+        assert s.outliers_lo == np.count_nonzero(x < s.whisker_lo)
+        assert s.outliers_hi == np.count_nonzero(x > s.whisker_hi)
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             DistributionSummary.from_values(np.array([]))
+
+
+class TestBoxPlot:
+    def test_whiskers_drawn_and_outliers_counted_past_them(self):
+        skewed = DistributionSummary.from_values(np.array([-5, 0, *[10] * 8, 40]))
+        plain = DistributionSummary.from_values(np.arange(10.0))
+        far = DistributionSummary.from_values(np.array([*range(1, 10), 1000]))  # its mean, 104.5, is past its whisker
+        counts = [(s.outliers_lo, s.outliers_hi) for s in (skewed, plain, far)]
+        assert counts == [(2, 1), (0, 0), (0, 1)] and far.whisker_hi == 9
+        svg = svgplot.render_box_plot("t", ["a", "b", "c"], [skewed, plain, far], "x", "y")
+        ET.fromstring(svg)  # well-formed
+        labels = re.findall(r'<text x="([\d.]+)" y="([\d.]+)"[^>]*>(\d+) out</text>', svg)
+        assert [count for _, _, count in labels] == ["1", "2", "1"]  # above the upper whisker, then below the lower
+        assert labels[0][0] == labels[1][0] != labels[2][0] and float(labels[0][1]) < float(labels[1][1])
+        circles = [float(y) for y in re.findall(r'<circle cx="[\d.]+" cy="([\d.]+)"', svg)]
+        assert all(svgplot.MARGIN_TOP <= y <= svgplot.HEIGHT - svgplot.MARGIN_BOTTOM for y in circles)
 
 
 class TestPairwiseSelfSim:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import json
 import re
 import struct
@@ -136,10 +137,14 @@ class TestIngest:
         path.write_bytes(b"".join(json.dumps(record(i)).encode() + b"\n" for i in range(3000)) + b'{"id": "\xff"}\n')
         with pytest.raises(corpus.CorpusError) as got:
             corpus.ingest(path)
-        # the file is decoded a chunk at a time, ahead of the lines parsed
-        pattern = re.escape(f"{path}: line ") + r"(\d+) or a later one is not UTF-8 \(invalid start byte\)"
-        message = re.fullmatch(pattern, str(got.value))
-        assert message and 1 <= int(message[1]) <= 3001
+        assert str(got.value) == f"{path}: line 3001 is not UTF-8 (invalid start byte)"
+
+    def test_non_utf8_line_counts_universal_newlines_after_a_bom(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        lines = [json.dumps(record(i)).encode() for i in range(3)]
+        path.write_bytes(codecs.BOM_UTF8 + lines[0] + b"\r\n" + lines[1] + b"\r" + lines[2] + b"\n" + b'{"id": "\xc3("}\n')
+        with pytest.raises(corpus.CorpusError, match=re.escape(f"{path}: line 4 is not UTF-8 (invalid continuation byte)")):
+            corpus.ingest(path)
 
     def test_unknown_keys_ignored_and_poem_default(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -452,7 +452,7 @@ class TestTraining:
         tokens = np.arange(9, dtype=np.int32)
         doc_ids = np.array([0, 0, 0, 1, 1, 1, 1, 1, 2], dtype=np.int32)  # longest document: 5 tokens
         assert [off for off, _ in trainer._near_positions(doc_ids, 10**18)] == [1, 2, 3, 4]
-        assert trainer._epoch_count(iter([(tokens, doc_ids)]), 10**18) == (26, 9, 4)  # codes span 8 steps
+        assert trainer._epoch_count(iter([(tokens, doc_ids)]), 10**18) == (26, 9)
         got = record_triples([(tokens, doc_ids)], 10**18)
         assert np.array_equal(got, record_triples([(tokens, doc_ids)], 5))
         assert np.array_equal(got, oracle_triples([(tokens, doc_ids)], 5))
@@ -462,17 +462,21 @@ class TestTraining:
 def record_triples(slots, window):
     """train's pair codes of per-slot (tokens, doc_ids), decoded into (word, slot, context) rows in code order.
 
-    The codes are sized by train's count pass, which must give the pair
-    oracle's count. A code is center * 2 * max_off + j; j below max_off
-    steps forward by j + 1, else back by j - max_off + 1.
+    As in train, the reach is the window or, if shorter, the longest
+    document of the slots less one token. The codes are sized by train's
+    count pass, which must give the pair oracle's count. A code is
+    center * 2 * reach + j; j below reach steps forward by j + 1, else back
+    by j - reach + 1.
     """
-    n_pairs, n_tokens, max_off = trainer._epoch_count(iter(slots), window)
+    longest = max((np.unique(doc_ids, return_counts=True)[1].max(initial=1) for _, doc_ids in slots), default=1)
+    reach = min(window, int(longest) - 1)
+    n_pairs, n_tokens = trainer._epoch_count(iter(slots), reach)
     assert n_pairs == len(oracle_triples(slots, window))
     assert n_tokens == sum(tokens.size for tokens, _ in slots)
-    tokens, slot_ends, codes = trainer._epoch_records(iter(slots), n_tokens, n_pairs, max_off)
+    tokens, slot_ends, codes = trainer._epoch_records(iter(slots), n_tokens, n_pairs, reach)
     assert codes.shape == (n_pairs,) and codes.dtype == np.uint32
-    centers, j = np.divmod(codes.astype(np.int64), max(2 * max_off, 1))
-    contexts = np.where(j < max_off, centers + j + 1, centers - (j - max_off + 1))
+    centers, j = np.divmod(codes.astype(np.int64), max(2 * reach, 1))
+    contexts = np.where(j < reach, centers + j + 1, centers - (j - reach + 1))
     slots_of = np.searchsorted(slot_ends, centers, side="right")
     return np.column_stack((tokens[centers], slots_of, tokens[contexts]))
 
@@ -531,19 +535,20 @@ def test_epoch_beyond_uint32_codes_refused(monkeypatch, bound, refused):
     """The tiny corpus keeps 1800 slot tokens an epoch, paired up to offset 2, so 4 steps per code.
 
     A code bound for ``bound`` such tokens refuses one token more before any
-    record is filled.
+    slot pass is made.
     """
     monkeypatch.setattr(trainer, "MAX_EPOCH_CODES", 4 * bound)
-    built = []
-    epoch_records = trainer._epoch_records
+    passes, built = [], []
+    slot_passes, epoch_records = trainer._slot_passes, trainer._epoch_records
+    monkeypatch.setattr(trainer, "_slot_passes", lambda *args: passes.append(args) or slot_passes(*args))
     monkeypatch.setattr(trainer, "_epoch_records", lambda *args: built.append(args) or epoch_records(*args))
     if refused:
         with pytest.raises(ValueError, match="an epoch of 1800 slot tokens times 4 pair steps is more than the 7196 .*uint32"):
             train_tiny(quick_config(epochs=1))
-        assert built == []
+        assert passes == [] and built == []
     else:
         train_tiny(quick_config(epochs=1))
-        assert len(built) == 1
+        assert len(passes) == 2 and len(built) == 1  # the count pass, then the training pass
 
 
 class TestProgressLog:
