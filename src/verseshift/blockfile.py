@@ -1,9 +1,10 @@
 """Little-endian binary files of consecutive fixed-dtype blocks: the model file and the corpus cache.
 
-A file starts with a magic and a ``<u4`` version and is then read block by
-block, each block a read-only numpy view of one mapping of the whole file, so
-reading copies nothing. Writers go through :func:`replacing`, so a reader
-that has a file mapped never sees it truncated.
+A file starts with a magic and a ``<u4`` version, which :func:`replacing`
+writes and :class:`BlockReader` checks, and is then read block by block, each
+block a read-only numpy view of one mapping of the whole file, so reading
+copies nothing. Writers go through :func:`replacing`, so a reader that has a
+file mapped never sees it truncated.
 """
 
 from __future__ import annotations
@@ -80,16 +81,20 @@ class BlockReader:
 
 
 @contextlib.contextmanager
-def replacing(path):
-    """Write to a temporary file next to ``path``, then rename it over ``path``.
+def replacing(path, magic: bytes, version: int):
+    """Write the caller's blocks to a temporary file next to ``path``, then rename it over ``path``.
 
-    A process that has the old file mapped keeps reading the old bytes, and
-    a failed write leaves the old file as it was and no temporary behind.
+    The file starts with ``magic`` and the ``<u4`` ``version``, as
+    :class:`BlockReader` reads them. A process that has the old file mapped
+    keeps reading the old bytes, and a failed write leaves the old file as
+    it was and no temporary behind.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(np.array([version], dtype="<u4"))
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -137,16 +137,15 @@ def _resolve(args: argparse.Namespace, settings: tuple[Setting, ...]) -> argpars
 
     A number flag or config value that is not finite, 2**63 or more in
     magnitude, or below the setting's minimum is a UsageError naming it, as
-    is a config file that is not UTF-8 JSON holding an object; a leading
-    byte-order mark is skipped.
+    is a config file that is not UTF-8 JSON holding an object; the file is
+    read by :func:`corpus.read_text`.
     """
     cfg = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8-sig") as fh:
-            try:
-                cfg = json.load(fh)
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise UsageError(f"config file {args.config} is not UTF-8 JSON: {exc}") from exc
+        try:
+            cfg = json.loads(corpus.read_text(args.config))
+        except (corpus.CorpusError, ValueError) as exc:  # not UTF-8, naming the line, or not JSON
+            raise UsageError(f"config file {args.config} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
     resolved = argparse.Namespace()
@@ -219,16 +218,12 @@ def _write_trajectories(path: Path, trajectories: tropes.Trajectories, starts: l
             fh.write("".join(chunks))
 
 
+SUMMARY_COLUMNS = ("n", "median", "q1", "q3", "p5", "p95", "mean")  # DistributionSummary fields
+
+
 def _summary_row(prefix: list, s: analysis.DistributionSummary) -> list:
-    return prefix + [
-        s.n,
-        f"{s.median:.6f}",
-        f"{s.q1:.6f}",
-        f"{s.q3:.6f}",
-        f"{s.p5:.6f}",
-        f"{s.p95:.6f}",
-        f"{s.mean:.6f}",
-    ]
+    """``prefix``, then the SUMMARY_COLUMNS of ``s``: the count, then each float to 6 places."""
+    return [*prefix, s.n, *(f"{getattr(s, name):.6f}" for name in SUMMARY_COLUMNS[1:])]
 
 
 # ---------------------------------------------------------------- commands
@@ -256,29 +251,25 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     result = corpus.ingest(ns.corpus, strict=ns.strict)
     if not result.stanzas:
         log.warning("corpus %s yielded no stanzas", ns.corpus)
-    total_lines = sum(len(s.lines) for s in result.stanzas)
-    poems = len({s.poem_id for s in result.stanzas})
-    authors = len({s.author for s in result.stanzas})
-
     normalized = corpus.normalize(result.stanzas, lemma_map)
-    total_tokens = sum(len(s.tokens) for s in normalized)
     deduped = corpus.dedup_first_line(normalized)
-    duplicates_removed = len(normalized) - len(deduped)
     member = corpus.assign_slots([s.year for s in deduped], table)
-    out_of_slot_range = int((~member.any(axis=1)).sum())
 
-    stats = {
+    counts = {  # the first entries of ingest_stats.json, and one printed line each
         "stanzas": len(result.stanzas),
-        "poems": poems,
-        "authors": authors,
-        "lines": total_lines,
-        "tokens": total_tokens,
+        "poems": len({s.poem_id for s in result.stanzas}),
+        "authors": len({s.author for s in result.stanzas}),
+        "lines": sum(len(s.lines) for s in result.stanzas),
+        "tokens": sum(len(s.tokens) for s in normalized),
+    }
+    stats = {
+        **counts,
         "dropped_missing_year": result.dropped_missing_year,
         "dropped_invalid_year": result.dropped_invalid_year,
         "dropped_malformed": result.dropped_malformed,
         "dropped_empty_after_normalize": len(result.stanzas) - len(normalized),
-        "duplicates_removed": duplicates_removed,
-        "out_of_slot_range": out_of_slot_range,
+        "duplicates_removed": len(normalized) - len(deduped),
+        "out_of_slot_range": int((~member.any(axis=1)).sum()),
         "slot_histogram": [
             {"label": slot.label, "start": slot.start, "end": slot.end, "stanzas": n}
             for slot, n in zip(table, member.sum(axis=0).tolist())
@@ -289,19 +280,16 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     corpus.save_normalized(deduped, cache)
     (out / "ingest_stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
 
-    print(f"stanzas  {stats['stanzas']}")
-    print(f"poems    {stats['poems']}")
-    print(f"authors  {stats['authors']}")
-    print(f"lines    {stats['lines']}")
-    print(f"tokens   {stats['tokens']}")
+    for key, value in counts.items():
+        print(f"{key:<9}{value}")
     print(f"dropped  {result.dropped} (missing year {result.dropped_missing_year}, "
           f"invalid year {result.dropped_invalid_year}, malformed {result.dropped_malformed})")
-    print(f"duplicates removed  {duplicates_removed}")
+    print(f"duplicates removed  {stats['duplicates_removed']}")
     print("stanzas per slot:")
     for entry in stats["slot_histogram"]:
         print(f"  {entry['label']:>12}  {entry['stanzas']}")
-    if out_of_slot_range:
-        print(f"  (outside all slots: {out_of_slot_range})")
+    if stats["out_of_slot_range"]:
+        print(f"  (outside all slots: {stats['out_of_slot_range']})")
     print(f"normalized cache: {cache}")
     return 0
 
@@ -325,10 +313,6 @@ def cmd_train(ns: argparse.Namespace) -> int:
     return 0
 
 
-PAIRWISE_HEADER = ["slot_start", "slot_end", "n", "median", "q1", "q3", "p5", "p95", "mean"]
-TOTAL_HEADER = ["distance_years", "band", "n", "median", "q1", "q3", "p5", "p95", "mean"]
-
-
 def _pairwise_series(ns: argparse.Namespace, model: trainer.JointEmbeddingModel):
     top_n = min(ns.top_n, len(model.vocab))
     return analysis.pairwise_self_similarity(model, top_n=top_n, frequency_scope=ns.frequency_scope)
@@ -348,7 +332,7 @@ def cmd_selfsim(ns: argparse.Namespace) -> int:
         "cosine similarity",
     )
     out = _out_dir(ns)
-    _write_csv(out / "selfsim.csv", PAIRWISE_HEADER, rows)
+    _write_csv(out / "selfsim.csv", ["slot_start", "slot_end", *SUMMARY_COLUMNS], rows)
     (out / "selfsim.svg").write_text(svg, encoding="utf-8")
     print(f"wrote {out / 'selfsim.csv'} and {out / 'selfsim.svg'}")
     return 0
@@ -387,7 +371,7 @@ def cmd_totalsim(ns: argparse.Namespace) -> int:
     )
     fit = analysis.linearity_fit(total) if len(total.distances) >= 3 else None
     out = _out_dir(ns)
-    _write_csv(out / "totalsim.csv", TOTAL_HEADER, rows)
+    _write_csv(out / "totalsim.csv", ["distance_years", "band", *SUMMARY_COLUMNS], rows)
     (out / "totalsim.svg").write_text(svg, encoding="utf-8")
     print(f"{len(total.words)} eligible words at min {ns.min_per_slot} per slot")
     if fit is not None:

@@ -156,7 +156,7 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     except UnicodeDecodeError:  # decoded a chunk at a time, so its position is not the file's
-        _read_text(path)  # decodes the whole file at once, so it raises naming the line
+        read_text(path)  # decodes the whole file at once, so it raises naming the line
         raise
     return result
 
@@ -182,7 +182,7 @@ def dedup_first_line(stanzas: list[Stanza]) -> list[Stanza]:
     """Keep one stanza per normalized first line.
 
     The key is the casefolded first line without punctuation characters
-    (Unicode category P*), its whitespace runs collapsed to one space. The
+    (Unicode category P*), its :func:`_pieces` joined by one space. The
     punctuation is removed by ``str.translate`` with a table that this call
     fills as it meets each new character. The earliest-year stanza wins;
     equal years break the tie by the lexicographically smallest id. Input
@@ -191,7 +191,7 @@ def dedup_first_line(stanzas: list[Stanza]) -> list[Stanza]:
     punct = _Memo(_punct_or_self)
     best: dict[str, Stanza] = {}
     for stanza in stanzas:
-        key = " ".join(stanza.lines[0].casefold().translate(punct).split())
+        key = " ".join(_pieces(stanza.lines[0].casefold().translate(punct)))
         cur = best.get(key)
         if cur is None or (stanza.year, stanza.id) < (cur.year, cur.id):
             best[key] = stanza
@@ -216,30 +216,21 @@ def _pieces(text: str) -> list[str]:
     return _CONTROL.sub(" ", text).split()
 
 
-def tokenize_line(line: str) -> list[str]:
-    """Split on whitespace and control characters, strip edge punctuation, lowercase."""
-    out = []
-    for piece in _pieces(line):
-        tok = _strip_edge_punct(piece).lower()
-        if tok:
-            out.append(tok)
-    return out
-
-
 def normalize(stanzas: list[Stanza], lemma_map: dict[str, str] | None = None) -> list[Stanza]:
-    """Fill stanza tokens: :func:`tokenize_line`, then each token through the lemma table.
+    """Fill stanza tokens: its :func:`_pieces`, edge punctuation stripped, lowercased, through the lemma table.
 
-    Tokens missing from the table pass through unchanged; a lemma is taken
-    as it stands, even an empty one. Each stanza is split once, and each
-    distinct piece is stripped, lowercased and looked up once per call, so
-    repeated tokens share one ``str``. Stopword removal is deliberately not
-    applied here; it is an analysis-time filter. Stanzas that end up with
-    no tokens are dropped with a logged reason.
+    Edge punctuation is Unicode category P*; a piece of punctuation alone
+    is no token. Tokens missing from the table pass through unchanged; a
+    lemma is taken as it stands, even an empty one. Each stanza is split
+    once, and each distinct piece is stripped, lowercased and looked up once
+    per call, so repeated tokens share one ``str``. Stopword removal is
+    deliberately not applied here; it is an analysis-time filter. Stanzas
+    that end up with no tokens are dropped with a logged reason.
     """
     lemma_map = lemma_map or {}
 
     def token_of(piece: str) -> str | None:
-        tok = _strip_edge_punct(piece).lower()  # tokenize_line(piece) without its split: nothing to split
+        tok = _strip_edge_punct(piece).lower()
         return lemma_map.get(tok, tok) if tok else None
 
     memo = _Memo(token_of)
@@ -259,8 +250,8 @@ def normalize(stanzas: list[Stanza], lemma_map: dict[str, str] | None = None) ->
     return kept
 
 
-def _read_text(path: str | Path) -> str:
-    """A UTF-8 text file without a leading byte-order mark, with universal newlines, as read_text.
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file without a leading byte-order mark, with universal newlines, as ``Path.read_text``.
 
     A file that is not UTF-8 raises CorpusError naming its first such line.
     """
@@ -280,7 +271,7 @@ def load_lemma_map(path: str | Path) -> dict[str, str]:
     skipped with a warning.
     """
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         parts = [part.strip().lower() for part in line.split("\t")]
@@ -294,7 +285,7 @@ def load_lemma_map(path: str | Path) -> dict[str, str]:
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One word per line; '#' starts a comment line."""
     words = set()
-    for line in _read_text(path).split("\n"):
+    for line in read_text(path).split("\n"):
         word = line.strip()
         if word and not word.startswith("#"):
             words.add(word.lower())
@@ -414,9 +405,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
-
 
 def build_vocab(docs: Documents, table: TimeSlotTable, min_count: int = 5) -> Vocabulary:
     """Count words over the slotted documents and keep those with global count >= min_count.
@@ -469,9 +457,7 @@ def save_normalized(stanzas: list[Stanza], path: str | Path) -> None:
     """
     docs = Documents.from_tokens([s.tokens for s in stanzas], [s.year for s in stanzas])
     raw = [t.encode("utf-8") for t in docs.types]
-    with replacing(path) as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(np.array([CACHE_VERSION], dtype="<u4"))
+    with replacing(path, CACHE_MAGIC, CACHE_VERSION) as fh:
         fh.write(np.array([len(raw), docs.ids.size, len(docs)], dtype="<u8"))
         fh.write(np.array([len(r) for r in raw], dtype="<u4"))
         fh.write(b"".join(raw))

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import read_text
+
 KINDS = ("stable", "abrupt_shift", "linear_drift")
 
 
@@ -210,8 +212,7 @@ def _build(cls, obj, where: str):
 
 
 def load_spec(path: str | Path) -> SynthSpec:
-    """Read a generator spec from a JSON document mirroring :class:`SynthSpec`; a leading byte-order mark is skipped."""
-    with open(path, encoding="utf-8-sig") as fh:
-        spec = _build(SynthSpec, json.load(fh), "spec")
+    """Read a generator spec from a JSON document mirroring :class:`SynthSpec`, read by :func:`corpus.read_text`."""
+    spec = _build(SynthSpec, json.loads(read_text(path)), "spec")
     spec.planted = [_build(PlantedWord, item, f"planted entry {i}") for i, item in enumerate(spec.planted)]
     return spec

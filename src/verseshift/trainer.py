@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import os
-import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -574,9 +573,8 @@ def save_model(model: JointEmbeddingModel, path) -> None:
     """
     vocab = model.vocab
     raw = [word.encode("utf-8") for word in vocab.words]
-    with replacing(path) as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<IIII", MODEL_VERSION, model.dim, len(vocab), model.n_slots))
+    with replacing(path, MODEL_MAGIC, MODEL_VERSION) as fh:
+        fh.write(np.array([model.dim, len(vocab), model.n_slots], dtype="<u4"))
         fh.write(np.array([(slot.start, slot.end) for slot in model.slot_table], dtype="<i4"))
         fh.write(np.array([len(r) for r in raw], dtype="<u4"))
         fh.write(np.column_stack((vocab.global_counts, vocab.slot_counts.T)).astype("<u8", order="C"))

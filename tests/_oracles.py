@@ -186,8 +186,8 @@ def tokenize_line(line: str) -> list[str]:
 
 
 def first_line_key(line: str) -> str:
-    """The casefolded line without punctuation characters, whitespace runs collapsed."""
-    cleaned = "".join(c for c in line.casefold() if not _is_punct(c))
+    """The casefolded line without punctuation characters, runs of whitespace, C0 controls and DEL collapsed."""
+    cleaned = "".join(" " if c < " " or c == "\x7f" else c for c in line.casefold() if not _is_punct(c))
     return " ".join(cleaned.split())
 
 

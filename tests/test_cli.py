@@ -135,6 +135,14 @@ class TestSynthCommand:
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_spec_exits_two_naming_file_and_line(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(b'{\r\n"seed": 1,\r\n"planted": ["\xff"]}')
+        out = tmp_path / "corpus.jsonl"
+        assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert f"error: {spec_path}: line 3 is not UTF-8 (invalid start byte)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "corpus.jsonl"
         assert cli.main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(out), "--seed", "-5"]) == 1

@@ -392,13 +392,21 @@ def test_non_finite_learning_rate_flag_is_usage_error(value, tmp_path, monkeypat
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("content", [b'{"out": "run",', b'{"out": "\xff"}'], ids=["not-json", "not-utf8"])
-def test_undecodable_config_is_usage_error_naming_it(content, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (b'{"out": "run",', "Expecting"),
+        (b'\xef\xbb\xbf{\r\n"out": "run",\n"model": "\xff"}', "config.json: line 3 is not UTF-8 (invalid start byte)"),
+    ],
+    ids=["not-json", "not-utf8"],
+)
+def test_undecodable_config_is_usage_error_naming_it(content, detail, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "config.json"
     path.write_bytes(content)
     assert cli.main(["selfsim", "--config", str(path)]) == 1
-    assert f"config file {path} " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config file {path} is not UTF-8 JSON: " in err and detail in err
     assert not (tmp_path / "run").exists()
 
 

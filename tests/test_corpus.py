@@ -177,6 +177,13 @@ class TestDedup:
         b = make_stanza("s2", 1800, ["ich liebe dich"])
         assert len(corpus.dedup_first_line([a, b])) == 1
 
+    def test_control_characters_separate_key_words(self):
+        """The key splits as tokens do, so first lines with the same tokens are duplicates."""
+        a = make_stanza("s1", 1700, ["Rosen\x01und Dornen"])
+        b = make_stanza("s2", 1800, ["Rosen und\x7f\x00Dornen"])
+        c = make_stanza("s3", 1900, ["Rosen und Dornen"])
+        assert corpus.dedup_first_line([a, b, c]) == [a]
+
     def test_first_line_only(self):
         a = make_stanza("s1", 1700, ["gleiche zeile", "anders"])
         b = make_stanza("s2", 1800, ["gleiche zeile", "ganz anders"])
@@ -220,10 +227,10 @@ class TestNormalize:
         assert corpus.normalize([stanza]) == []
 
     def test_unicode_punctuation_stripped(self):
-        assert corpus.tokenize_line("»Herz«, sagt’s") == ["herz", "sagt’s"]
+        assert corpus.normalize([make_stanza(lines=["»Herz«, sagt’s"])])[0].tokens == ["herz", "sagt’s"]
 
     def test_control_characters_separate_tokens(self):
-        assert corpus.tokenize_line("ab t\x01 \x02x \x7fz\x00\x1b") == ["ab", "t", "x", "z"]
+        assert corpus.normalize([make_stanza(lines=["ab t\x01 \x02x \x7fz\x00\x1b"])])[0].tokens == ["ab", "t", "x", "z"]
         out = corpus.normalize([make_stanza(lines=["Ab\x01cd\x7f", "\x00"])])
         assert out[0].tokens == ["ab", "cd"]
 
@@ -237,7 +244,7 @@ class TestNormalize:
 # punctuation, whitespace that str.split() splits on besides the space, and controls it keeps
 LINE_CHARS = "aAbBäÖßİ .,;!?'\"-»«’—\t\u2028\x01\x7f"
 # short first lines from few characters, so stanzas often share a key (ß casefolds to ss)
-FIRST_LINE_CHARS = "sSß .»’"
+FIRST_LINE_CHARS = "sSß .»’\x01"
 # a lemma that is only punctuation and an empty lemma are appended as they stand
 LEMMAS = {"a": "b", "ab": "»«", "b": "", "ä": "a"}
 
@@ -567,6 +574,18 @@ class TestNormalizedCache:
             assert np.array_equal(getattr(loaded, column), getattr(want, column))
         assert [loaded.types[i] for i in loaded.ids[: loaded.offsets[1]]] == stanzas[0].tokens
         assert [p.name for p in tmp_path.iterdir()] == ["normalized.bin"]  # no temporary file left behind
+
+    def test_tiny_cache_bytes(self, tmp_path):
+        """The file format, byte for byte, so a change on the write side shows even when load agrees."""
+        assert write_tiny_cache(tmp_path / "normalized.bin") == bytes.fromhex(
+            "444c4b43 01000000"  # magic, version
+            " 0300000000000000 0500000000000000 0200000000000000"  # types, tokens, documents
+            " 01000000 01000000 02000000"  # type byte lengths
+            " 6162c3a4"  # the types "a", "b", "ä"
+            " 00000000 01000000 00000000 01000000 02000000"  # token ids
+            " 0000000000000000 0300000000000000 0500000000000000"  # document offsets
+            " 4a06000000000000 7c06000000000000"  # years 1610, 1660
+        )
 
     def test_empty_corpus_roundtrip(self, tmp_path):
         path = tmp_path / "normalized.bin"

@@ -710,6 +710,22 @@ class TestModelFile:
         trainer.save_model(loaded, path2)
         assert path1.read_bytes() == path2.read_bytes()
 
+    def test_tiny_model_bytes(self, tmp_path):
+        """The file format, byte for byte, so a change on the write side shows even when load agrees."""
+        assert write_tiny_model(tmp_path / "m.bin") == bytes.fromhex(
+            "444c4b56 02000000"  # magic, version
+            " 02000000 02000000 02000000"  # dim, words, slots
+            " 40060000 72060000 72060000 a4060000"  # slot years 1600-1650, 1650-1700
+            " 01000000 01000000"  # word byte lengths
+            " 1400000000000000 0a00000000000000 0a00000000000000"  # "a": global count, per-slot counts
+            " 1400000000000000 0a00000000000000 0a00000000000000"  # "b"
+            " 6162"  # the words
+            " 0000803f 0000003f 0000003f 0000803f"  # base
+            " cdcccc3d 00000000 00000000 cdcc4c3e"  # slot 0 delta
+            " 00000000 9a99993e cdcccc3e 00000000"  # slot 1 delta
+            " 00000000 00000000 00000000 00000000"  # context
+        )
+
     def test_loaded_matrices_are_read_only(self, tmp_path):
         path = tmp_path / "m.bin"
         write_tiny_model(path)
