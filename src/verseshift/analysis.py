@@ -218,8 +218,7 @@ class FrequencyBands:
     """Low/high frequency halves of the eligible words with per-band summaries."""
 
     band_of: dict[str, str]  # word -> "low" | "high"
-    summaries: dict[str, list[DistributionSummary]]  # band -> per distance
-    distances: list[int]
+    summaries: dict[str, list[DistributionSummary]]  # band -> per distance of TotalSelfSim.distances
 
 
 def frequency_bands(total: TotalSelfSim) -> FrequencyBands:
@@ -239,7 +238,7 @@ def frequency_bands(total: TotalSelfSim) -> FrequencyBands:
         band: [DistributionSummary.from_values(total.word_means[rows, k]) for k in range(len(total.distances))]
         for band, rows in bands.items()
     }
-    return FrequencyBands(band_of=band_of, summaries=summaries, distances=list(total.distances))
+    return FrequencyBands(band_of=band_of, summaries=summaries)
 
 
 @dataclass(frozen=True)

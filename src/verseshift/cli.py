@@ -360,7 +360,7 @@ def cmd_totalsim(ns: argparse.Namespace) -> int:
     for i, dist in enumerate(total.distances):
         rows.append(_summary_row([dist, "all"], total.summaries[i]))
     for band in ("low", "high"):
-        for i, dist in enumerate(bands.distances):
+        for i, dist in enumerate(total.distances):
             rows.append(_summary_row([dist, band], bands.summaries[band][i]))
     svg = svgplot.render_box_plot(
         "Self-similarity by year distance between time slots",

@@ -10,10 +10,7 @@ from .analysis import DistributionSummary
 
 WIDTH = 960
 HEIGHT = 560
-MARGIN_LEFT = 80
-MARGIN_RIGHT = 40
-MARGIN_TOP = 60
-MARGIN_BOTTOM = 80
+LEFT, RIGHT, TOP, BOTTOM = 80, WIDTH - 40, 60, HEIGHT - 80  # the plot area, in pixels
 
 LINE_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#17becf", "#7f7f7f"]
 
@@ -30,8 +27,21 @@ def _escape(text: str) -> str:
     return text.translate(_ESCAPES)
 
 
-def _header(title: str) -> list[str]:
-    return [
+def _frame(title: str, lo: float, hi: float, x_label: str, y_label: str):
+    """A figure's opening parts (header, grid, axes) for data from lo to hi, and its value-to-pixel y map.
+
+    The y scale pads the data range by 5% at each end (a flat range spans 1)
+    and is ruled at seven evenly spaced values.
+    """
+    if hi <= lo:
+        hi = lo + 1.0
+    pad = 0.05 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+
+    def to_px(v: float) -> float:
+        return BOTTOM - (v - lo) / (hi - lo) * (BOTTOM - TOP)
+
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f"<title>{_escape(title)}</title>",
@@ -39,54 +49,26 @@ def _header(title: str) -> list[str]:
         f'<text x="{WIDTH / 2:.1f}" y="32" text-anchor="middle" font-size="20" '
         f'font-family="sans-serif">{_escape(title)}</text>',
     ]
-
-
-def _axes(parts: list[str], x_label: str, y_label: str) -> None:
-    left, right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
-    top, bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
-    parts.append(
-        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="#000" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="#000" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<text x="{(left + right) / 2:.1f}" y="{HEIGHT - 18}" text-anchor="middle" '
-        f'font-size="14" font-family="sans-serif">{_escape(x_label)}</text>'
-    )
-    mid_y = (top + bottom) / 2
-    parts.append(
-        f'<text x="24" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif" transform="rotate(-90 24 {mid_y:.1f})">{_escape(y_label)}</text>'
-    )
-
-
-def _y_scale(lo: float, hi: float):
-    if hi <= lo:
-        hi = lo + 1.0
-    pad = 0.05 * (hi - lo)
-    lo -= pad
-    hi += pad
-    top, bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
-
-    def to_px(v: float) -> float:
-        return bottom - (v - lo) / (hi - lo) * (bottom - top)
-
-    return to_px, lo, hi
-
-
-def _y_ticks(parts: list[str], to_px, lo: float, hi: float, n: int = 6) -> None:
-    left, right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
-    for i in range(n + 1):
-        v = lo + (hi - lo) * i / n
+    for i in range(7):
+        v = lo + (hi - lo) * i / 6
         y = to_px(v)
         parts.append(
-            f'<line x1="{left}" y1="{y:.2f}" x2="{right}" y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
+            f'<line x1="{LEFT}" y1="{y:.2f}" x2="{RIGHT}" y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="12" '
+            f'<text x="{LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="12" '
             f'font-family="sans-serif">{v:.2f}</text>'
         )
+    mid_y = (TOP + BOTTOM) / 2
+    parts += [
+        f'<line x1="{LEFT}" y1="{BOTTOM}" x2="{RIGHT}" y2="{BOTTOM}" stroke="#000" stroke-width="1.5"/>',
+        f'<line x1="{LEFT}" y1="{TOP}" x2="{LEFT}" y2="{BOTTOM}" stroke="#000" stroke-width="1.5"/>',
+        f'<text x="{(LEFT + RIGHT) / 2:.1f}" y="{HEIGHT - 18}" text-anchor="middle" '
+        f'font-size="14" font-family="sans-serif">{_escape(x_label)}</text>',
+        f'<text x="24" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
+        f'font-family="sans-serif" transform="rotate(-90 24 {mid_y:.1f})">{_escape(y_label)}</text>',
+    ]
+    return parts, to_px
 
 
 def render_box_plot(
@@ -103,20 +85,17 @@ def render_box_plot(
     """
     if len(x_labels) != len(summaries) or not summaries:
         raise ValueError("need one x label per summary")
-    parts = _header(title)
-    lo = min(min(s.whisker_lo, s.mean) for s in summaries)
-    hi = max(max(s.whisker_hi, s.mean) for s in summaries)
-    to_px, lo, hi = _y_scale(lo, hi)
-    _y_ticks(parts, to_px, lo, hi)
-    _axes(parts, x_axis_label, y_axis_label)
-
-    left, right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
-    bottom = HEIGHT - MARGIN_BOTTOM
-    n = len(summaries)
-    span = (right - left) / n
+    parts, to_px = _frame(
+        title,
+        min(min(s.whisker_lo, s.mean) for s in summaries),
+        max(max(s.whisker_hi, s.mean) for s in summaries),
+        x_axis_label,
+        y_axis_label,
+    )
+    span = (RIGHT - LEFT) / len(summaries)
     box_w = min(48.0, span * 0.5)
     for i, (label, s) in enumerate(zip(x_labels, summaries)):
-        cx = left + span * (i + 0.5)
+        cx = LEFT + span * (i + 0.5)
         x0 = cx - box_w / 2
         y_lo, y_hi = to_px(s.whisker_lo), to_px(s.whisker_hi)
         y_q1, y_q3 = to_px(s.q1), to_px(s.q3)
@@ -145,7 +124,7 @@ def render_box_plot(
                     f'font-family="sans-serif" fill="#555">{count} out</text>'
                 )
         parts.append(
-            f'<text x="{cx:.2f}" y="{bottom + 20}" text-anchor="middle" font-size="11" '
+            f'<text x="{cx:.2f}" y="{BOTTOM + 20}" text-anchor="middle" font-size="11" '
             f'font-family="sans-serif">{_escape(label)}</text>'
         )
     parts.append("</svg>")
@@ -162,23 +141,17 @@ def render_line_plot(
     """Multi-line plot over shared x positions, one polyline per series."""
     if not series or not x_values:
         raise ValueError("need at least one series and one x value")
-    parts = _header(title)
     all_y = [v for _, vals in series for v in vals]
-    to_px, lo, hi = _y_scale(min(all_y), max(all_y))
-    _y_ticks(parts, to_px, lo, hi)
-    _axes(parts, x_axis_label, y_axis_label)
-
-    left, right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
-    bottom = HEIGHT - MARGIN_BOTTOM
+    parts, to_px = _frame(title, min(all_y), max(all_y), x_axis_label, y_axis_label)
     x_lo, x_hi = min(x_values), max(x_values)
     x_span = (x_hi - x_lo) or 1.0
 
     def x_px(v: float) -> float:
-        return left + (v - x_lo) / x_span * (right - left)
+        return LEFT + (v - x_lo) / x_span * (RIGHT - LEFT)
 
     for x in x_values:
         parts.append(
-            f'<text x="{x_px(x):.2f}" y="{bottom + 20}" text-anchor="middle" font-size="11" '
+            f'<text x="{x_px(x):.2f}" y="{BOTTOM + 20}" text-anchor="middle" font-size="11" '
             f'font-family="sans-serif">{x:g}</text>'
         )
     for idx, (_, vals) in enumerate(series):

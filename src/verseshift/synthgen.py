@@ -173,15 +173,12 @@ def generate(spec: SynthSpec) -> list[dict]:
     return records
 
 
-def write_jsonl(records: list[dict], path: str | Path) -> None:
+def generate_jsonl(spec: SynthSpec, path: str | Path) -> int:
+    """Write :func:`generate`'s records to ``path`` as JSON lines; returns their count."""
+    records = generate(spec)
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-
-
-def generate_jsonl(spec: SynthSpec, path: str | Path) -> int:
-    records = generate(spec)
-    write_jsonl(records, path)
     return len(records)
 
 

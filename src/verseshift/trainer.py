@@ -57,7 +57,9 @@ class NumericError(Exception):
 
 
 def max_workers() -> int:
-    """Upper bound on training threads: the machine's CPU count."""
+    """Upper bound on training threads: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -469,9 +471,13 @@ def train(
     place, which gives ``permutation(N)``'s order from the same draws. A batch
     is a slice of the codes; its words and contexts are the tokens at the
     positions they decode to, its slots the slots whose token range holds each
-    center. Progress is logged at each 5% of an epoch's pairs. Single-worker
-    runs with a fixed seed are fully deterministic; extra workers update the
-    shared matrices without locks and trade determinism for speed.
+    center. The matrices are views of model.bin's one ``(S+2, V, d)`` float32
+    block (base, the delta of each slot, then context), allocated once the
+    pairs are counted; a non-finite value in any of them after an epoch
+    raises NumericError naming its slab (:func:`_check_finite`). Progress
+    is logged at each 5% of an epoch's pairs. Single-worker runs with a
+    fixed seed are fully deterministic; extra workers update the shared
+    matrices without locks and trade determinism for speed.
     """
     if len(slot_table) < 2:
         raise ValueError("training needs at least 2 time slots")
@@ -484,14 +490,6 @@ def train(
             f"an epoch of {n_slot_tokens} slot tokens times {steps.size} pair steps is more than the "
             f"{MAX_EPOCH_CODES} codes its uint32 pairs can hold; train fewer or narrower slots"
         )
-    n_words = len(vocab)
-    d = config.dim
-
-    rng_init = np.random.default_rng([config.seed, 0])
-    base = rng_init.uniform(-0.5 / d, 0.5 / d, size=(n_words, d)).astype(np.float32)
-    deltas = np.zeros((len(slot_table), n_words, d), dtype=np.float32)
-    context = np.zeros((n_words, d), dtype=np.float32)
-    model = JointEmbeddingModel(vocab, slot_table, base, deltas, context)
 
     for slot in np.flatnonzero(~vocab.slot_counts.any(axis=1)):
         log.warning("slot %d has no trainable documents; its deltas stay zero", slot)
@@ -510,11 +508,16 @@ def train(
         for epoch in range(config.epochs)
     ]
     total_pairs = sum(n_pairs for n_pairs, _ in epoch_counts)
+
+    n_words, d = len(vocab), config.dim
+    mats = np.zeros((len(slot_table) + 2, n_words, d), dtype=np.float32)  # model.bin's matrix block
+    mats[0] = np.random.default_rng([config.seed, 0]).uniform(-0.5 / d, 0.5 / d, size=(n_words, d))
+    model = JointEmbeddingModel(vocab, slot_table, mats[0], mats[1:-1], mats[-1])
     if total_pairs == 0:
         log.warning("no training pairs were scheduled; returning the initial model")
         return model
 
-    deltas_flat = deltas.reshape(len(slot_table) * n_words, d)
+    deltas_flat = mats[1:-1].reshape(len(slot_table) * n_words, d)
     lr_span = config.final_lr - config.initial_lr
     pairs_done = 0
     for epoch, (n_pairs, n_tokens) in enumerate(epoch_counts):
@@ -539,7 +542,7 @@ def train(
                 lr = config.initial_lr + lr_span * ((pairs_done + lo) / total_pairs)
                 words, contexts = np.take(tokens, centers), np.take(tokens, centers + steps[j])
                 batch = TrainingBatch(words, np.searchsorted(slot_ends, centers, side="right"), contexts, negs)
-                loss = sgd_step(base, deltas_flat, context, n_words, batch, lr)
+                loss = sgd_step(model.base, deltas_flat, model.context, n_words, batch, lr)
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss in epoch {epoch}")
                 progress.add(centers.size, loss, lr)
@@ -558,10 +561,22 @@ def train(
         mean_loss = progress.loss_sum / max(1, n_pairs)
         model.epoch_losses.append(mean_loss)
         log.info("epoch %d/%d: %d pairs, mean loss %.5f", epoch + 1, config.epochs, n_pairs, mean_loss)
-        for name, mat in (("base", base), ("deltas", deltas), ("context", context)):
-            if not np.isfinite(mat).all():
-                raise NumericError(f"non-finite values in {name} after epoch {epoch}")
+        _check_finite(mats, lambda name: NumericError(f"non-finite value in {name} after epoch {epoch}"),
+                      model._release)
     return model
+
+
+def _check_finite(mats: np.ndarray, error, release) -> None:
+    """Raise ``error(name)`` for the first slab of a ``(S+2, V, d)`` matrix block holding a non-finite value.
+
+    The block is model.bin's: base, the delta of each slot, then context;
+    ``name`` is ``base``, ``slot k delta`` or ``context``. Slab by slab, so
+    no full-size temporary; each slab is passed to ``release`` once checked.
+    """
+    for i, mat in enumerate(mats):
+        if not np.isfinite(mat).all():
+            raise error("base" if i == 0 else "context" if i == len(mats) - 1 else f"slot {i - 1} delta")
+        release(mat)
 
 
 def save_model(model: JointEmbeddingModel, path) -> None:
@@ -622,9 +637,6 @@ def load_model(path) -> JointEmbeddingModel:
         raise ModelFormatError(f"repeated word in {path}")
     vocab = Vocabulary(words, index, counts[0], counts[1:], slot_total_tokens=counts[1:].sum(axis=1))
     reader.release(header)  # copied out by now
-    for i, mat in enumerate(mats):  # slab by slab, so no full-size temporary and one slab resident
-        if not np.isfinite(mat).all():
-            name = "base" if i == 0 else "context" if i == n_slots + 1 else f"slot {i - 1} delta"
-            raise ModelFormatError(f"non-finite value in the {name} matrix of {path}")
-        reader.release(mat)
+    _check_finite(mats, lambda name: ModelFormatError(f"non-finite value in the {name} matrix of {path}"),
+                  reader.release)  # so one slab is resident at a time
     return JointEmbeddingModel(vocab, table, mats[0], mats[1:-1], mats[-1], reader.release)

@@ -104,6 +104,7 @@ TINY_SLOT_COUNT0 = 52
 TINY_WORD0 = 92
 TINY_BASE = 94
 TINY_DELTA1 = 126
+TINY_CONTEXT = 142
 
 
 def write_tiny_model(path, offset: int | None = None, raw: bytes = b"") -> bytes:

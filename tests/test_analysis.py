@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import re
 import xml.etree.ElementTree as ET
 
@@ -101,7 +102,33 @@ class TestBoxPlot:
         assert [count for _, _, count in labels] == ["1", "2", "1"]  # above the upper whisker, then below the lower
         assert labels[0][0] == labels[1][0] != labels[2][0] and float(labels[0][1]) < float(labels[1][1])
         circles = [float(y) for y in re.findall(r'<circle cx="[\d.]+" cy="([\d.]+)"', svg)]
-        assert all(svgplot.MARGIN_TOP <= y <= svgplot.HEIGHT - svgplot.MARGIN_BOTTOM for y in circles)
+        assert all(svgplot.TOP <= y <= svgplot.BOTTOM for y in circles)
+
+
+class TestFigureBytes:
+    """The exact bytes of one figure of each kind, so a layout refactor cannot move a pixel unnoticed."""
+
+    @staticmethod
+    def digest(svg: str) -> str:
+        return hashlib.sha256(svg.encode("utf-8")).hexdigest()
+
+    def test_box_plot_bytes(self):
+        skewed = DistributionSummary.from_values(np.array([-5, 0, *[10] * 8, 40]))  # outliers past both whiskers
+        plain = DistributionSummary.from_values(np.arange(10.0))
+        far = DistributionSummary.from_values(np.array([*range(1, 10), 1000]))
+        svg = svgplot.render_box_plot(
+            "Self-similarity <by> distance & \x01", ["<1", "a&b", '"c"'], [skewed, plain, far], "distance", "cosine"
+        )
+        assert self.digest(svg) == "9fbb60d7ac6477faa13ece52b097bc0cec9478edff971cf1166a2a49ae3b57a3"
+
+    def test_line_plot_bytes(self):
+        xs = [1700.0, 1725.0, 1750.0, 1775.0, 1800.0]
+        series = [  # more series than colors, so the palette wraps
+            (f"w{i}", [((7 * i + 3 * k) % 11) / 10 - 0.4 for k in range(len(xs))])
+            for i in range(len(svgplot.LINE_COLORS) + 3)
+        ]
+        svg = svgplot.render_line_plot("ziel: <rising> & falling", xs, series, "slot start year", "cosine similarity")
+        assert self.digest(svg) == "dc7281bb55d029a658401a8b21a63a9f450b358c668bd5d5f9935f68ef66a8e2"
 
 
 class TestPairwiseSelfSim:

@@ -264,6 +264,16 @@ class TestTrainCommand:
         assert threading.active_count() == threads_before
         assert not model_path.exists()
 
+    def test_workers_bound_by_cpu_affinity(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # pinned to one CPU
+        model_path = tmp_path / "never.bin"
+        rc = cli.main(
+            ["train", "--out", str(workspace["out"]), "--model", str(model_path),
+             *SLOT_FLAGS, *TRAIN_FLAGS, "--workers", "2"]
+        )
+        assert rc == 1
+        assert not model_path.exists()
+
 
     def test_out_of_range_stanza_warned_once(self, tmp_path, caplog):
         corpus_path = tmp_path / "corpus.jsonl"

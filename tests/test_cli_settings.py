@@ -85,7 +85,7 @@ FAKE_MODEL = SimpleNamespace(vocab=range(10**6), slot_table=TABLE)  # vocab larg
 # empty results, so that each analysis command reaches its first write
 SERIES = SimpleNamespace(pairs=[], summaries=[])
 TOTAL = SimpleNamespace(distances=[], summaries=[], words=[])
-BANDS = SimpleNamespace(distances=[], summaries={"low": [], "high": []})
+BANDS = SimpleNamespace(summaries={"low": [], "high": []})
 TRAJECTORIES = SimpleNamespace(candidates=[])
 REPORT = SimpleNamespace(pca=SimpleNamespace(projections=None), extremes=[], rows=lambda component, end: [])
 

@@ -23,6 +23,7 @@ from _oracles import (
 )
 from conftest import (
     TINY_BASE,
+    TINY_CONTEXT,
     TINY_DELTA1,
     TINY_DIM_FIELD,
     TINY_GLOBAL_COUNT0,
@@ -420,6 +421,50 @@ class TestTraining:
         model = train_tiny()
         for mat in (model.base, model.deltas, model.context):
             assert np.isfinite(mat).all()
+
+    def test_matrices_are_views_of_the_model_file_block(self, tmp_path):
+        model = train_tiny(quick_config(epochs=1))
+        block = model.base.base
+        n_slots, (n_words, d) = model.n_slots, model.base.shape
+        assert block.shape == (n_slots + 2, n_words, d) and block.dtype == np.float32 and block.flags.c_contiguous
+        assert model.deltas.base is block and model.context.base is block
+        slab = n_words * d * block.itemsize  # base, the delta of each slot, then context, as model.bin holds them
+        starts = [m.ctypes.data - block.ctypes.data for m in (model.base, model.deltas, model.context)]
+        assert starts == [0, slab, (n_slots + 1) * slab]
+        trainer.save_model(model, tmp_path / "m.bin")
+        assert (tmp_path / "m.bin").read_bytes().endswith(block.astype("<f4").tobytes())
+
+    def test_base_is_init_plus_the_sum_of_the_deltas(self):
+        # every pair applies the same update to base[w] and to its slot's delta, and the deltas start at zero
+        config = quick_config()
+        model = train_tiny(config)
+        d = config.dim
+        init = np.random.default_rng([config.seed, 0]).uniform(-0.5 / d, 0.5 / d, size=model.base.shape)
+        residual = model.base - init.astype(np.float32).astype(np.float64) - model.deltas.sum(axis=0, dtype=np.float64)
+        assert np.abs(residual).max() <= 1e-5 * np.abs(model.base).max()
+
+    def test_non_finite_context_after_an_epoch_names_its_slab(self, monkeypatch):
+        step, calls = trainer.sgd_step, []
+
+        def counting_step(*args):
+            calls.append(args[-1])
+            return step(*args)
+
+        monkeypatch.setattr(trainer, "sgd_step", counting_step)
+        train_tiny(quick_config(epochs=1))
+        epoch_steps, calls = len(calls), []
+
+        def poisoning_step(base, deltas_flat, context, n_words, batch, lr):
+            loss = step(base, deltas_flat, context, n_words, batch, lr)
+            calls.append(lr)
+            if len(calls) == epoch_steps:  # the last step of epoch 1
+                context[3] = np.inf
+            return loss
+
+        monkeypatch.setattr(trainer, "sgd_step", poisoning_step)
+        with pytest.raises(trainer.NumericError, match="non-finite value in context after epoch 0"):
+            train_tiny(quick_config(epochs=2))
+        assert len(calls) == epoch_steps
 
     def test_needs_two_slots(self):
         table = corpus.TimeSlotTable((corpus.TimeSlot(1700, 1750),))
@@ -852,10 +897,12 @@ class TestModelFile:
             trainer.load_model(path)
 
     @pytest.mark.parametrize(
-        "offset, value", [(TINY_BASE, np.nan), (TINY_DELTA1 + 4, np.inf)], ids=["nan-base", "inf-delta"]
+        "offset, value, slab",
+        [(TINY_BASE, np.nan, "base"), (TINY_DELTA1 + 4, np.inf, "slot 1 delta"), (TINY_CONTEXT + 12, -np.inf, "context")],
+        ids=["nan-base", "inf-delta", "inf-context"],
     )
-    def test_non_finite_matrix_errors(self, tmp_path, offset, value):
+    def test_non_finite_matrix_errors(self, tmp_path, offset, value, slab):
         path = tmp_path / "m.bin"
         write_tiny_model(path, offset, np.float32(value).astype("<f4").tobytes())
-        with pytest.raises(trainer.ModelFormatError, match="non-finite"):
+        with pytest.raises(trainer.ModelFormatError, match=f"non-finite value in the {slab} matrix"):
             trainer.load_model(path)
