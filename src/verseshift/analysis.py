@@ -257,14 +257,8 @@ def linearity_fit(total: TotalSelfSim) -> LinearFit:
         raise ValueError("linearity fit needs at least 3 distinct distances")
     x = np.array(total.distances, dtype=np.float64)
     y = np.array([s.mean for s in total.summaries])
-    x_mean = x.mean()
-    y_mean = y.mean()
-    sxx = float(((x - x_mean) ** 2).sum())
-    sst = float(((y - y_mean) ** 2).sum())
-    if sst == 0.0:
-        return LinearFit(slope=0.0, intercept=float(y_mean), r_squared=0.0)
-    slope = float(((x - x_mean) * (y - y_mean)).sum() / sxx)
-    intercept = float(y_mean - slope * x_mean)
-    residuals = y - (slope * x + intercept)
-    r_squared = 1.0 - float((residuals**2).sum()) / sst
-    return LinearFit(slope=slope, intercept=intercept, r_squared=r_squared)
+    if np.ptp(y) == 0.0:  # polyfit's slope would be off zero by rounding
+        return LinearFit(slope=0.0, intercept=float(y.mean()), r_squared=0.0)
+    slope, intercept = np.polyfit(x, y, 1)
+    r_squared = 1.0 - float(((y - (slope * x + intercept)) ** 2).sum()) / float(((y - y.mean()) ** 2).sum())
+    return LinearFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)

@@ -305,31 +305,23 @@ class TimeSlot:
         return self.start <= year < self.end
 
 
-@dataclass(frozen=True)
-class TimeSlotTable:
-    """Ordered year intervals, either disjoint (fixed) or overlapping (sliding)."""
+class TimeSlotTable(tuple):
+    """Ordered year intervals, either disjoint (fixed) or overlapping (sliding): a tuple of TimeSlot."""
 
-    slots: tuple[TimeSlot, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        starts = [s.start for s in self.slots]
+    def __new__(cls, slots):
+        table = super().__new__(cls, slots)
+        starts = [s.start for s in table]
         if sorted(set(starts)) != starts:
             raise ValueError("slot starts must be strictly increasing")
-        for s in self.slots:
+        for s in table:
             if s.end <= s.start:
                 raise ValueError(f"empty slot interval {s}")
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-    def __iter__(self):
-        return iter(self.slots)
-
-    def __getitem__(self, i: int) -> TimeSlot:
-        return self.slots[i]
+        return table
 
     def slots_for_year(self, year: int) -> list[int]:
-        return [i for i, s in enumerate(self.slots) if s.contains(year)]
+        return [i for i, s in enumerate(self) if s.contains(year)]
 
 
 def build_slots(
@@ -369,7 +361,7 @@ def build_slots(
         bounds = [(bounds[0][0], bounds[1][1])] + bounds[2:]
     if len(bounds) < 2:
         raise ValueError(f"degenerate slotting: only {len(bounds)} slot(s)")
-    return TimeSlotTable(tuple(TimeSlot(a, b) for a, b in bounds))
+    return TimeSlotTable(TimeSlot(a, b) for a, b in bounds)
 
 
 def assign_slots(years, table: TimeSlotTable) -> np.ndarray:

@@ -95,7 +95,9 @@ class TrainConfig:
     final_lr: float = _setting(1e-4, "learning rate at the last pair")
     subsample_threshold: float = _setting(1e-4, "frequent-word threshold, 0 disables", flag="subsample")
     seed: int = _setting(1, "training seed", minimum=0)
-    workers: int = _setting(1, "parallel workers, up to the CPU count; >1 is nondeterministic", minimum=1)
+    workers: int = _setting(
+        1, "parallel workers, up to the CPUs this process may run on; >1 is nondeterministic", minimum=1
+    )
     batch_size: int = _setting(1024, "pairs per SGD step", minimum=1)
 
     def __post_init__(self) -> None:
@@ -107,7 +109,7 @@ class TrainConfig:
         if not self.subsample_threshold >= 0.0:  # NaN as well
             raise ValueError("subsample_threshold must be >= 0")
         if self.workers > max_workers():
-            raise ValueError(f"workers must be at most the CPU count ({max_workers()})")
+            raise ValueError(f"workers must be at most the CPUs this process may run on ({max_workers()})")
 
 
 @dataclass
@@ -475,8 +477,11 @@ def train(
     block (base, the delta of each slot, then context), allocated once the
     pairs are counted; a non-finite value in any of them after an epoch
     raises NumericError naming its slab (:func:`_check_finite`). Progress
-    is logged at each 5% of an epoch's pairs. Single-worker runs with a
-    fixed seed are fully deterministic; extra workers update the shared
+    is logged at each 5% of an epoch's pairs. An epoch's batches are dealt
+    round-robin into ``workers`` shares: the calling thread runs the first,
+    a pool thread each other, and a failure or Ctrl-C in any share ends them
+    all before their next batch. Single-worker runs start no thread and with
+    a fixed seed are fully deterministic; extra workers update the shared
     matrices without locks and trade determinism for speed.
     """
     if len(slot_table) < 2:
@@ -532,12 +537,18 @@ def train(
         rng_epoch.shuffle(codes)
         progress = _EpochProgress(epoch, config.epochs, n_pairs)
 
-        def run_batches(starts, rng) -> None:
-            for lo in starts:
+        starts = range(0, n_pairs, config.batch_size)
+        rngs = [rng_epoch, *rng_epoch.spawn(config.workers - 1)]  # a single worker draws from rng_epoch alone
+        stop = threading.Event()  # set once any share fails, so the others end before their next batch
+
+        def run_batches(share: int) -> None:
+            for lo in starts[share :: config.workers]:
+                if stop.is_set():
+                    return
                 centers, j = np.divmod(codes[lo : lo + config.batch_size], steps.size)
                 n_groups = -(-centers.size // PAIR_GROUP)
                 negs = np.searchsorted(
-                    neg_cdf, rng.random((n_groups, config.negatives)), side="right"
+                    neg_cdf, rngs[share].random((n_groups, config.negatives)), side="right"
                 ).astype(np.int32)
                 lr = config.initial_lr + lr_span * ((pairs_done + lo) / total_pairs)
                 words, contexts = np.take(tokens, centers), np.take(tokens, centers + steps[j])
@@ -547,14 +558,16 @@ def train(
                     raise NumericError(f"non-finite loss in epoch {epoch}")
                 progress.add(centers.size, loss, lr)
 
-        starts = range(0, n_pairs, config.batch_size)
-        if config.workers == 1:
-            run_batches(starts, rng_epoch)
-        else:
-            chunks = [starts[i :: config.workers] for i in range(config.workers)]
-            rngs = rng_epoch.spawn(config.workers)
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                list(pool.map(run_batches, chunks, rngs))  # raises a worker's error
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:  # the calling thread runs share 0
+            try:
+                helpers = [pool.submit(run_batches, share) for share in range(1, config.workers)]
+                for helper in helpers:
+                    helper.add_done_callback(lambda done: done.exception() and stop.set())
+                run_batches(0)
+                for helper in helpers:
+                    helper.result()  # raises a helper's error
+            finally:
+                stop.set()  # on an error or Ctrl-C, every helper ends before the pool joins it
         del tokens, codes  # before the next epoch builds its own
 
         pairs_done += n_pairs
@@ -626,7 +639,7 @@ def load_model(path) -> JointEmbeddingModel:
 
     words = reader.strings(raw, lengths, "word")
     try:
-        table = TimeSlotTable(tuple(TimeSlot(start, end) for start, end in years.tolist()))
+        table = TimeSlotTable(TimeSlot(start, end) for start, end in years.tolist())
     except ValueError as exc:
         raise ModelFormatError(f"invalid slot years in {path}: {exc}") from exc
     if (counts >= np.uint64(1 << 63)).any():

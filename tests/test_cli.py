@@ -744,6 +744,22 @@ def test_trace_harness_reads_every_command(tmp_path):
         assert counts.get(name, 0) > 0, name
 
 
+def test_synthetic_study_finds_the_planted_shift(tmp_path):
+    """The README quick start writes every report and puts its deepest change point at 1750, as it promises."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "study"
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "synthetic_study.py"), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    reports = {"ingest_stats.json", "model.bin", "normalized.bin", "selfsim.csv", "selfsim.svg", "changepoints.csv",
+               "totalsim.csv", "totalsim.svg", "trajectories.csv", "report.csv",
+               *(f"trope_{name}.svg" for name in ("high", "low", "rising", "falling"))}
+    assert reports <= {path.name for path in out.iterdir()}
+    with open(out / "changepoints.csv", newline="", encoding="utf-8") as f:
+        assert next(csv.DictReader(f))["year"] == "1750"
+
+
 BOM_CASES = {"config": "config.json", "corpus": "corpus.jsonl", "lemma_map": "lemmas.tsv", "spec": "spec.json",
              "stopwords": "stopwords.txt"}  # the input file that starts with a BOM in each case
 

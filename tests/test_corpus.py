@@ -370,7 +370,7 @@ class TestBuildSlots:
 
     def test_years_at_range_bounds_lay_out(self):
         table = corpus.build_slots(corpus.YEAR_MIN, corpus.YEAR_MAX, 50, 50)
-        assert (table.slots[0].start, table.slots[-1].end) == (corpus.YEAR_MIN, corpus.YEAR_MAX)
+        assert (table[0].start, table[-1].end) == (corpus.YEAR_MIN, corpus.YEAR_MAX)
 
 
 class TestAssign:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestConfigValidation:
 
     def test_workers_capped_at_cpu_count(self):
         quick_config(workers=trainer.max_workers())
-        with pytest.raises(ValueError, match="CPU count"):
+        with pytest.raises(ValueError, match="CPUs this process may run on"):
             quick_config(workers=trainer.max_workers() + 1)
 
 
@@ -473,10 +474,47 @@ class TestTraining:
         with pytest.raises(ValueError):
             trainer.train(docs, vocab, table, quick_config())
 
-    def test_workers_run_to_completion(self):
+    def test_workers_run_to_completion(self, monkeypatch):
+        monkeypatch.setattr(trainer, "max_workers", lambda: 2)  # so one usable CPU still allows 2 workers
         model = train_tiny(quick_config(workers=2))
         for mat in (model.base, model.deltas, model.context):
             assert np.isfinite(mat).all()
+
+    def test_one_worker_trains_on_the_calling_thread(self, monkeypatch):
+        threads = threading.active_count()
+        seen = []
+        step = trainer.sgd_step
+
+        def recording_step(*args):
+            seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+            return step(*args)
+
+        monkeypatch.setattr(trainer, "sgd_step", recording_step)
+        train_tiny(quick_config(epochs=2))
+        assert len(seen) == 2 * 22 and set(seen) == {(True, threads)}  # 22 batches of 256 in 5400 pairs
+
+    @pytest.mark.parametrize("failure", ["nan", "interrupt"])
+    def test_a_failed_share_stops_every_worker(self, monkeypatch, failure):
+        """A NaN loss or Ctrl-C in one share ends the other worker's share before its next batch."""
+        monkeypatch.setattr(trainer, "max_workers", lambda: 2)
+        lock, callers, failed_at = threading.Lock(), [], []
+        step = trainer.sgd_step
+
+        def failing_step(*args):
+            with lock:
+                callers.append(threading.get_ident())
+                # from the 5th step on, once both shares have stepped, so the other one is under way
+                if not failed_at and len(callers) >= 5 and len(set(callers)) == 2:
+                    failed_at.append(len(callers))
+                    if failure == "interrupt":
+                        raise KeyboardInterrupt
+                    return float("nan")
+            return step(*args)
+
+        monkeypatch.setattr(trainer, "sgd_step", failing_step)
+        with pytest.raises(KeyboardInterrupt if failure == "interrupt" else trainer.NumericError):
+            train_tiny(quick_config(epochs=1, batch_size=8, workers=2))  # 675 batches
+        assert len(callers) <= failed_at[0] + 1  # at most the other share's step in flight
 
     def test_one_negative_set_per_pair_group(self, monkeypatch):
         shapes = []
@@ -598,7 +636,8 @@ def test_epoch_beyond_uint32_codes_refused(monkeypatch, bound, refused):
 
 class TestProgressLog:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_logs_each_twentieth_of_an_epoch(self, caplog, workers):
+    def test_logs_each_twentieth_of_an_epoch(self, caplog, monkeypatch, workers):
+        monkeypatch.setattr(trainer, "max_workers", lambda: 2)  # so one usable CPU still allows 2 workers
         config = quick_config(epochs=1, batch_size=27, workers=workers)  # 5400 pairs: a mark every 10 batches
         with caplog.at_level("INFO", logger="verseshift.trainer"):
             model = train_tiny(config)
