@@ -10,7 +10,7 @@ import numpy as np
 
 from .corpus import TimeSlot
 from .linalg import row_norms, rowwise_cosine
-from .trainer import JointEmbeddingModel
+from .trainer import ROW_BLOCK, JointEmbeddingModel
 
 log = logging.getLogger(__name__)
 
@@ -197,8 +197,9 @@ def total_self_similarity(
 
     sums = np.zeros((word_indices.size, len(distances)))
     for lo, vecs in model.slot_blocks(word_indices):
+        vecs = list(vecs)  # every slot pair is compared
         norms = [row_norms(v) for v in vecs]
-        rows = slice(lo, lo + len(vecs[0]))
+        rows = slice(lo, lo + ROW_BLOCK)
         for i, j, k in zip(first.tolist(), second.tolist(), column.tolist()):
             sums[rows, k] += rowwise_cosine(vecs[i], vecs[j], norms[i], norms[j])
     word_means = sums / counts[None, :]

@@ -2,9 +2,11 @@
 
 A file starts with a magic and a ``<u4`` version, which :func:`replacing`
 writes and :class:`BlockReader` checks, and is then read block by block, each
-block a read-only numpy view of one mapping of the whole file, so reading
-copies nothing. Writers go through :func:`replacing`, so a reader that has a
-file mapped never sees it truncated.
+block a read-only numpy view of one mapping of the whole file, so viewing
+copies nothing; :meth:`BlockReader.rows` copies rows of a view out of the
+file instead, with positioned reads that leave the mapping untouched.
+Writers go through :func:`replacing`, so a reader that has a file mapped
+never sees it truncated.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import contextlib
 import math
 import mmap
 import os
+import weakref
 
 import numpy as np
 
@@ -20,22 +23,24 @@ import numpy as np
 class BlockReader:
     """A file mapped read-only and read front to back as fixed-dtype blocks.
 
-    Every failure raises ``error(message)``; the message names the file and
-    ``what`` it should be.
+    The reader keeps the descriptor it mapped the file from open for
+    :meth:`rows` and closes it when the reader is collected. Every failure
+    raises ``error(message)``; the message names the file and ``what`` it
+    should be.
     """
 
     def __init__(self, path, what: str, magic: bytes, version: int, error) -> None:
         self.path, self.what, self.error = path, what, error
         try:
-            fh = open(path, "rb")
+            self.fd = os.open(path, os.O_RDONLY)
         except OSError as exc:
             raise error(f"cannot read {what} {path}: {exc}") from exc
-        with fh:
-            self.size = os.fstat(fh.fileno()).st_size
-            try:
-                self.buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if self.size else b""
-            except (OSError, ValueError) as exc:
-                raise error(f"cannot map {what} {path}: {exc}") from exc
+        weakref.finalize(self, os.close, self.fd)
+        self.size = os.fstat(self.fd).st_size
+        try:
+            self.buf = mmap.mmap(self.fd, 0, access=mmap.ACCESS_READ) if self.size else b""
+        except (OSError, ValueError) as exc:
+            raise error(f"cannot map {what} {path}: {exc}") from exc
         if len(self.buf) != self.size:
             raise error(f"{what} {path} changed while it was opened")
         if self.buf[: len(magic)] != magic:
@@ -69,6 +74,24 @@ class BlockReader:
         start = view.ctypes.data - self.bytes.ctypes.data
         page = start - start % mmap.PAGESIZE
         self.buf.madvise(mmap.MADV_DONTNEED, page, start + view.nbytes - page)
+
+    def rows(self, view: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows ``[lo, hi)`` of ``view``, a C-contiguous view of this mapping, read from the file into a fresh array.
+
+        The bytes come through the descriptor with ``os.preadv``, so the
+        mapping's pages are neither faulted in nor left resident. A file
+        that ends before the rows do, as one truncated after it was opened,
+        raises the reader's error.
+        """
+        out = np.empty((hi - lo, *view.shape[1:]), dtype=view.dtype)
+        start = view.ctypes.data - self.bytes.ctypes.data + lo * view.strides[0]
+        buf, done = out.reshape(-1).view(np.uint8), 0
+        while done < out.nbytes:  # a read returns at most about 2 GB
+            n = os.preadv(self.fd, [buf[done:]], start + done)
+            if n == 0:
+                raise self.error(f"truncated {self.what} {self.path}: it ends before byte {start + out.nbytes}")
+            done += n
+        return out
 
     def strings(self, raw: np.ndarray, lengths: np.ndarray, noun: str) -> list[str]:
         """The ``u1`` block ``raw`` decoded as UTF-8 strings of the given byte ``lengths``."""

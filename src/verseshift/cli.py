@@ -4,7 +4,7 @@ Every subcommand reads an optional JSON config (--config) whose values are
 overridden by explicit flags; COMMANDS declares each setting once, with its
 flag, config key, type and default. Outputs are deterministic for identical
 inputs and seeds. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric failure.
+3 numeric failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -464,6 +464,9 @@ def main(argv: list[str] | None = None) -> int:
     except (corpus.CorpusError, trainer.ModelFormatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

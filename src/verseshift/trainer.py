@@ -44,6 +44,7 @@ PAIR_GROUP = 32  # consecutive pairs of a minibatch that share one negative set
 # reduceat's order is the first row plus a left-to-right sum of the rest.
 SCATTER_CUTOFF = 8
 ROW_BLOCK = 256  # words whose float64 slot vectors an analysis holds at once
+CHECK_BYTES = 1 << 20  # bytes of a matrix that load_model reads per finiteness check
 MAX_EPOCH_CODES = 2**32  # uint32 pair codes: a run's slot tokens times its 2 * reach pair steps
 PROGRESS_MARKS = 20  # train logs its progress at each 5% of an epoch's pairs
 
@@ -253,7 +254,7 @@ class JointEmbeddingModel:
         base: np.ndarray,
         deltas: np.ndarray,
         context: np.ndarray,
-        release=None,
+        read_rows=None,
     ) -> None:
         if deltas.shape[0] != len(slot_table):
             raise ValueError("need one delta matrix per time slot")
@@ -262,8 +263,8 @@ class JointEmbeddingModel:
         self.base = base  # (V, d) float32
         self.deltas = deltas  # (S, V, d) float32
         self.context = context  # (V, d) float32
-        # BlockReader.release of a mapped model; in memory a no-op, as dropping pages would zero them
-        self._release = release or (lambda view: None)
+        # read_rows(mat, lo, hi): rows [lo, hi) of one matrix; BlockReader.rows of a loaded model, else a slice
+        self._read_rows = read_rows or (lambda mat, lo, hi: mat[lo:hi])
         self.epoch_losses: list[float] = []
 
     @property
@@ -288,31 +289,35 @@ class JointEmbeddingModel:
     def embedding_of(self, word: str, slot: int) -> np.ndarray:
         """The word's vector in a slot: shared base row plus the slot delta row."""
         for _, vecs in self.slot_blocks(np.array([self._word_index(word)]), (slot,)):
-            return vecs[0][0]
-
-    def _gathered(self, mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``mat[rows]`` as float64; then releases ``mat``."""
-        out = mat[rows].astype(np.float64)
-        self._release(mat)
-        return out
+            return next(vecs)[0]
 
     def slot_blocks(self, rows: np.ndarray, slots=None):
         """The vectors of ``rows`` in each of ``slots`` (default every slot), ROW_BLOCK rows at a time.
 
         The one read of the matrices. Yields the offset of each block in
-        ``rows`` and a list of its float64 matrices, base plus delta rows, one
-        per slot in ``slots``. A loaded model releases each delta matrix after
-        its gather and the base once per block, so only the matrix being read
-        stays resident. The list is emptied before the next block is built, so
-        a caller holds len(slots) * ROW_BLOCK * d floats, never two blocks.
+        ``rows`` and an iterator over ``slots`` of the block's float64
+        vectors, base plus delta rows, built one slot at a time as it is
+        advanced; take it before the next block. Each block reads the rows
+        from its least to its greatest index of the base, and of each slot's
+        delta, then takes its own rows from them: a loaded model reads them
+        from the file (``BlockReader.rows``), so no analysis maps a matrix
+        page, and an in-memory model slices its arrays. At worst, a block
+        whose rows span the vocabulary reads one whole ``(V, d)`` matrix at
+        a time. A caller that takes every slot of a block holds
+        len(slots) * ROW_BLOCK * d floats, one that takes one slot at a
+        time ROW_BLOCK * d.
         """
         slots = range(self.n_slots) if slots is None else [self._check_slot(t) for t in slots]
         for lo in range(0, rows.size, ROW_BLOCK):
             block = rows[lo : lo + ROW_BLOCK]
-            base = self._gathered(self.base, block)
-            vecs = [base + self._gathered(self.deltas[t], block) for t in slots]
-            yield lo, vecs
-            vecs.clear()
+            first, end = int(block.min()), int(block.max()) + 1
+            local = block - first
+            base = self._read_rows(self.base, first, end)[local].astype(np.float64)
+            yield lo, self._slot_vectors(base, first, end, local, slots)
+
+    def _slot_vectors(self, base: np.ndarray, first: int, end: int, local: np.ndarray, slots):
+        for t in slots:
+            yield base + self._read_rows(self.deltas[t], first, end)[local]
 
     def nearest_neighbors(self, word: str, slot: int, k: int) -> list[tuple[str, float]]:
         """Top-k vocabulary words by cosine against the query word in a slot.
@@ -328,9 +333,10 @@ class JointEmbeddingModel:
         query = self.embedding_of(word, slot)
         sims = np.full(len(self.vocab), -np.inf)
         for lo, vecs in self.slot_blocks(np.arange(len(self.vocab)), (slot,)):
-            block = sims[lo : lo + len(vecs[0])]
-            ok = vecs[0].any(axis=1)  # zero rows have no direction to compare
-            block[ok] = rowwise_cosine(vecs[0][ok], query)
+            (vec,) = vecs
+            block = sims[lo : lo + ROW_BLOCK]
+            ok = vec.any(axis=1)  # zero rows have no direction to compare
+            block[ok] = rowwise_cosine(vec[ok], query)
         sims[wi] = -np.inf
         order = np.argsort(-sims, kind="stable")
         out = []
@@ -479,8 +485,8 @@ def train(
     raises NumericError naming its slab (:func:`_check_finite`). Progress
     is logged at each 5% of an epoch's pairs. An epoch's batches are dealt
     round-robin into ``workers`` shares: the calling thread runs the first,
-    a pool thread each other, and a failure or Ctrl-C in any share ends them
-    all before their next batch. Single-worker runs start no thread and with
+    a thread of the run's one pool each other, and a failure or Ctrl-C in
+    any share ends them all before their next batch. Single-worker runs start no thread and with
     a fixed seed are fully deterministic; extra workers update the shared
     matrices without locks and trade determinism for speed.
     """
@@ -525,40 +531,40 @@ def train(
     deltas_flat = mats[1:-1].reshape(len(slot_table) * n_words, d)
     lr_span = config.final_lr - config.initial_lr
     pairs_done = 0
-    for epoch, (n_pairs, n_tokens) in enumerate(epoch_counts):
-        rng_epoch = np.random.default_rng([config.seed, 2, epoch])
-        tokens, slot_ends, codes = _epoch_records(
-            _slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch), n_tokens, n_pairs, reach
-        )
-        # pair-level shuffle keeps every slot represented across the whole
-        # learning-rate range instead of letting large slots dominate the tail;
-        # numpy's 1-D shuffle makes the same swaps from the same draws for any
-        # item size, so the codes take permutation(n_pairs)'s order
-        rng_epoch.shuffle(codes)
-        progress = _EpochProgress(epoch, config.epochs, n_pairs)
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:  # the calling thread runs share 0
+        for epoch, (n_pairs, n_tokens) in enumerate(epoch_counts):
+            rng_epoch = np.random.default_rng([config.seed, 2, epoch])
+            tokens, slot_ends, codes = _epoch_records(
+                _slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch), n_tokens, n_pairs, reach
+            )
+            # pair-level shuffle keeps every slot represented across the whole
+            # learning-rate range instead of letting large slots dominate the tail;
+            # numpy's 1-D shuffle makes the same swaps from the same draws for any
+            # item size, so the codes take permutation(n_pairs)'s order
+            rng_epoch.shuffle(codes)
+            progress = _EpochProgress(epoch, config.epochs, n_pairs)
 
-        starts = range(0, n_pairs, config.batch_size)
-        rngs = [rng_epoch, *rng_epoch.spawn(config.workers - 1)]  # a single worker draws from rng_epoch alone
-        stop = threading.Event()  # set once any share fails, so the others end before their next batch
+            starts = range(0, n_pairs, config.batch_size)
+            rngs = [rng_epoch, *rng_epoch.spawn(config.workers - 1)]  # a single worker draws from rng_epoch alone
+            stop = threading.Event()  # set once any share fails, so the others end before their next batch
 
-        def run_batches(share: int) -> None:
-            for lo in starts[share :: config.workers]:
-                if stop.is_set():
-                    return
-                centers, j = np.divmod(codes[lo : lo + config.batch_size], steps.size)
-                n_groups = -(-centers.size // PAIR_GROUP)
-                negs = np.searchsorted(
-                    neg_cdf, rngs[share].random((n_groups, config.negatives)), side="right"
-                ).astype(np.int32)
-                lr = config.initial_lr + lr_span * ((pairs_done + lo) / total_pairs)
-                words, contexts = np.take(tokens, centers), np.take(tokens, centers + steps[j])
-                batch = TrainingBatch(words, np.searchsorted(slot_ends, centers, side="right"), contexts, negs)
-                loss = sgd_step(model.base, deltas_flat, model.context, n_words, batch, lr)
-                if not np.isfinite(loss):
-                    raise NumericError(f"non-finite loss in epoch {epoch}")
-                progress.add(centers.size, loss, lr)
+            def run_batches(share: int) -> None:
+                for lo in starts[share :: config.workers]:
+                    if stop.is_set():
+                        return
+                    centers, j = np.divmod(codes[lo : lo + config.batch_size], steps.size)
+                    n_groups = -(-centers.size // PAIR_GROUP)
+                    negs = np.searchsorted(
+                        neg_cdf, rngs[share].random((n_groups, config.negatives)), side="right"
+                    ).astype(np.int32)
+                    lr = config.initial_lr + lr_span * ((pairs_done + lo) / total_pairs)
+                    words, contexts = np.take(tokens, centers), np.take(tokens, centers + steps[j])
+                    batch = TrainingBatch(words, np.searchsorted(slot_ends, centers, side="right"), contexts, negs)
+                    loss = sgd_step(model.base, deltas_flat, model.context, n_words, batch, lr)
+                    if not np.isfinite(loss):
+                        raise NumericError(f"non-finite loss in epoch {epoch}")
+                    progress.add(centers.size, loss, lr)
 
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:  # the calling thread runs share 0
             try:
                 helpers = [pool.submit(run_batches, share) for share in range(1, config.workers)]
                 for helper in helpers:
@@ -568,28 +574,28 @@ def train(
                     helper.result()  # raises a helper's error
             finally:
                 stop.set()  # on an error or Ctrl-C, every helper ends before the pool joins it
-        del tokens, codes  # before the next epoch builds its own
+            del tokens, codes  # before the next epoch builds its own
 
-        pairs_done += n_pairs
-        mean_loss = progress.loss_sum / max(1, n_pairs)
-        model.epoch_losses.append(mean_loss)
-        log.info("epoch %d/%d: %d pairs, mean loss %.5f", epoch + 1, config.epochs, n_pairs, mean_loss)
-        _check_finite(mats, lambda name: NumericError(f"non-finite value in {name} after epoch {epoch}"),
-                      model._release)
+            pairs_done += n_pairs
+            mean_loss = progress.loss_sum / max(1, n_pairs)
+            model.epoch_losses.append(mean_loss)
+            log.info("epoch %d/%d: %d pairs, mean loss %.5f", epoch + 1, config.epochs, n_pairs, mean_loss)
+            _check_finite(enumerate(mats), len(slot_table),
+                          lambda name: NumericError(f"non-finite value in {name} after epoch {epoch}"))
     return model
 
 
-def _check_finite(mats: np.ndarray, error, release) -> None:
+def _check_finite(slabs, n_slots: int, error) -> None:
     """Raise ``error(name)`` for the first slab of a ``(S+2, V, d)`` matrix block holding a non-finite value.
 
     The block is model.bin's: base, the delta of each slot, then context;
-    ``name`` is ``base``, ``slot k delta`` or ``context``. Slab by slab, so
-    no full-size temporary; each slab is passed to ``release`` once checked.
+    ``name`` is ``base``, ``slot k delta`` or ``context``. ``slabs`` yields
+    ``(i, values)`` pairs in slab order, the values of slab ``i`` whole or
+    one part of them at a time, so no temporary is larger than a part.
     """
-    for i, mat in enumerate(mats):
-        if not np.isfinite(mat).all():
-            raise error("base" if i == 0 else "context" if i == len(mats) - 1 else f"slot {i - 1} delta")
-        release(mat)
+    for i, values in slabs:
+        if not np.isfinite(values).all():
+            raise error("base" if i == 0 else "context" if i == n_slots + 1 else f"slot {i - 1} delta")
 
 
 def save_model(model: JointEmbeddingModel, path) -> None:
@@ -619,11 +625,14 @@ def load_model(path) -> JointEmbeddingModel:
     error and allocates nothing. A corrupt file, one of another version or
     a non-finite matrix value raises ModelFormatError.
     The matrices are read-only views of the mapped file, so loading costs
-    no copy; the file must not be truncated in place while they are in use
-    (:func:`save_model` replaces a file instead of rewriting it). The header
-    pages, and each ``(V, d)`` matrix after its finiteness check, are
-    released from the process (``BlockReader.release``), so a load keeps one
-    matrix resident at a time and returns with none.
+    no copy. The header pages are released from the process once decoded
+    (``BlockReader.release``); the finiteness check and every
+    :meth:`JointEmbeddingModel.slot_blocks` read matrix rows from the file
+    (``BlockReader.rows``), the check CHECK_BYTES at a time, so neither
+    maps a matrix page and a load returns with no matrix resident. A file
+    truncated in place after the load makes the next read raise
+    ModelFormatError (:func:`save_model` replaces a file instead of
+    rewriting it); only indexing the views themselves would fault.
     """
     reader = BlockReader(path, "model file", MODEL_MAGIC, MODEL_VERSION, ModelFormatError)
     d, n_words, n_slots = reader.block("<u4", (3,)).tolist()
@@ -644,12 +653,14 @@ def load_model(path) -> JointEmbeddingModel:
         raise ModelFormatError(f"invalid slot years in {path}: {exc}") from exc
     if (counts >= np.uint64(1 << 63)).any():
         raise ModelFormatError(f"word count beyond the int64 range in {path}")
-    counts = counts.astype(np.int64).T.copy()  # (S+1, V): the global counts, then one row per slot
+    counts = counts.T.astype(np.int64, order="C")  # (S+1, V): the global counts, then one row per slot
     index = {w: i for i, w in enumerate(words)}
     if len(index) != n_words:
         raise ModelFormatError(f"repeated word in {path}")
     vocab = Vocabulary(words, index, counts[0], counts[1:], slot_total_tokens=counts[1:].sum(axis=1))
     reader.release(header)  # copied out by now
-    _check_finite(mats, lambda name: ModelFormatError(f"non-finite value in the {name} matrix of {path}"),
-                  reader.release)  # so one slab is resident at a time
-    return JointEmbeddingModel(vocab, table, mats[0], mats[1:-1], mats[-1], reader.release)
+    step = max(1, CHECK_BYTES // (4 * d))  # rows per read
+    chunks = ((i, reader.rows(mat, lo, min(lo + step, n_words)))
+              for i, mat in enumerate(mats) for lo in range(0, n_words, step))
+    _check_finite(chunks, n_slots, lambda name: ModelFormatError(f"non-finite value in the {name} matrix of {path}"))
+    return JointEmbeddingModel(vocab, table, mats[0], mats[1:-1], mats[-1], reader.rows)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import PcaResult, pca, row_norms, rowwise_cosine
-from .trainer import JointEmbeddingModel
+from .trainer import ROW_BLOCK, JointEmbeddingModel
 
 log = logging.getLogger(__name__)
 
@@ -71,8 +71,8 @@ def build_trajectories(
     targets = [model.embedding_of(target, t) for t in range(n_slots)]
     target_norms = [row_norms(v) for v in targets]
     for lo, vecs in model.slot_blocks(cand):
-        block = values[lo : lo + len(vecs[0])]
-        for t, v in enumerate(vecs):
+        block = values[lo : lo + ROW_BLOCK]
+        for t, v in enumerate(vecs):  # one slot's vectors at a time
             block[:, t] = rowwise_cosine(v, targets[t], norm_b=target_norms[t])
 
     imputed = np.ascontiguousarray(missing_slots[:, cand].T)

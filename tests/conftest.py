@@ -66,6 +66,16 @@ def make_model(words, slot_starts, base, deltas, context=None, slot_counts=None,
     return trainer.JointEmbeddingModel(vocab, table, base, deltas, np.asarray(context, np.float32))
 
 
+def random_model(n_words, n_slots, dim, seed, **counts):
+    """Words ``w0``, ``w1``, ... over 50-year slots from 1600, with standard normal base and deltas."""
+    rng = np.random.default_rng(seed)
+    return make_model(
+        [f"w{i}" for i in range(n_words)], [1600 + 50 * t for t in range(n_slots)],
+        rng.standard_normal((n_words, dim), dtype=np.float32),
+        rng.standard_normal((n_slots, n_words, dim), dtype=np.float32), **counts,
+    )
+
+
 def working_bytes(fn):
     """Run ``fn``; returns its result and its traced peak above what that result keeps.
 

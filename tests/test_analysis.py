@@ -13,7 +13,7 @@ from verseshift import analysis, svgplot, trainer, tropes
 from verseshift.analysis import DistributionSummary, SelfSimSeries
 
 from _oracles import selfsim_unblocked, total_word_means_unblocked
-from conftest import make_model, make_table, stack_model, working_bytes
+from conftest import make_model, make_table, random_model, stack_model, working_bytes
 
 BLOCK = trainer.ROW_BLOCK
 
@@ -470,40 +470,36 @@ def analysis_steps(model, target):
     ]
 
 
-def mapped_file_kb() -> int | None:
-    """Resident file pages of this process in kB (RssFile, plus RssShmem for a tmpfs), or None without RssFile."""
+def resident_kb() -> int | None:
+    """Resident pages of this process in kB: file pages (RssFile, plus RssShmem for a tmpfs) and anonymous
+    pages (RssAnon), so a read into a buffer counts as a mapped page does; None without RssFile."""
     try:
         with open("/proc/self/status", encoding="ascii") as fh:
             fields = dict(line.split(":", 1) for line in fh)
     except OSError:
         return None
-    if "RssFile" not in fields:
+    if "RssFile" not in fields or "RssAnon" not in fields:
         return None
-    return sum(int(fields[key].split()[0]) for key in ("RssFile", "RssShmem") if key in fields)
+    return sum(int(fields[key].split()[0]) for key in ("RssFile", "RssShmem", "RssAnon") if key in fields)
 
 
 class TestModelResidency:
     def test_loaded_model_keeps_a_quarter_of_its_matrices_resident_at_most(self, tmp_path):
-        if mapped_file_kb() is None:
-            pytest.skip("/proc/self/status has no RssFile")
-        n_words, n_slots, dim = 25_000, 8, 50
-        rng = np.random.default_rng(15)
-        model = make_model(
-            [f"w{i}" for i in range(n_words)], [1600 + 50 * t for t in range(n_slots)],
-            rng.standard_normal((n_words, dim), dtype=np.float32),
-            rng.standard_normal((n_slots, n_words, dim), dtype=np.float32),
-            slot_counts=np.full((n_slots, n_words), 60), global_counts=np.full(n_words, 800),
-        )
+        if resident_kb() is None:
+            pytest.skip("/proc/self/status has no RssFile or RssAnon")
+        n_words, n_slots = 25_000, 8
+        model = random_model(n_words, n_slots, 50, 15, slot_counts=np.full((n_slots, n_words), 60),
+                             global_counts=np.full(n_words, 800))
         matrix_bytes = model.base.nbytes + model.deltas.nbytes + model.context.nbytes
         assert matrix_bytes >= 40_000_000
         trainer.save_model(model, tmp_path / "model.bin")
         del model
-        before = mapped_file_kb()
+        before = resident_kb()
         loaded = trainer.load_model(tmp_path / "model.bin")
-        growth = [mapped_file_kb() - before]
+        growth = [resident_kb() - before]
         for step in analysis_steps(loaded, "w0"):  # each reads every row of every slot it compares
             step()
-            growth.append(mapped_file_kb() - before)
+            growth.append(resident_kb() - before)
         assert max(growth) * 1024 < matrix_bytes / 4, f"kB resident after the load and each analysis: {growth}"
 
     def test_model_in_memory_is_unchanged_by_the_analyses(self):

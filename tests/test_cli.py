@@ -28,6 +28,7 @@ from conftest import (
     TINY_SLOT_YEARS,
     TINY_WORD0,
     make_model,
+    random_model,
     write_tiny_cache,
     write_tiny_model,
 )
@@ -598,6 +599,34 @@ class TestNumericFailureExitCode:
         monkeypatch.setattr(trainer_module, "train", explode)
         rc = cli.main(["train", "--out", str(workspace["out"]), *SLOT_FLAGS, *TRAIN_FLAGS])
         assert rc == 3
+
+
+class TestInterruptExitCode:
+    def test_ctrl_c_exits_130_with_one_line_and_no_traceback(self, workspace, monkeypatch, capsys):
+        def interrupted(ns):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_selfsim", interrupted)
+        assert cli.main(["selfsim", "--out", str(workspace["out"])]) == 130
+        err = capsys.readouterr().err
+        assert err == "interrupted\n"
+
+
+def test_model_truncated_after_its_load_exits_two(tmp_path, monkeypatch, capsys):
+    n_words = 20_000
+    path = tmp_path / "m.bin"
+    trainer.save_model(random_model(n_words, 4, 50, 28), path)
+    load = trainer.load_model
+
+    def load_then_truncate(model_path):
+        loaded = load(model_path)
+        os.truncate(model_path, 3 << 20)  # in place, as another program might
+        return loaded
+
+    monkeypatch.setattr(trainer, "load_model", load_then_truncate)
+    rc = cli.main(["selfsim", "--out", str(tmp_path / "out"), "--model", str(path), "--top-n", str(n_words)])
+    assert rc == 2
+    assert f"truncated model file {path}" in capsys.readouterr().err
 
 
 def slot_source(command, workspace):

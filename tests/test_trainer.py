@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 import struct
 import threading
@@ -34,6 +35,7 @@ from conftest import (
     make_model,
     make_table,
     make_vocab,
+    random_model,
     slot_documents,
     working_bytes,
     write_tiny_model,
@@ -480,6 +482,19 @@ class TestTraining:
         for mat in (model.base, model.deltas, model.context):
             assert np.isfinite(mat).all()
 
+    def test_one_thread_pool_serves_every_epoch(self, monkeypatch):
+        monkeypatch.setattr(trainer, "max_workers", lambda: 2)
+        pools = []
+        pool_class = trainer.ThreadPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return pool_class(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "ThreadPoolExecutor", counted_pool)
+        train_tiny(quick_config(epochs=3, workers=2))
+        assert pools == [{"max_workers": 2}]
+
     def test_one_worker_trains_on_the_calling_thread(self, monkeypatch):
         threads = threading.active_count()
         seen = []
@@ -830,7 +845,7 @@ class TestModelFile:
             synonym_model.context - 1.0, vocab.slot_counts, vocab.global_counts,
         )
         trainer.save_model(other, path)
-        # the analysis releases the mapped pages it reads; reading them again gives the replaced file's bytes
+        # the analysis reads through the descriptor of the file that was loaded, not the path
         cosines = analysis.pairwise_self_similarity(loaded, top_n=len(vocab)).cosines
         want_cosines = analysis.pairwise_self_similarity(synonym_model, top_n=len(vocab)).cosines
         assert all(np.array_equal(got, want) for got, want in zip(cosines, want_cosines, strict=True))
@@ -838,6 +853,25 @@ class TestModelFile:
                           (loaded.context, synonym_model.context)):
             assert np.array_equal(got, want)
         assert np.array_equal(trainer.load_model(path).base, other.base)
+
+    def test_analysis_of_a_model_truncated_after_its_load_raises_format_error(self, tmp_path):
+        n_words = 20_000
+        path = tmp_path / "m.bin"
+        trainer.save_model(random_model(n_words, 4, 50, 28), path)
+        assert path.stat().st_size > 20 << 20
+        loaded = trainer.load_model(path)
+        os.truncate(path, 3 << 20)  # in place: the mapping now runs past the file's end
+        with pytest.raises(trainer.ModelFormatError, match="truncated model file"):
+            analysis.pairwise_self_similarity(loaded, top_n=n_words)
+
+    def test_a_loaded_model_leaves_no_descriptor_open_once_collected(self, tmp_path, synonym_model):
+        path = tmp_path / "m.bin"
+        trainer.save_model(synonym_model, path)
+        open_fds = len(os.listdir("/dev/fd"))
+        model = trainer.load_model(path)
+        assert len(os.listdir("/dev/fd")) > open_fds  # the reads go through a descriptor of their own
+        del model
+        assert len(os.listdir("/dev/fd")) == open_fds
 
     def test_failed_save_leaves_old_file(self, tmp_path, synonym_model):
         class Unwritable:
@@ -944,4 +978,11 @@ class TestModelFile:
         path = tmp_path / "m.bin"
         write_tiny_model(path, offset, np.float32(value).astype("<f4").tobytes())
         with pytest.raises(trainer.ModelFormatError, match=f"non-finite value in the {slab} matrix"):
+            trainer.load_model(path)
+
+    def test_non_finite_value_in_a_later_read_names_its_matrix(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trainer, "CHECK_BYTES", 8)  # one row of the tiny model per read
+        path = tmp_path / "m.bin"
+        write_tiny_model(path, TINY_DELTA1 + 12, np.float32(np.nan).astype("<f4").tobytes())  # its second row
+        with pytest.raises(trainer.ModelFormatError, match="non-finite value in the slot 1 delta matrix"):
             trainer.load_model(path)
