@@ -4,6 +4,7 @@
 Usage (from the repository root):
 
     python3 scripts/output_digests.py WORKLOAD SEED OUT [TRAIN_FLAG ...]
+    python3 scripts/output_digests.py canonical OUT
 
 WORKLOAD is ``shift6``, ``sliding13`` or ``reports``; only ``sliding13``
 trains with subsampling on. Any arguments after OUT are extra ``train``
@@ -20,6 +21,11 @@ error, which carries timings, is kept apart under ``OUT/logs``. The last
 line is the sha256 of all the lines before it. Two checkouts whose final
 lines agree wrote and printed the same bytes. The exit code is 1 when a
 command fails.
+
+``canonical`` runs the four sets that byte-identity claims use, each under
+its own directory of OUT: ``shift6 3``, ``reports 3``, ``sliding13 7`` and
+``sliding13 3 --epochs 3 --subsample 0.001``. It prints one ``<set> <final
+line>`` line per set, and exits 1 if any command of any set fails.
 """
 
 from __future__ import annotations
@@ -58,17 +64,14 @@ def _run(run, argv: list[str], log_path: Path) -> bytes | None:
     return None
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) < 3 or argv[0] not in ("shift6", "sliding13", "reports"):
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    workload, seed, out, train_flags = argv[0], int(argv[1]), Path(argv[2]).resolve(), argv[3:]
+def digests(workload: str, seed: int, out: Path, train_flags: list[str]) -> str | None:
+    """The per-file and per-command lines of one workload, then their sha256; None if a command fails."""
     run = _load_run()
     shutil.rmtree(out, ignore_errors=True)
     inputs_dir, run_dir, logs = out / "inputs", out / "run", out / "logs"
     logs.mkdir(parents=True)
     if _run(run, [str(ROOT / "vsbench" / "gen.py"), workload, str(seed), str(inputs_dir)], logs / "gen.txt") is None:
-        return 1
+        return None
     info = json.loads((inputs_dir / "setup.json").read_text())
     inputs = run.Inputs({k: Path(v) for k, v in info["files"].items()}, info["truth"])
     printed = []
@@ -76,7 +79,7 @@ def main(argv: list[str]) -> int:
         extra = ["--workers", "1", *train_flags] if cmd.kind == "train" else []
         stdout = _run(run, ["-m", "verseshift.cli", *cmd.argv, *extra], logs / f"{i:02d}-{cmd.kind}.txt")
         if stdout is None:
-            return 1
+            return None
         stdout = stdout.replace(str(run_dir).encode(), b"<run>")
         printed.append(f"{hashlib.sha256(stdout).hexdigest()}  stdout {i:02d}-{cmd.kind}\n")
 
@@ -85,8 +88,25 @@ def main(argv: list[str]) -> int:
         for p in sorted(run_dir.rglob("*"), key=lambda p: p.relative_to(run_dir).as_posix())
         if p.is_file()
     ) + "".join(printed)
+    return lines + hashlib.sha256(lines.encode()).hexdigest() + "\n"
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["canonical"] and len(argv) == 2:
+        failed = False
+        for i, name in enumerate(("shift6 3", "reports 3", "sliding13 7", "sliding13 3 --epochs 3 --subsample 0.001")):
+            workload, seed, *flags = name.split()
+            lines = digests(workload, int(seed), Path(argv[1]).resolve() / f"{i}-{workload}", flags)
+            failed |= lines is None
+            print(name, "failed" if lines is None else lines.splitlines()[-1], flush=True)
+        return int(failed)
+    if len(argv) < 3 or argv[0] not in ("shift6", "sliding13", "reports"):
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
+        return 2
+    lines = digests(argv[0], int(argv[1]), Path(argv[2]).resolve(), argv[3:])
+    if lines is None:
+        return 1
     print(lines, end="")
-    print(hashlib.sha256(lines.encode()).hexdigest())
     return 0
 
 

@@ -3,8 +3,8 @@
 A file starts with a magic and a ``<u4`` version, which :func:`replacing`
 writes and :class:`BlockReader` checks, and is then read block by block, each
 block a read-only numpy view of one mapping of the whole file, so viewing
-copies nothing; :meth:`BlockReader.rows` copies rows of a view out of the
-file instead, with positioned reads that leave the mapping untouched.
+copies nothing; :meth:`BlockReader.rows` is the one way to copy rows of a
+view out of the file, with positioned reads that leave the mapping untouched.
 Writers go through :func:`replacing`, so a reader that has a file mapped
 never sees it truncated.
 """
@@ -64,16 +64,6 @@ class BlockReader:
         out = np.frombuffer(self.buf, dtype=dtype, count=count, offset=self.offset).reshape(shape)
         self.offset = end
         return out
-
-    def release(self, view: np.ndarray) -> None:
-        """Drop the pages under ``view``, a contiguous view of this mapping, from the process.
-
-        They stay in the page cache, and reading them again maps them again
-        from the file; so do bytes of neighbouring blocks on the same pages.
-        """
-        start = view.ctypes.data - self.bytes.ctypes.data
-        page = start - start % mmap.PAGESIZE
-        self.buf.madvise(mmap.MADV_DONTNEED, page, start + view.nbytes - page)
 
     def rows(self, view: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Rows ``[lo, hi)`` of ``view``, a C-contiguous view of this mapping, read from the file into a fresh array.

@@ -127,33 +127,27 @@ def generate(spec: SynthSpec) -> list[dict]:
         before, after = clusters[p.word]
         if p.word in before or p.word in after:
             raise ValueError(f"planted word {p.word!r} may not appear in its own cluster")
-    fillers = spec.filler_word_list()
-    n_ctx = spec.stanza_tokens - 1
+    fillers = np.array(spec.filler_word_list(), dtype=object)
+    columns = np.arange(spec.stanza_tokens)
 
     records: list[dict] = []
     for slot, (year_lo, year_hi) in enumerate(spec.slot_bounds()):
-        slot_rows: list[list[str]] = []
+        blocks = []
         for item in spec.planted:
-            before, after = clusters[item.word]
+            # object arrays: a "<U" array would drop a word's trailing NULs
+            before, after = (np.array(c, dtype=object) for c in clusters[item.word])
             w_after = _after_weight(item, slot, spec.slot_count)
             n = item.occurrences_per_slot
-            use_after = rng.random((n, n_ctx)) < w_after
-            pick_before = rng.integers(0, len(before), size=(n, n_ctx))
-            pick_after = rng.integers(0, len(after), size=(n, n_ctx))
+            use_after = rng.random((n, spec.stanza_tokens - 1)) < w_after
+            pick_before = rng.integers(0, len(before), size=use_after.shape)
+            pick_after = rng.integers(0, len(after), size=use_after.shape)
             positions = rng.integers(0, spec.stanza_tokens, size=n)
-            for r in range(n):
-                row = [
-                    after[pick_after[r, c]] if use_after[r, c] else before[pick_before[r, c]]
-                    for c in range(n_ctx)
-                ]
-                row.insert(int(positions[r]), item.word)
-                slot_rows.append(row)
-        planted_tokens = len(slot_rows) * spec.stanza_tokens
-        n_background = (spec.tokens_per_slot - planted_tokens) // spec.stanza_tokens
-        if n_background > 0:
-            picks = rng.integers(0, len(fillers), size=(n_background, spec.stanza_tokens))
-            for r in range(n_background):
-                slot_rows.append([fillers[j] for j in picks[r]])
+            rows = np.full((n, spec.stanza_tokens), item.word, dtype=object)
+            rows[columns != positions[:, None]] = np.where(use_after, after[pick_after], before[pick_before]).ravel()
+            blocks.append(rows)
+        n_background = spec.tokens_per_slot // spec.stanza_tokens - sum(map(len, blocks))
+        blocks.append(fillers[rng.integers(0, len(fillers), size=(n_background, spec.stanza_tokens))])
+        slot_rows = np.concatenate(blocks)
 
         order = rng.permutation(len(slot_rows))
         years = rng.integers(year_lo, year_hi, size=len(slot_rows))

@@ -139,12 +139,8 @@ def _batch_terms(u: np.ndarray, c_pos: np.ndarray, c_neg: np.ndarray):
     n_pairs, d = u.shape
     n_groups, k, _ = c_neg.shape
     size = -(-n_pairs // n_groups)
-    if n_groups * size == n_pairs:
-        u_grouped = u.reshape(n_groups, size, d)
-    else:
-        u_grouped = np.zeros((n_groups * size, d), dtype=u.dtype)
-        u_grouped[:n_pairs] = u
-        u_grouped = u_grouped.reshape(n_groups, size, d)
+    pad = n_groups * size - n_pairs
+    u_grouped = (np.pad(u, ((0, pad), (0, 0))) if pad else u).reshape(n_groups, size, d)
     s_pos = np.einsum("bd,bd->b", u, c_pos)
     s_neg = u_grouped @ c_neg.transpose(0, 2, 1)  # (G, size, k)
     g_pos = _sigmoid(s_pos) - 1.0
@@ -621,15 +617,15 @@ def load_model(path) -> JointEmbeddingModel:
     """Map a model file written by :func:`save_model` read-only and view each block in place.
 
     Every block is viewed, and together they must fill the file exactly,
-    before any is decoded or checked, so a damaged size fails as a length
-    error and allocates nothing. A corrupt file, one of another version or
-    a non-finite matrix value raises ModelFormatError.
-    The matrices are read-only views of the mapped file, so loading costs
-    no copy. The header pages are released from the process once decoded
-    (``BlockReader.release``); the finiteness check and every
-    :meth:`JointEmbeddingModel.slot_blocks` read matrix rows from the file
-    (``BlockReader.rows``), the check CHECK_BYTES at a time, so neither
-    maps a matrix page and a load returns with no matrix resident. A file
+    before any is copied, decoded or checked, so a damaged size fails as a
+    length error and allocates nothing. A corrupt file, one of another
+    version or a non-finite matrix value raises ModelFormatError.
+    The years, counts and word bytes are then copied out with positioned
+    reads (``BlockReader.rows``); the vocabulary keeps the count block as
+    read. The matrices stay read-only views of the mapped file: the
+    finiteness check and every :meth:`JointEmbeddingModel.slot_blocks` read
+    their rows the same way, the check CHECK_BYTES at a time, so neither
+    matrix page and a load returns with no matrix resident. A file
     truncated in place after the load makes the next read raise
     ModelFormatError (:func:`save_model` replaces a file instead of
     rewriting it); only indexing the views themselves would fault.
@@ -642,9 +638,9 @@ def load_model(path) -> JointEmbeddingModel:
     lengths = reader.block("<u4", (n_words,))
     counts = reader.block("<u8", (n_words, n_slots + 1))  # the global count, then one count per slot
     raw = reader.block("u1", (int(lengths.sum(dtype=np.uint64)),))
-    header = reader.bytes[: reader.offset]
     mats = reader.block("<f4", (n_slots + 2, n_words, d))  # base, the per-slot deltas, then context
     reader.end()
+    years, counts, raw = (reader.rows(view, 0, len(view)) for view in (years, counts, raw))
 
     words = reader.strings(raw, lengths, "word")
     try:
@@ -653,12 +649,11 @@ def load_model(path) -> JointEmbeddingModel:
         raise ModelFormatError(f"invalid slot years in {path}: {exc}") from exc
     if (counts >= np.uint64(1 << 63)).any():
         raise ModelFormatError(f"word count beyond the int64 range in {path}")
-    counts = counts.T.astype(np.int64, order="C")  # (S+1, V): the global counts, then one row per slot
+    counts = counts.view("<i8").T  # (S+1, V): the global counts, then one row per slot
     index = {w: i for i, w in enumerate(words)}
     if len(index) != n_words:
         raise ModelFormatError(f"repeated word in {path}")
     vocab = Vocabulary(words, index, counts[0], counts[1:], slot_total_tokens=counts[1:].sum(axis=1))
-    reader.release(header)  # copied out by now
     step = max(1, CHECK_BYTES // (4 * d))  # rows per read
     chunks = ((i, reader.rows(mat, lo, min(lo + step, n_words)))
               for i, mat in enumerate(mats) for lo in range(0, n_words, step))

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,6 +487,16 @@ def resident_kb() -> int | None:
     return sum(int(fields[key].split()[0]) for key in ("RssFile", "RssShmem", "RssAnon") if key in fields)
 
 
+LOAD_GROWTH = """
+import sys
+from test_analysis import resident_kb
+from verseshift import trainer
+before = resident_kb()
+model = trainer.load_model(sys.argv[1])
+print(resident_kb() - before)
+"""
+
+
 class TestModelResidency:
     def test_loaded_model_keeps_a_quarter_of_its_matrices_resident_at_most(self, tmp_path):
         if resident_kb() is None:
@@ -501,6 +515,28 @@ class TestModelResidency:
             step()
             growth.append(resident_kb() - before)
         assert max(growth) * 1024 < matrix_bytes / 4, f"kB resident after the load and each analysis: {growth}"
+
+    def test_load_keeps_the_count_block_once_and_no_header_page(self, tmp_path):
+        if resident_kb() is None:
+            pytest.skip("/proc/self/status has no RssFile or RssAnon")
+        n_words, n_slots = 5000, 60
+        model = random_model(n_words, n_slots, 4, 3, slot_counts=np.full((n_slots, n_words), 60),
+                             global_counts=np.full(n_words, 800))
+        count_bytes = n_words * (n_slots + 1) * 8
+        assert count_bytes >= 2_000_000
+        trainer.save_model(model, tmp_path / "model.bin")
+        # a fresh process, so heap memory that earlier tests freed cannot hide a copy
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (tests.parent / "src", tests)))}
+        proc = subprocess.run([sys.executable, "-c", LOAD_GROWTH, str(tmp_path / "model.bin")],
+                              env=env, capture_output=True, text=True, check=True)
+        growth = int(proc.stdout)
+        # the words and their index take about 1 MB more; a second copy of the counts, or their pages left
+        # mapped, would add count_bytes
+        assert growth * 1024 < count_bytes + 2_000_000, f"kB resident after the load: {growth}"
+        vocab = trainer.load_model(tmp_path / "model.bin").vocab
+        assert vocab.global_counts.dtype == np.int64 and vocab.slot_counts.dtype == np.int64
+        assert (vocab.slot_counts == 60).all() and (vocab.global_counts == 800).all()
 
     def test_model_in_memory_is_unchanged_by_the_analyses(self):
         model = stack_model()

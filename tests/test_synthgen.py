@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 
@@ -64,6 +65,17 @@ class TestGenerate:
         synthgen.generate_jsonl(small_spec(), p1)
         synthgen.generate_jsonl(small_spec(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # every kind of planted word, and a context word ending in a NUL, which a "<U" numpy array would drop
+        spec = synthgen.SynthSpec(slot_count=6, tokens_per_slot=50_000, seed=7, planted=[
+            synthgen.PlantedWord("alpha", "stable", occurrences_per_slot=120, context_words=["ka", "kb\x00"]),
+            synthgen.PlantedWord("beta", "abrupt_shift", shift_slot=3, occurrences_per_slot=80),
+            synthgen.PlantedWord("gamma", "linear_drift", drift_rate=0.7, occurrences_per_slot=60, cluster_size=4),
+        ])
+        synthgen.generate_jsonl(spec, tmp_path / "c.jsonl")
+        digest = hashlib.sha256((tmp_path / "c.jsonl").read_bytes()).hexdigest()
+        assert digest == "6f2376378b32581c6accd2243848bb78e1de8906402e50d740b2d6f72e98d124"
 
     def test_different_seed_differs(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
