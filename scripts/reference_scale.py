@@ -14,8 +14,11 @@ in its own process as ``vsbench/child.py RESULT 0 COMMAND ...``, with
 outputs under ``OUT/run``. ``OUT/reference_scale.json`` records, per
 command: its wall seconds, its peak memory (the child's own VmHWM, in MB),
 its minor page faults (``ru_minflt`` from ``os.wait4``), the pairs of each
-epoch it trained (from the ``train`` log) and the size of every file it
-wrote. The exit code is 1 when a command fails.
+epoch it trained and the size of every file it wrote. Beside ``train``'s
+peak it records the two figures ``train`` logs before it allocates its
+matrices: their bytes (``matrix_bytes``) and the most bytes an epoch's pair
+codes and kept tokens take (``epoch_bytes``), both from the ``train`` log.
+The exit code is 1 when a command fails.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EPOCH_LINE = re.compile(r"epoch \d+/\d+: (\d+) pairs, mean loss")
+MEMORY_LINE = re.compile(r"memory: (\d+) bytes of model matrices, at most (\d+) bytes of pair codes and tokens per epoch")
 
 
 def _load(name: str):
@@ -90,7 +94,10 @@ def main(argv: list[str] | None = None) -> int:
         before = _files(run_dir)
         log = logs / f"{i:02d}-{cmd.kind}.txt"
         entry = {"kind": cmd.kind, **_run_child(run, argv, logs / f"{i:02d}-{cmd.kind}.json", log)}
-        entry["epoch_pairs"] = [int(n) for n in EPOCH_LINE.findall(log.read_text(errors="replace"))]
+        text = log.read_text(errors="replace")
+        entry["epoch_pairs"] = [int(n) for n in EPOCH_LINE.findall(text)]
+        if memory := MEMORY_LINE.search(text):
+            entry["matrix_bytes"], entry["epoch_bytes"] = map(int, memory.groups())
         entry["files"] = {name: size for name, (size, mtime) in _files(run_dir).items() if before.get(name) != (size, mtime)}
         record["commands"].append(entry)
         print(json.dumps(entry), flush=True)

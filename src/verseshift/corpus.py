@@ -53,7 +53,11 @@ class IngestResult:
 
 @dataclass
 class Documents:
-    """A corpus in columns: document d holds ``types[ids[offsets[d]:offsets[d + 1]]]``."""
+    """A corpus in columns: document d holds ``types[ids[offsets[d]:offsets[d + 1]]]``.
+
+    ``ids`` is the only per-token column; :meth:`select` reads the tokens of
+    chosen documents from it.
+    """
 
     types: list[str]  # distinct tokens, in the order first seen
     ids: np.ndarray  # (N,) int32 indices into types
@@ -80,6 +84,25 @@ class Documents:
     @property
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    def select(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The type id and the int32 document number of each token of the documents ``mask`` selects, in corpus order.
+
+        ``mask`` is ``(D,)`` bool. One gather reads the ids at the tokens'
+        positions: each document's offset less its start among the selected
+        tokens, repeated, plus a running count. So the cost grows with the
+        selected tokens, whose int64 positions are freed before the document
+        numbers are made, and no corpus-length array is made.
+        """
+        rows = np.flatnonzero(mask)
+        starts = self.offsets[rows]
+        n = self.offsets[rows + 1] - starts
+        local = np.cumsum(n) - n
+        positions = np.repeat(starts - local, n)
+        positions += np.arange(positions.size)
+        types = self.ids[positions]
+        del positions
+        return types, np.repeat(rows.astype(np.int32), n)
 
 
 def _is_str_list(value: object) -> bool:
@@ -403,15 +426,17 @@ def build_vocab(docs: Documents, table: TimeSlotTable, min_count: int = 5) -> Vo
 
     Words are ordered by global count descending, ties by ``str`` order,
     which keeps top-N selection stable. Documents outside every slot are
-    counted in a warning.
+    counted in a warning. Each slot is counted with ``np.bincount`` over one
+    :meth:`Documents.select` read of its documents, whose size is the slot's
+    total tokens; the global counts are those of the whole id column less
+    those of a read of the documents outside every slot.
     """
     member = assign_slots(docs.years, table)
     in_range = member.any(axis=1)
     if not in_range.all():
         log.warning("%d stanzas fall outside all time slots", np.count_nonzero(~in_range))
-    lengths = docs.lengths
     n_types = len(docs.types)
-    counts = np.bincount(docs.ids[np.repeat(in_range, lengths)], minlength=n_types)
+    counts = np.bincount(docs.ids, minlength=n_types) - np.bincount(docs.select(~in_range)[0], minlength=n_types)
     kept = np.flatnonzero(counts >= max(min_count, 1)).tolist()
     if not kept:
         raise CorpusError(f"no words reach min_count={min_count}; vocabulary is empty")
@@ -419,14 +444,17 @@ def build_vocab(docs: Documents, table: TimeSlotTable, min_count: int = 5) -> Vo
     kept.sort(key=lambda t: (-by_count[t], docs.types[t]))
     words = [docs.types[t] for t in kept]
     slot_counts = np.zeros((len(table), len(kept)), dtype=np.int64)
+    slot_total_tokens = np.zeros(len(table), dtype=np.int64)
     for s, in_slot in enumerate(member.T):
-        slot_counts[s] = np.bincount(docs.ids[np.repeat(in_slot, lengths)], minlength=n_types)[kept]
+        types = docs.select(in_slot)[0]
+        slot_counts[s] = np.bincount(types, minlength=n_types)[kept]
+        slot_total_tokens[s] = types.size
     return Vocabulary(
         words=words,
         index={w: i for i, w in enumerate(words)},
         global_counts=counts[kept],
         slot_counts=slot_counts,
-        slot_total_tokens=lengths @ member,
+        slot_total_tokens=slot_total_tokens,
     )
 
 

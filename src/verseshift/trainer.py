@@ -353,21 +353,27 @@ def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray | Non
     return np.minimum(1.0, np.sqrt(ratio) + ratio)
 
 
-def _slot_passes(ids: np.ndarray, doc_ids: np.ndarray, member: np.ndarray, keep_prob: np.ndarray | None,
+def _slot_passes(docs: Documents, lookup: np.ndarray, member: np.ndarray, keep_prob: np.ndarray | None,
                  seed: int, epoch: int):
-    """Each slot's kept (tokens, doc_ids) in one epoch, slot by slot, taken from the corpus columns.
+    """Each slot's kept (tokens, doc_ids) in one epoch, slot by slot, read from the corpus cache's id column.
 
-    A slot keeps its documents' in-vocabulary tokens (``ids`` >= 0), narrowing one corpus-length
-    mask in place, then those the draws of ``default_rng([seed, 1, epoch])`` keep, made in slot
-    order, so that the pair count pass and the training pass keep the same tokens.
+    A slot reads its documents' tokens (:meth:`Documents.select`), maps each type id through
+    ``lookup``, the vocabulary index of each type (-1 out of vocabulary), and keeps the ids >= 0,
+    then those the draws of ``default_rng([seed, 1, epoch])`` keep, made in slot and corpus order,
+    so that the pair count pass and the training pass keep the same tokens. Only the slot being
+    read is held, never a corpus-length array.
     """
     rng = np.random.default_rng([seed, 1, epoch])
     for in_slot in member.T:
-        keep = in_slot[doc_ids]
-        np.greater_equal(ids, 0, out=keep, where=keep)
+        types, doc_ids = docs.select(in_slot)
+        tokens = lookup[types]
+        del types
+        keep = tokens >= 0
         if keep_prob is not None:
-            keep[keep] = rng.random(np.count_nonzero(keep)) < keep_prob[ids[keep]]
-        yield ids[keep], doc_ids[keep]
+            keep[keep] = rng.random(np.count_nonzero(keep)) < keep_prob[tokens[keep]]
+        tokens, doc_ids = tokens[keep], doc_ids[keep]
+        del keep
+        yield tokens, doc_ids
 
 
 def _near_positions(doc_ids: np.ndarray, window: int):
@@ -462,13 +468,15 @@ def train(
     Every (target-in-slot, context) pair within the window contributes a
     negative-sampling step; each group of PAIR_GROUP consecutive pairs shares k
     negatives drawn from the corpus-wide unigram distribution raised to 0.75.
-    The learning rate decays linearly over all scheduled pairs. The corpus is
-    held as two int32 columns, each token's vocabulary id and document number,
-    and each pass takes every slot's kept tokens from them
+    The learning rate decays linearly over all scheduled pairs. Training keeps
+    no corpus-length array besides the cache's own id column: each pass reads
+    one slot's tokens at a time from it and maps their types to vocabulary ids
     (:func:`_slot_passes`). Each epoch writes its kept slot tokens into one
     int32 array and holds each pair as one uint32 code of its center's position
     in that array and its context's step from it, 4 bytes per pair
-    (:func:`_epoch_records`). Every epoch's codes span 2 * reach steps, reach
+    (:func:`_epoch_records`). Once the pairs are counted, and before the
+    matrices exist, the bytes of the matrices and of the largest epoch's codes
+    and tokens are logged at INFO. Every epoch's codes span 2 * reach steps, reach
     being the window or, if shorter, the longest slotted stanza less one token;
     a run whose slot tokens, the most an epoch keeps, times that span pass
     MAX_EPOCH_CODES is refused before any slot pass. The codes are shuffled in
@@ -500,8 +508,7 @@ def train(
 
     for slot in np.flatnonzero(~vocab.slot_counts.any(axis=1)):
         log.warning("slot %d has no trainable documents; its deltas stay zero", slot)
-    ids = np.array([vocab.index.get(t, -1) for t in docs.types], dtype=np.int32)[docs.ids]  # -1 out of vocabulary
-    doc_ids = np.repeat(np.arange(len(docs), dtype=np.int32), docs.lengths)
+    lookup = np.array([vocab.index.get(t, -1) for t in docs.types], dtype=np.int32)  # -1 out of vocabulary
     keep_prob = _keep_probabilities(vocab, config.subsample_threshold)
 
     weights = vocab.global_counts.astype(np.float64) ** 0.75
@@ -511,12 +518,16 @@ def train(
     # Every epoch's pairs are counted first, so the exact linear
     # learning-rate schedule is known before the first step.
     epoch_counts = [  # (pairs, kept slot tokens) of each epoch
-        _epoch_count(_slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch), reach)
+        _epoch_count(_slot_passes(docs, lookup, member, keep_prob, config.seed, epoch), reach)
         for epoch in range(config.epochs)
     ]
     total_pairs = sum(n_pairs for n_pairs, _ in epoch_counts)
-
     n_words, d = len(vocab), config.dim
+    log.info(
+        "memory: %d bytes of model matrices, at most %d bytes of pair codes and tokens per epoch",
+        4 * (len(slot_table) + 2) * n_words * d, max(4 * n_pairs + 4 * n_tokens for n_pairs, n_tokens in epoch_counts),
+    )
+
     mats = np.zeros((len(slot_table) + 2, n_words, d), dtype=np.float32)  # model.bin's matrix block
     mats[0] = np.random.default_rng([config.seed, 0]).uniform(-0.5 / d, 0.5 / d, size=(n_words, d))
     model = JointEmbeddingModel(vocab, slot_table, mats[0], mats[1:-1], mats[-1])
@@ -531,7 +542,7 @@ def train(
         for epoch, (n_pairs, n_tokens) in enumerate(epoch_counts):
             rng_epoch = np.random.default_rng([config.seed, 2, epoch])
             tokens, slot_ends, codes = _epoch_records(
-                _slot_passes(ids, doc_ids, member, keep_prob, config.seed, epoch), n_tokens, n_pairs, reach
+                _slot_passes(docs, lookup, member, keep_prob, config.seed, epoch), n_tokens, n_pairs, reach
             )
             # pair-level shuffle keeps every slot represented across the whole
             # learning-rate range instead of letting large slots dominate the tail;

@@ -23,6 +23,7 @@ from conftest import (
     make_stanza,
     make_table,
     stanza_documents,
+    working_bytes,
     write_tiny_cache,
 )
 
@@ -488,6 +489,24 @@ class TestVocabulary:
         )
         assert vocab.words == ["c", "a", "b"]
 
+    def test_memory_is_below_an_int64_membership(self):
+        """100k ten-token stanzas, the reference corpus's stanza length, over 13 sliding slots.
+
+        Each slot is counted from a read of its own tokens; the (D, S)
+        membership cast to int64 for the slot totals took 8 * D * S bytes.
+        """
+        table = corpus.build_slots(1575, 1925, 50, 25)
+        n_docs, n_slots = 100_000, len(table)
+        assert n_slots == 13
+        rng = np.random.default_rng(0)
+        docs = corpus.Documents(
+            [f"w{i}" for i in range(50)], rng.integers(0, 50, 10 * n_docs).astype(np.int32),
+            np.arange(n_docs + 1, dtype=np.int64) * 10, rng.integers(1575, 1925, n_docs),
+        )
+        vocab, extra = working_bytes(lambda: corpus.build_vocab(docs, table, min_count=1))
+        assert vocab.slot_total_tokens.sum() == 10 * np.count_nonzero(corpus.assign_slots(docs.years, table))
+        assert extra < 8 * n_docs * n_slots
+
 
 # "a" and "a\x00" differ only by a trailing NUL, which a fixed-width numpy string drops
 ORACLE_TOKENS = ["ä", "Z", "a", "a\x00", "b", "zz", "é"]
@@ -528,11 +547,10 @@ class TestColumnarOracle:
         for name in ("global_counts", "slot_counts", "slot_total_tokens"):
             assert np.array_equal(getattr(vocab, name), getattr(expected, name)), name
 
-        # the corpus columns train builds, here token by token: vocabulary ids (-1 out of vocabulary), document numbers
-        id_column = np.array([vocab.index.get(docs.types[i], -1) for i in docs.ids.tolist()], dtype=np.int32)
-        doc_column = np.array([d for d, n in enumerate(docs.lengths.tolist()) for _ in range(n)], dtype=np.int32)
+        # the vocabulary index of each type (-1 out of vocabulary), as train looks it up
+        lookup = np.array([vocab.index.get(t, -1) for t in docs.types], dtype=np.int32)
         member = corpus.assign_slots(docs.years, table)
-        encoded = list(trainer._slot_passes(id_column, doc_column, member, None, seed=0, epoch=0))
+        encoded = list(trainer._slot_passes(docs, lookup, member, None, seed=0, epoch=0))
         assert len(encoded) == len(table)
         for (tokens, doc_ids), (want_tokens, want_doc_ids) in zip(encoded, encode_documents(per_slot, vocab.index)):
             assert np.array_equal(tokens, want_tokens)
@@ -547,6 +565,14 @@ class TestColumnarOracle:
         assert len(docs) == 3
         with pytest.raises(ValueError, match="one year per token list"):
             corpus.Documents.from_tokens([["a"]], [])
+
+    def test_select_reads_the_chosen_documents_in_corpus_order(self):
+        docs = corpus.Documents.from_tokens([["b", "a", "b"], [], ["c"], ["a", "c"]], [1600, 1610, 1620, 1630])
+        types, doc_ids = docs.select(np.array([True, True, False, True]))
+        assert types.tolist() == [0, 1, 0, 1, 2]
+        assert doc_ids.tolist() == [0, 0, 0, 3, 3] and doc_ids.dtype == np.int32
+        types, doc_ids = docs.select(np.zeros(4, dtype=bool))
+        assert types.size == 0 and doc_ids.size == 0
 
     def test_ties_break_by_str_order_not_first_seen(self):
         table = ORACLE_TABLES["fixed"]

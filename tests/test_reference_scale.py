@@ -56,4 +56,5 @@ def test_every_command_peaks_under_its_budget(tmp_path):
         assert c["peak_rss_mb"] <= budget, f"{c['kind']} peaked at {c['peak_rss_mb']} MB, budget {budget:.1f} MB"
     train = commands[1]
     assert len(train["epoch_pairs"]) == 1 and train["epoch_pairs"][0] > 0
+    assert train["matrix_bytes"] > 0 and train["epoch_bytes"] > 4 * train["epoch_pairs"][0]
     assert train["files"]["out/model.bin"] > 0

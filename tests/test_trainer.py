@@ -669,6 +669,13 @@ class TestProgressLog:
         assert ((config.final_lr <= lrs) & (lrs <= config.initial_lr)).all()
         assert float(lines[-1][4]) == pytest.approx(model.epoch_losses[0], abs=1e-5)
 
+    def test_logs_the_memory_of_the_matrices_and_the_largest_epoch(self, caplog):
+        """The tiny corpus: (2 + 2) * 8 words * 16 dims * 4 bytes of matrices; 5400 pairs and 1800 tokens an epoch."""
+        with caplog.at_level("INFO", logger="verseshift.trainer"):
+            train_tiny(quick_config())
+        lines = [m for m in caplog.messages if m.startswith("memory:")]
+        assert lines == ["memory: 2048 bytes of model matrices, at most 28800 bytes of pair codes and tokens per epoch"]
+
 
 def test_epoch_working_memory_is_under_eight_bytes_per_pair():
     """One epoch's traced peak above the model it returns, per pair, on about 400k pairs.
@@ -688,6 +695,30 @@ def test_epoch_working_memory_is_under_eight_bytes_per_pair():
     n_pairs = 4500 * 2 * (11 + 10 + 9 + 8 + 7)  # 4500 documents of 12 tokens
     assert n_pairs >= 200_000
     assert extra / n_pairs < 8.0
+
+
+def test_documents_outside_every_slot_cost_training_no_memory_per_token():
+    """Padding the tiny corpus with 200k tokens in stanzas of no slot leaves train's working memory as it is.
+
+    Train reads each slot's tokens from the corpus's id column when it needs
+    them; an int32 vocabulary id and an int32 stanza number per corpus token
+    would cost 8 bytes per padding token.
+    """
+    table = make_table([1700, 1750])
+    docs_by_slot = tiny_docs()
+    config = quick_config(epochs=1)
+
+    def working(docs):
+        vocab = corpus.build_vocab(docs, table, min_count=1)
+        return working_bytes(lambda: trainer.train(docs, vocab, table, config))[1]
+
+    docs = slot_documents(docs_by_slot, table)
+    padding = [docs_by_slot[0][i % 150] * 20 for i in range(2000)]  # 120 tokens each, of the same words
+    token_lists = [doc for slot_docs in docs_by_slot for doc in slot_docs] + padding
+    padded = corpus.Documents.from_tokens(token_lists, [*docs.years.tolist(), *[1650] * len(padding)])
+    n_padding = padded.ids.size - docs.ids.size
+    assert n_padding >= 200_000
+    assert (working(padded) - working(docs)) / n_padding < 1.0
 
 
 def reference_corpus(table):
